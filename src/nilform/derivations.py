@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
 from .lie import LieAlgebra
-from .linalg import Matrix, char_poly, sparse_kernel
+from .linalg import Matrix, char_poly, common_denominator, sparse_kernel
 from .linform import LinearForm
 from .rational import ONE, ZERO, rat
 
@@ -294,14 +294,7 @@ class CharNilpotency:
 
 
 def _integer_scaled(mat: Matrix):
-    denom = 1
-    for row in mat.data:
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                from math import gcd
-
-                denom = denom * d // gcd(denom, int(d))
+    denom = common_denominator(x for row in mat.data for x in row)
     return [[int(x * denom) for x in row] for row in mat.data]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
-from .linalg import Matrix, _rref_inplace, inverse, kernel_basis, matvec, rank
+from .linalg import Matrix, inverse, kernel_basis, matvec, rank, row_reduce
 from .rational import ONE, ZERO, rat
 
 
@@ -44,8 +44,8 @@ class Subspace:
         for v in rows:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient dimension")
-        pivots = _rref_inplace(rows, ambient)
-        return Subspace(ambient, Matrix(rows[: len(pivots)], copy=False), tuple(pivots))
+        pivots, basis = row_reduce(rows, ambient)
+        return Subspace(ambient, Matrix(basis, copy=False), tuple(pivots))
 
     @staticmethod
     def zero(ambient):
@@ -90,11 +90,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
-
-    def sum(self, other):
-        return Subspace.span(
-            self.ambient, self.basis_vectors() + other.basis_vectors()
-        )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,26 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Row reduction uses deterministic pivoting (first nonzero column, smallest
-row index) so results are byte-reproducible.  The characteristic polynomial
-is computed with the Berkowitz scheme, which is division-free.  Matrices
-are small and dense here (catalog dimensions stay around 20), so there is
-no sparse machinery.
+Matrices are dense lists of rationals (see `rational`).  Every row
+reduction -- rank, rref, kernels, inverse, solve, subspace spans and the
+sparse Leibniz systems of the derivation layer -- runs on one integer core,
+`_echelon`: fraction-free Gaussian elimination on sparse {col: int} rows,
+after Bareiss (Math. Comp. 22, 1968, 565-578).  Each input row has its
+denominators cleared once, and every row is kept primitive (divided by the
+gcd of its entries) after each step: one gcd per row and step, where
+Fraction arithmetic pays one per entry.
+Rationals are built only at the end, one division by the pivot per output
+entry; `rank` runs the forward pass only and builds none.
+
+The reduced row echelon form is unique, so pivots, kernel vectors and
+subspace bases do not depend on the elimination order, and results are
+byte-reproducible.  The characteristic polynomial is computed with the
+Berkowitz scheme, which is division-free.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd
 
 from .errors import DimensionMismatch, NotNilpotent, SingularTransform
 from .rational import ONE, ZERO, rat
@@ -37,10 +50,6 @@ class Matrix:
         for i in range(n):
             rows[i][i] = ONE
         return Matrix(rows, copy=False)
-
-    @staticmethod
-    def from_rows(rows):
-        return Matrix([list(r) for r in rows])
 
     @staticmethod
     def from_cols(cols):
@@ -151,50 +160,114 @@ def matvec(a: Matrix, v):
     ]
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    if not a.is_square:
-        raise DimensionMismatch("power of non-square matrix")
-    out = Matrix.identity(a.nrows)
-    for _ in range(k):
-        out = matmul(out, a)
+def common_denominator(values):
+    """Least common multiple of the denominators of some exact rationals."""
+    d = 1
+    for x in values:
+        q = int(x.denominator)
+        if d % q:
+            d = d // gcd(d, q) * q
+    return d
+
+
+def _primitive(row):
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g != 1 else row
+
+
+def _integer_row(items):
+    """Primitive sparse integer row {col: int} proportional to (col, value) pairs."""
+    items = [(c, x) for c, x in items if x]
+    if not items:
+        return {}
+    d = common_denominator(x for _, x in items)
+    return _primitive(
+        {c: int(x.numerator) * (d // int(x.denominator)) for c, x in items}
+    )
+
+
+def _cancel(row, prow, c):
+    """Primitive integer combination of row and prow that is zero at column c.
+
+    prow[c] is positive, so row is only ever scaled by a positive factor
+    and its own pivot keeps its sign.  row may be updated in place.
+    """
+    a, b = row[c], prow[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        row = {k: b * v for k, v in row.items()}
+    for k, v in prow.items():
+        nv = row.get(k, 0) - a * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    return _primitive(row) if row else row
+
+
+def _echelon(rows, reduced=True):
+    """Fraction-free Gaussian elimination on sparse primitive integer rows.
+
+    Rows are folded in order; each is cancelled on its smallest column
+    against the pivot row there until it reaches a column with no pivot,
+    where it becomes that column's pivot row, made positive.  Returns
+    {pivot column: row}.  With reduced=True each pivot row is then cancelled
+    against the pivot rows to its right, so dividing it by its pivot entry
+    gives a row of the (unique) reduced row echelon form.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if row[c] < 0:
+                    row = {k: -v for k, v in row.items()}
+                pivots[c] = row
+                break
+            row = _cancel(row, prow, c)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for k in [k for k in row if k != c and k in pivots]:
+                row = _cancel(row, pivots[k], k)
+            pivots[c] = row
+    return pivots
+
+
+def _rref_row(row, c, ncols):
+    """Dense rational row of the rref from the reduced pivot row at column c."""
+    p = row[c]
+    out = [ZERO] * ncols
+    for k, v in row.items():
+        out[k] = rat(v, p)
     return out
 
 
-def _rref_inplace(rows, ncols):
-    """Reduce a list of row-lists to reduced row echelon form.
+def _kernel(pivots, ncols):
+    """One kernel vector per free column, ascending.
 
-    Pivot choice scans columns left to right and takes the smallest row
-    index with a nonzero entry.  Returns the pivot column list.
+    The vector is 1 at its free column and minus that column of the rref
+    at the pivot coordinates, so it is zero at every other free column.
     """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            inv = ONE / piv
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    vectors = {f: [ZERO] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in vectors.items():
+        v[f] = ONE
+    for c, row in pivots.items():
+        p = row[c]
+        for k, v in row.items():
+            if k != c:
+                vectors[k][c] = rat(-v, p)
+    return list(vectors.values())
+
+
+def row_reduce(rows, ncols):
+    """Pivot columns and nonzero rows of the rref of dense rational rows."""
+    pivots = _echelon(_integer_row(enumerate(r)) for r in rows)
+    cols = sorted(pivots)
+    return cols, [_rref_row(pivots[c], c, ncols) for c in cols]
 
 
 def rref(a: Matrix):
@@ -202,35 +275,22 @@ def rref(a: Matrix):
 
     Returns (R, rank, pivot_columns).
     """
-    rows = [list(r) for r in a.data]
-    pivots = _rref_inplace(rows, a.ncols)
-    return Matrix(rows, copy=False), len(pivots), tuple(pivots)
+    cols, rows = row_reduce(a.data, a.ncols)
+    rows += [[ZERO] * a.ncols for _ in range(a.nrows - len(rows))]
+    return Matrix(rows, copy=False), len(cols), tuple(cols)
 
 
 def rank(a: Matrix) -> int:
-    rows = [list(r) for r in a.data]
-    return len(_rref_inplace(rows, a.ncols))
+    return len(_echelon((_integer_row(enumerate(r)) for r in a.data), reduced=False))
 
 
 def kernel_basis(a: Matrix):
     """Basis of the right nullspace, one vector per free column of rref(A).
 
-    Each returned vector has a 1 in its free coordinate, so the basis is
-    canonical given the deterministic pivoting.
+    Each returned vector has a 1 in its free coordinate and zeros at the
+    other free coordinates, so the basis is canonical.
     """
-    rows = [list(r) for r in a.data]
-    pivots = _rref_inplace(rows, a.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(a.ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * a.ncols
-        v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        basis.append(v)
-    return basis
+    return _kernel(_echelon(_integer_row(enumerate(r)) for r in a.data), a.ncols)
 
 
 def solve(a: Matrix, b):
@@ -240,13 +300,16 @@ def solve(a: Matrix, b):
     """
     if a.nrows != len(b):
         raise DimensionMismatch("rhs length mismatch")
-    rows = [list(r) + [rat(x)] for r, x in zip(a.data, b)]
-    pivots = _rref_inplace(rows, a.ncols + 1)
-    if pivots and pivots[-1] == a.ncols:
+    n = a.ncols
+    pivots = _echelon(
+        _integer_row(chain(enumerate(r), [(n, rat(x))])) for r, x in zip(a.data, b)
+    )
+    if n in pivots:
         return None
-    x = [ZERO] * a.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.ncols]
+    x = [ZERO] * n
+    for c, row in pivots.items():
+        if n in row:
+            x[c] = rat(row[n], row[c])
     return x
 
 
@@ -254,13 +317,12 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square:
         raise DimensionMismatch("inverse of non-square matrix")
     n = a.nrows
-    rows = [list(r) + [ZERO] * n for r in a.data]
-    for i in range(n):
-        rows[i][n + i] = ONE
-    pivots = _rref_inplace(rows, 2 * n)
-    if len([p for p in pivots if p < n]) != n:
+    pivots = _echelon(
+        _integer_row(chain(enumerate(r), [(n + i, ONE)])) for i, r in enumerate(a.data)
+    )
+    if any(c not in pivots for c in range(n)):
         raise SingularTransform("matrix is singular")
-    return Matrix([row[n:] for row in rows], copy=False)
+    return Matrix([_rref_row(pivots[i], i, 2 * n)[n:] for i in range(n)], copy=False)
 
 
 def char_poly(a: Matrix):
@@ -302,15 +364,6 @@ def char_poly(a: Matrix):
             new.append(acc)
         poly = new
     return poly
-
-
-def poly_eval_matrix(coeffs, a: Matrix) -> Matrix:
-    """Evaluate a polynomial (leading coefficient first) at a square matrix."""
-    ident = Matrix.identity(a.nrows)
-    out = Matrix.zeros(a.nrows, a.ncols)
-    for c in coeffs:
-        out = matmul(out, a) + ident.scale(c)
-    return out
 
 
 def rank_sequence(a: Matrix, kmax=None):
@@ -360,66 +413,9 @@ def nilpotent_jordan_profile(a: Matrix):
 def sparse_kernel(rows, ncols):
     """Kernel basis for a system given as sparse rows ({col: coeff} dicts).
 
-    Deterministic: input rows are folded in order and each row pivots on its
-    smallest remaining column.  Returns (pivot_cols, kernel_vectors) with one
-    dense kernel vector per free column, ascending.
+    Returns (pivot_cols, kernel_vectors): the pivot columns of the reduced
+    row echelon form, ascending, and one dense kernel vector per free
+    column, ascending.
     """
-    pivots = {}
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                f = row[c]
-                if f != 1:
-                    inv = ONE / f
-                    row = {cc: vv * inv for cc, vv in row.items()}
-                pivots[c] = row
-                break
-            f = row.pop(c)
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, ZERO) - f * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    # Back-substitute so pivot rows are reduced against later pivots.
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for cc in [k for k in row if k != c and k in pivots]:
-            f = row.pop(cc)
-            for c2, v2 in pivots[cc].items():
-                if c2 == cc:
-                    continue
-                nv = row.get(c2, ZERO) - f * v2
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
-    pivot_cols = sorted(pivots)
-    pivot_set = set(pivot_cols)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for p in pivot_cols:
-            coeff = pivots[p].get(free)
-            if coeff:
-                v[p] = -coeff
-        kernel.append(v)
-    return pivot_cols, kernel
-
-
-def conjugate_partition(parts):
-    """Conjugate of an integer partition given as a descending list."""
-    if not parts:
-        return ()
-    out = []
-    for k in range(1, parts[0] + 1):
-        out.append(sum(1 for p in parts if p >= k))
-    return tuple(out)
+    pivots = _echelon(_integer_row(raw.items()) for raw in rows)
+    return sorted(pivots), _kernel(pivots, ncols)

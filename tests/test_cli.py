@@ -170,3 +170,21 @@ def test_tables_1_center_column():
     rows = list(csvmod.reader(io.StringIO(result.output)))[1:]
     zs = [row[1].split()[0] for row in rows]
     assert zs == ["dimZ=2", "dimZ=3", "dimZ=3", "dimZ=3"]
+
+
+def test_reports_survive_a_pruned_deviation_ledger(monkeypatch):
+    from nilform import tables
+
+    pruned = {
+        key: note
+        for key, note in tables.KNOWN_DEVIATIONS.items()
+        if key not in (("der_tower", 81), ("charseq", "m1-families"))
+    }
+    monkeypatch.setattr(tables, "KNOWN_DEVIATIONS", pruned)
+    for args in (("dertower", "--family", "81", "--dim", "7"),
+                 ("check", "--dims", "10..10", "--alpha", "1")):
+        result = invoke(*args, "--format", "json")
+        assert not isinstance(result.exception, Exception), args    # no traceback
+        assert result.exit_code == 1, args          # the deviations still fail
+        notes = [item.get("note", "") for item in json.loads(result.output)["items"]]
+        assert notes and not any("known deviation" in note for note in notes), args

@@ -15,9 +15,10 @@ from nilform.derivations import (
 )
 from nilform.errors import DimensionMismatch
 from nilform.lie import abelian
-from nilform.linalg import _rref_inplace, matmul
+from nilform.linalg import matmul
 from nilform.linform import LinearForm
 from nilform.rational import ZERO, rat
+from reference_linalg import rref_inplace
 
 
 def test_derivation_dimensions_examples():
@@ -140,7 +141,7 @@ def _hull_all_traces_vanish(g):
     def reduce_add(m):
         row = [m.data[i][j] for i in range(n) for j in range(n)]
         rows = basis_rows + [row]
-        piv = _rref_inplace(rows, n * n)
+        piv = rref_inplace(rows, n * n)
         if len(piv) > len(basis_rows):
             basis_rows.clear()
             basis_rows.extend(rows[: len(piv)])

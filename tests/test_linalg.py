@@ -6,19 +6,36 @@ from nilform.errors import NotNilpotent
 from nilform.linalg import (
     Matrix,
     char_poly,
-    conjugate_partition,
     inverse,
     kernel_basis,
     matmul,
     matvec,
     nilpotent_jordan_profile,
-    poly_eval_matrix,
     rank,
     rank_sequence,
     rref,
     sparse_kernel,
 )
 from nilform.rational import ONE, ZERO, rat
+
+
+def poly_eval_matrix(coeffs, a: Matrix) -> Matrix:
+    """Evaluate a polynomial (leading coefficient first) at a square matrix."""
+    ident = Matrix.identity(a.nrows)
+    out = Matrix.zeros(a.nrows, a.ncols)
+    for c in coeffs:
+        out = matmul(out, a) + ident.scale(c)
+    return out
+
+
+def conjugate_partition(parts):
+    """Conjugate of an integer partition given as a descending list."""
+    if not parts:
+        return ()
+    out = []
+    for k in range(1, parts[0] + 1):
+        out.append(sum(1 for p in parts if p >= k))
+    return tuple(out)
 
 
 def test_rref_identity():
