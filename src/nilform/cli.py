@@ -11,6 +11,7 @@ import sys
 import click
 
 from . import catalog, serialize, verify
+from .errors import MalformedFile
 from .invariants import DEFAULT_SEED
 from .reports import Report
 
@@ -66,7 +67,11 @@ def check(dims, alpha, seed, fmt, path):
     """Jacobi, characteristic sequence and nonsplitness over the catalog."""
     seed = _seed(seed)
     if path:
-        g = serialize.load(path)
+        try:
+            g = serialize.load(path)
+        except MalformedFile as exc:
+            click.echo(f"Error: {path}: {exc}", err=True)
+            sys.exit(2)
         _emit(verify.check_algebra_file(g, seed=seed), fmt)
     dims = [n for n in _parse_range(dims) if n >= 7]
     _emit(verify.check_suite(dims, alphas=_parse_alphas(alpha), seed=seed), fmt)

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
-from .lie import LieAlgebra
-from .linalg import Matrix, char_poly, common_denominator, sparse_kernel
+from .lie import LieAlgebra, basis_vec
+from .linalg import Matrix, char_poly, common_denominator, matmul, sparse_kernel
 from .linform import LinearForm
 from .rational import ONE, ZERO, rat
 
@@ -94,26 +94,11 @@ class DerivationSpace:
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
-    """Exact Leibniz check on all basis pairs."""
-    n = g.dim
-    for i in range(n):
-        di = d.col(i)
-        for j in range(i + 1, n):
-            dj = d.col(j)
-            lhs = [ZERO] * n
-            for k, c in g.bracket_basis(i, j).items():
-                for t in range(n):
-                    if d.data[t][k]:
-                        lhs[t] += c * d.data[t][k]
-            rhs = [
-                x + y
-                for x, y in zip(
-                    g.bracket(di, [ONE if t == j else ZERO for t in range(n)]),
-                    g.bracket([ONE if t == i else ZERO for t in range(n)], dj),
-                )
-            ]
-            if lhs != rhs:
-                return False
+    """Exact Leibniz rule: D ad(e_i) - ad(e_i) D = ad(D e_i) for every i."""
+    for i in range(g.dim):
+        ad_i = g.ad(basis_vec(g.dim, i))
+        if matmul(d, ad_i) - matmul(ad_i, d) != g.ad(d.col(i)):
+            return False
     return True
 
 
@@ -174,9 +159,6 @@ class WeightSignature:
         for w in self.weights:
             out[w] = out.get(w, 0) + 1
         return out
-
-    def multiplicity(self, form) -> int:
-        return self.multiset().get(form, 0)
 
     def canonical_key(self):
         """Basis-order relabelling of the free parameters, as a hashable key."""
@@ -370,10 +352,6 @@ class TowerLevel:
 class TowerResult:
     levels: list        # TowerLevel for Der^1 .. Der^depth (plus level 0 report)
     index: int          # smallest k with Der^k not char-nilpotent, or None
-
-    @property
-    def exceeds_max(self):
-        return self.index is None
 
 
 def derivation_tower_index(g: LieAlgebra, max_depth=1, seed=CHARNILP_SEED) -> TowerResult:

@@ -33,5 +33,9 @@ class MissingParameter(NilformError):
     pass
 
 
+class MalformedFile(NilformError, ValueError):
+    """An algebra file that is not valid JSON or has a bad field."""
+
+
 class TemplateMismatch(NilformError):
     """A bracket violates the generic filiform-chain template shape."""

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NotNilpotent, VectorInDerivedAlgebra
-from .lie import LieAlgebra, Subspace, basis_vec
+from .lie import LieAlgebra, basis_vec
 from .linalg import nilpotent_jordan_profile, rank
 from .rational import rat
 
@@ -158,15 +158,6 @@ class Fingerprint:
         }
 
 
-def _is_abelian_subspace(g: LieAlgebra, s: Subspace) -> bool:
-    vecs = s.basis_vectors()
-    return all(
-        all(x == 0 for x in g.bracket(u, v))
-        for t, u in enumerate(vecs)
-        for v in vecs[t + 1 :]
-    )
-
-
 def fingerprint(g: LieAlgebra, seed=DEFAULT_SEED) -> Fingerprint:
     from .derivations import derivation_space, diagonal_derivations
 
@@ -189,7 +180,7 @@ def fingerprint(g: LieAlgebra, seed=DEFAULT_SEED) -> Fingerprint:
     return Fingerprint(
         dim=g.dim,
         dim_derived=c1.dim,
-        derived_abelian=_is_abelian_subspace(g, c1),
+        derived_abelian=g.is_abelian_subspace(c1),
         dim_center=z.dim,
         char_seq=seq,
         lcs_dims=lcs,

@@ -1,9 +1,13 @@
 """Lie algebras given by structure constants over the rationals.
 
-Brackets are stored sparsely for ordered basis pairs (i < j, 0-based);
-antisymmetry is structural and [x, x] = 0 by construction.  Algebras are
-treated as immutable after construction, so everything here is safe to
-share across threads.
+Brackets are stored sparsely for ordered basis pairs (i < j, 0-based):
+`LieAlgebra.brackets` maps each pair with a nonzero bracket to its
+{k: c} coefficients, and antisymmetry is structural, so [x, x] = 0 by
+construction.  The bilinear bracket, ad(v), the center and the Leibniz
+rule of the derivation layer are all one contraction of these stored
+pairs: a single pass that skips zero coordinates, with no dense table
+built beside them.  Algebras are treated as immutable after
+construction, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
-from .linalg import Matrix, inverse, kernel_basis, matvec, rank, row_reduce
+from .linalg import Matrix, inverse, matvec, rank, row_reduce, sparse_kernel
 from .rational import ONE, ZERO, rat
 
 
@@ -40,11 +44,10 @@ class Subspace:
 
     @staticmethod
     def span(ambient, vectors):
-        rows = [[rat(x) for x in v] for v in vectors]
-        for v in rows:
+        for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient dimension")
-        pivots, basis = row_reduce(rows, ambient)
+        pivots, basis = row_reduce(vectors, ambient)
         return Subspace(ambient, Matrix(basis, copy=False), tuple(pivots))
 
     @staticmethod
@@ -138,42 +141,34 @@ class LieAlgebra:
         d = self.brackets.get((j, i))
         return {k: -c for k, c in d.items()} if d else {}
 
-    def _bracket_sparse(self, u, v):
-        out = {}
-        for (i, j), comp in self.brackets.items():
-            f = u[i] * v[j] - u[j] * v[i]
-            if f:
-                for k, c in comp.items():
-                    out[k] = out.get(k, ZERO) + f * c
-        return {k: c for k, c in out.items() if c}
-
     def bracket(self, u, v):
         """Bilinear extension [u, v] for coordinate vectors, as a dense list."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
         out = zero_vec(self.dim)
-        for k, c in self._bracket_sparse(u, v).items():
-            out[k] = c
+        for (i, j), comp in self.brackets.items():
+            # most coordinates of basis and rref vectors vanish: skip those products
+            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+            f = (ui * vj if ui and vj else 0) - (uj * vi if uj and vi else 0)
+            if f:
+                for k, c in comp.items():
+                    out[k] += f * c
         return out
 
     def ad(self, v):
         """Matrix of ad(v): x -> [v, x] in the given basis."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
-        cols = []
-        for j in range(self.dim):
-            col = zero_vec(self.dim)
-            for i in range(self.dim):
-                vi = v[i]
-                if not vi:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    col[k] += vi * c
-            cols.append(col)
-        return Matrix.from_cols(cols)
-
-    def ad_basis(self, i):
-        return self.ad(basis_vec(self.dim, i))
+        rows = [zero_vec(self.dim) for _ in range(self.dim)]
+        for (i, j), comp in self.brackets.items():
+            vi, vj = v[i], v[j]
+            if vi:                              # v_i [e_i, e_j] in column j
+                for k, c in comp.items():
+                    rows[k][j] += vi * c
+            if vj:                              # v_j [e_j, e_i] in column i
+                for k, c in comp.items():
+                    rows[k][i] -= vj * c
+        return Matrix(rows, copy=False)
 
     # -- axioms -------------------------------------------------------------
 
@@ -205,9 +200,6 @@ class LieAlgebra:
                         return JacobiFailure((i, j, k), res)
         return None
 
-    def is_lie_algebra(self):
-        return self.jacobi_check() is None
-
     # -- derived structure ---------------------------------------------------
 
     def derived_subalgebra(self):
@@ -220,17 +212,14 @@ class LieAlgebra:
         return Subspace.span(self.dim, vecs)
 
     def center(self):
-        """Kernel of the stacked adjoint matrices."""
-        rows = []
-        for j in range(self.dim):
-            cols = [self.bracket_basis(i, j) for i in range(self.dim)]
-            for k in range(self.dim):
-                row = [cols[i].get(k, ZERO) for i in range(self.dim)]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return Subspace.full(self.dim)
-        return Subspace.span(self.dim, kernel_basis(Matrix(rows, copy=False)))
+        """Kernel of x -> ([e_a, x])_a, one sparse row per (a, k) coordinate."""
+        rows = {}
+        for (i, j), comp in self.brackets.items():
+            for k, c in comp.items():
+                rows.setdefault((i, k), {})[j] = c
+                rows.setdefault((j, k), {})[i] = -c
+        _, kernel = sparse_kernel(list(rows.values()), self.dim)
+        return Subspace.span(self.dim, kernel)
 
     def _bracket_spaces(self, a: Subspace, b: Subspace):
         vecs = []
@@ -268,6 +257,15 @@ class LieAlgebra:
 
     def is_abelian(self):
         return not self.brackets
+
+    def is_abelian_subspace(self, s: Subspace):
+        """True iff [s, s] = 0, checked on pairs of basis vectors of s."""
+        vecs = s.basis_vectors()
+        return all(
+            not any(self.bracket(u, v))
+            for t, u in enumerate(vecs)
+            for v in vecs[t + 1 :]
+        )
 
     def has_abelian_direct_factor(self):
         """True iff some central vector lies outside the derived algebra.

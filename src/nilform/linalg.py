@@ -176,7 +176,10 @@ def _primitive(row):
 
 
 def _integer_row(items):
-    """Primitive sparse integer row {col: int} proportional to (col, value) pairs."""
+    """Primitive sparse integer row {col: int} proportional to (col, value) pairs.
+
+    Values may be ints or rationals: both have .numerator and .denominator.
+    """
     items = [(c, x) for c, x in items if x]
     if not items:
         return {}

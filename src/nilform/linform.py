@@ -35,9 +35,6 @@ class LinearForm:
     def is_zero(self):
         return not self.coeffs and not self.const
 
-    def is_constant(self):
-        return not self.coeffs
-
     def variables(self):
         return set(self.coeffs)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 try:
-    from gmpy2 import mpq as _mpq, mpz as _mpz
+    from gmpy2 import mpq as _mpq
 
     Rational = type(_mpq(1, 2))
 
@@ -19,17 +19,11 @@ try:
         """Build a rational from ints, a string like '3/4', or another rational."""
         return _mpq(p, q) if q != 1 else _mpq(p)
 
-    def _is_integer(x) -> bool:
-        return isinstance(x, int) or isinstance(x, type(_mpz(0)))
-
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Rational = Fraction
 
     def rat(p=0, q=1):
         return Fraction(p, q) if q != 1 else Fraction(p)
-
-    def _is_integer(x) -> bool:
-        return isinstance(x, int)
 
 
 ZERO = rat(0)
@@ -50,7 +44,3 @@ def parse_rat(s):
         p, q = s.split("/", 1)
         return rat(int(p), int(q))
     return rat(int(s))
-
-
-def is_rational(x) -> bool:
-    return isinstance(x, (Rational, Fraction)) or _is_integer(x)

@@ -1,14 +1,16 @@
 """Algebra file format: JSON with 1-based indices and rationals as strings.
 
 Round-trips are bit exact because rationals serialize in canonical lowest
-terms and bracket pairs are emitted in sorted order.
+terms and bracket pairs are emitted in sorted order.  Reading a file that
+is not JSON, or has a missing or invalid field, raises MalformedFile with
+a one-line message naming the field.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import DimensionMismatch
+from .errors import MalformedFile
 from .lie import LieAlgebra
 from .rational import parse_rat, rat_str
 
@@ -22,15 +24,50 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "labels": list(g.labels), "brackets": items}
 
 
+def _get(obj, key, name):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise MalformedFile(f"{name}: missing") from None
+
+
+def _parse(value, parse, name):
+    try:
+        return parse(value)
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        raise MalformedFile(f"{name}: bad value {value!r}") from None
+
+
+def _index(value, dim, name):
+    """A 1-based index in 1..dim, returned 0-based."""
+    i = _parse(value, int, name)
+    if not 1 <= i <= dim:
+        raise MalformedFile(f"{name}: index {i} outside 1..{dim}")
+    return i - 1
+
+
 def algebra_from_dict(d: dict) -> LieAlgebra:
-    dim = int(d["dim"])
+    dim = _parse(_get(d, "dim", "dim"), int, "dim")
+    if dim < 0:
+        raise MalformedFile(f"dim: bad value {dim}")
     labels = d.get("labels")
+    if labels and (not isinstance(labels, list) or len(labels) != dim):
+        raise MalformedFile(f"labels: expected a list of {dim} labels")
+    items = d.get("brackets", [])
+    if not isinstance(items, list):
+        raise MalformedFile("brackets: expected a list")
     brackets = {}
-    for item in d.get("brackets", []):
-        i, j = int(item["i"]) - 1, int(item["j"]) - 1
-        if not 0 <= i < j < dim:
-            raise DimensionMismatch(f"bad bracket pair ({i + 1}, {j + 1})")
-        comp = {int(k) - 1: parse_rat(v) for k, v in item["coeffs"].items()}
+    for n, item in enumerate(items):
+        at = f"brackets[{n}]"
+        i = _index(_get(item, "i", f"{at}.i"), dim, f"{at}.i")
+        j = _index(_get(item, "j", f"{at}.j"), dim, f"{at}.j")
+        if i >= j:
+            raise MalformedFile(f"{at}: pair ({i + 1}, {j + 1}) needs i < j")
+        coeffs = _parse(_get(item, "coeffs", f"{at}.coeffs"), dict, f"{at}.coeffs")
+        comp = {}
+        for k, v in coeffs.items():
+            name = f"{at}.coeffs[{k!r}]"
+            comp[_index(k, dim, name)] = _parse(v, parse_rat, name)
         brackets[(i, j)] = comp
     return LieAlgebra(dim, brackets, labels=tuple(labels) if labels else None)
 
@@ -40,7 +77,11 @@ def dumps(g: LieAlgebra) -> str:
 
 
 def loads(text: str) -> LieAlgebra:
-    return algebra_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"not valid JSON: {exc}") from None
+    return algebra_from_dict(d)
 
 
 def save(g: LieAlgebra, path):

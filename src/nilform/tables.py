@@ -59,14 +59,6 @@ def der_dimension_expected(i, m):
     return a * m * m + b * m + c
 
 
-def weight_row(i):
-    if i in TABLE8:
-        return 8, TABLE8[i]
-    if i in TABLE9:
-        return 9, TABLE9[i]
-    return None, None
-
-
 def provenance(table_id, family):
     return f"table {table_id}, row g^{family}"
 

@@ -77,17 +77,22 @@ def check_algebra_file(g, seed=DEFAULT_SEED) -> Report:
         "Jacobi identity",
         failure is None,
     )
-    if failure is None and g.lower_central_series()[-1].dim == 0:
-        seq = char_sequence(g, seed=seed)
-        report.add("char_sequence", str(tuple(seq)), "(informational)",
-                   "characteristic sequence", True)
-        report.add(
-            "nonsplit",
-            str(g.derived_subalgebra().contains_subspace(g.center())),
-            "(informational)",
-            "center inside derived algebra",
-            True,
-        )
+    if failure is not None:
+        return report
+    if not g.is_nilpotent():
+        report.add("nilpotent", "False", "(informational)", "lower central series",
+                   True, "not nilpotent: characteristic sequence skipped")
+        return report
+    seq = char_sequence(g, seed=seed)
+    report.add("char_sequence", str(tuple(seq)), "(informational)",
+               "characteristic sequence", True)
+    report.add(
+        "nonsplit",
+        str(g.derived_subalgebra().contains_subspace(g.center())),
+        "(informational)",
+        "center inside derived algebra",
+        True,
+    )
     return report
 
 
@@ -113,7 +118,7 @@ def tables_structural_suite(table_id, m_values, alphas=catalog.DEFAULT_ALPHAS,
                 computed = f"dimZ={z} dimC1={c1}"
                 expected = f"dimZ={tables.DIM_CENTER[i]} dimC1={tables.DIM_DERIVED[i]}"
                 if i in tables.DERIVED_ABELIAN:
-                    ab = _c1_abelian(g)
+                    ab = g.is_abelian_subspace(g.derived_subalgebra())
                     oks.append(ab == tables.DERIVED_ABELIAN[i])
                     computed += f" C1abelian={ab}"
                     expected += f" C1abelian={tables.DERIVED_ABELIAN[i]}"
@@ -132,16 +137,6 @@ def tables_structural_suite(table_id, m_values, alphas=catalog.DEFAULT_ALPHAS,
                     tables.provenance(table_id, i), all(oks), note,
                 )
     return report
-
-
-def _c1_abelian(g):
-    c1 = g.derived_subalgebra()
-    vecs = c1.basis_vectors()
-    return all(
-        all(x == 0 for x in g.bracket(u, v))
-        for t, u in enumerate(vecs)
-        for v in vecs[t + 1 :]
-    )
 
 
 # -- weight rows (tables 8-9) ------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Reference Lie-layer contractions, for differential tests.
+
+These are the versions nilform used before `bracket`, `ad`, `center` and
+`is_derivation` became single passes over the stored bracket pairs: the
+bracket through a sparse dict, ad(v) column by column through
+`bracket_basis` and `Matrix.from_cols`, the center as the kernel of the
+dense stack of all adjoint rows, and the Leibniz rule checked pair by pair
+with hand-rolled loops.  They are kept as plain functions of the algebra;
+the center's kernel comes from the reference field eliminator.
+"""
+
+from nilform.errors import DimensionMismatch
+from nilform.lie import Subspace, zero_vec
+from nilform.linalg import Matrix
+from nilform.rational import ONE, ZERO
+
+from reference_linalg import kernel_basis
+
+
+def _bracket_sparse(g, u, v):
+    out = {}
+    for (i, j), comp in g.brackets.items():
+        f = u[i] * v[j] - u[j] * v[i]
+        if f:
+            for k, c in comp.items():
+                out[k] = out.get(k, ZERO) + f * c
+    return {k: c for k, c in out.items() if c}
+
+
+def bracket(g, u, v):
+    """Bilinear extension [u, v] for coordinate vectors, as a dense list."""
+    if len(u) != g.dim or len(v) != g.dim:
+        raise DimensionMismatch("vector length != dim")
+    out = zero_vec(g.dim)
+    for k, c in _bracket_sparse(g, u, v).items():
+        out[k] = c
+    return out
+
+
+def ad(g, v):
+    """Matrix of ad(v): x -> [v, x] in the given basis."""
+    if len(v) != g.dim:
+        raise DimensionMismatch("vector length != dim")
+    cols = []
+    for j in range(g.dim):
+        col = zero_vec(g.dim)
+        for i in range(g.dim):
+            vi = v[i]
+            if not vi:
+                continue
+            for k, c in g.bracket_basis(i, j).items():
+                col[k] += vi * c
+        cols.append(col)
+    return Matrix.from_cols(cols)
+
+
+def center(g):
+    """Kernel of the stacked adjoint matrices."""
+    rows = []
+    for j in range(g.dim):
+        cols = [g.bracket_basis(i, j) for i in range(g.dim)]
+        for k in range(g.dim):
+            row = [cols[i].get(k, ZERO) for i in range(g.dim)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return Subspace.full(g.dim)
+    return Subspace.span(g.dim, kernel_basis(Matrix(rows, copy=False)))
+
+
+def is_derivation(g, d):
+    """Exact Leibniz check on all basis pairs."""
+    n = g.dim
+    for i in range(n):
+        di = d.col(i)
+        for j in range(i + 1, n):
+            dj = d.col(j)
+            lhs = [ZERO] * n
+            for k, c in g.bracket_basis(i, j).items():
+                for t in range(n):
+                    if d.data[t][k]:
+                        lhs[t] += c * d.data[t][k]
+            rhs = [
+                x + y
+                for x, y in zip(
+                    bracket(g, di, [ONE if t == j else ZERO for t in range(n)]),
+                    bracket(g, [ONE if t == i else ZERO for t in range(n)], dj),
+                )
+            ]
+            if lhs != rhs:
+                return False
+    return True

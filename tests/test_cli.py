@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from nilform import catalog, serialize
@@ -135,6 +136,52 @@ def test_check_file_detects_jacobi_failure(tmp_path):
     result = invoke("check", "--file", str(path))
     assert result.exit_code == 1
     assert "Jacobi fails" in result.output
+
+
+def _heisenberg_file(**changes):
+    d = {"dim": 3, "labels": ["x", "y", "z"],
+         "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
+    d.update(changes)
+    return json.dumps({k: v for k, v in d.items() if v is not None})
+
+
+ALGEBRA_FILES = [
+    # (file content, exit code, fragment of the one-line message or report)
+    (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"3": "1/0"}}]),
+     2, "brackets[0].coeffs['3']: bad value '1/0'"),
+    (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"3": "0.5"}}]),
+     2, "brackets[0].coeffs['3']: bad value '0.5'"),
+    (_heisenberg_file(dim=None), 2, "dim: missing"),
+    (_heisenberg_file(dim=-3, labels=None, brackets=[]), 2, "dim: bad value -3"),
+    (_heisenberg_file()[:-5], 2, "not valid JSON"),
+    (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"7": "1"}}]),
+     2, "brackets[0].coeffs['7']: index 7 outside 1..3"),
+    (_heisenberg_file(labels=["x"]), 2, "labels: expected a list of 3 labels"),
+    # [e1, e2] = e1: Jacobi holds, but the algebra is not nilpotent
+    (_heisenberg_file(dim=2, labels=None,
+                      brackets=[{"i": 1, "j": 2, "coeffs": {"1": "1"}}]),
+     0, "not nilpotent: characteristic sequence skipped"),
+]
+
+
+@pytest.mark.parametrize("content,code,fragment", ALGEBRA_FILES, ids=[
+    "zero-denominator", "decimal", "no-dim", "negative-dim", "truncated",
+    "target-out-of-range",
+    "label-count", "not-nilpotent",
+])
+def test_check_file_malformed_or_not_nilpotent(tmp_path, content, code, fragment):
+    path = tmp_path / "algebra.json"
+    path.write_text(content)
+    result = invoke("check", "--file", str(path), "--format", "json")
+    assert result.exit_code == code
+    assert not isinstance(result.exception, Exception)    # no traceback
+    assert fragment in result.output
+    if code == 2:
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("Error: ")
+    else:
+        items = json.loads(result.output)["items"]
+        assert [(i["id"], i["pass"]) for i in items] == [("jacobi", True), ("nilpotent", True)]
 
 
 def test_seed_env_fallback(monkeypatch):

@@ -98,6 +98,14 @@ def test_derived_and_center_catalog():
     assert g.derived_subalgebra().dim == 6
 
 
+def test_is_abelian_subspace_on_derived_algebra():
+    # printed C1-abelian column: True for g^30, False for g^24
+    g30, g24 = catalog.build(30, 5), catalog.build(24, 4)
+    assert g30.is_abelian_subspace(g30.derived_subalgebra())
+    assert not g24.is_abelian_subspace(g24.derived_subalgebra())
+    assert g24.is_abelian_subspace(g24.center())
+
+
 def test_series_reach_zero():
     g = mu10_1()
     lcs = g.lower_central_series()

@@ -1,0 +1,118 @@
+"""Differential tests: the Lie-layer contractions against the reference.
+
+`reference_lie` keeps the earlier bracket (through a sparse dict), ad(v)
+built column by column, the center as the kernel of the dense stack of
+adjoint rows, and the pair-by-pair Leibniz check.  The rewritten single
+passes over `LieAlgebra.brackets` must give exactly the same vectors,
+matrices, subspaces and verdicts on three sets of algebras: every catalog
+instance at n = 7..10, seeded random conjugates (dense structure
+constants), and abelian(4), heisenberg(2) and Der(g7^81).
+"""
+
+import random
+from functools import cache
+
+import pytest
+
+import reference_lie as ref
+from nilform import catalog
+from nilform.derivations import derivation_algebra, derivation_space, is_derivation
+from nilform.lie import abelian, basis_vec, heisenberg
+from nilform.linalg import Matrix, rank
+from nilform.rational import ONE, ZERO, rat
+
+
+def _entry(rng):
+    if rng.random() < 0.4:
+        return ZERO
+    return rat(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _vector(rng, n):
+    return [_entry(rng) for _ in range(n)]
+
+
+def _conjugate(g, rng):
+    n = g.dim
+    while True:
+        t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if rank(t) == n:
+            return g.change_basis(t)
+
+
+@cache
+def _algebras(name):
+    if name == "catalog":
+        return tuple(
+            inst.algebra for n in range(7, 11) for inst in catalog.enumerate_instances(n)
+        )
+    if name == "conjugates":
+        rng = random.Random(2024)
+        picks = (catalog.build(65, 3), catalog.build(84, 3), catalog.build(6, 4))
+        return tuple(_conjugate(g, rng) for g in picks)
+    return (abelian(4), heisenberg(2), derivation_algebra(catalog.build(81, 3)))
+
+
+SETS = ["catalog", "conjugates", "small"]
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_bracket_matches_reference(name):
+    rng = random.Random(1)
+    for g in _algebras(name):
+        for _ in range(4):
+            u, v = _vector(rng, g.dim), _vector(rng, g.dim)
+            assert g.bracket(u, v) == ref.bracket(g, u, v)
+        for i in range(g.dim):
+            e = basis_vec(g.dim, i)
+            assert g.bracket(e, v) == ref.bracket(g, e, v)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_ad_matches_reference(name):
+    rng = random.Random(2)
+    for g in _algebras(name):
+        vectors = [basis_vec(g.dim, i) for i in range(g.dim)]
+        vectors += [_vector(rng, g.dim) for _ in range(3)]
+        for v in vectors:
+            assert g.ad(v) == ref.ad(g, v)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_center_matches_reference(name):
+    for g in _algebras(name):
+        assert g.center() == ref.center(g)
+
+
+def _perturbed(d, p):
+    rows = d.rows()
+    rows[p // d.ncols][p % d.ncols] += ONE
+    return Matrix(rows, copy=False)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_is_derivation_matches_reference(name):
+    """True on derivations, False off them, the same verdict as the reference.
+
+    A derivation plus a unit matrix at a pivot position of the Leibniz
+    system is never a derivation: every kernel vector is fixed by its free
+    coordinates, and the unit matrix is zero at all of them.  Each catalog
+    instance checks two seeded basis matrices (the reference costs O(n^4)
+    per matrix); the other sets check every basis matrix.
+    """
+    rng = random.Random(3)
+    for g in _algebras(name):
+        n = g.dim
+        space = derivation_space(g)
+        free = set(space.free_positions)
+        pivots = [p for p in range(n * n) if p not in free]
+        basis = space.basis
+        if name == "catalog":
+            basis = rng.sample(basis, min(2, len(basis)))
+        for d in basis:
+            assert is_derivation(g, d) and ref.is_derivation(g, d)
+            if pivots:
+                bad = _perturbed(d, rng.choice(pivots))
+                assert not is_derivation(g, bad) and not ref.is_derivation(g, bad)
+        eye = Matrix.identity(n)
+        assert is_derivation(g, eye) == ref.is_derivation(g, eye) == g.is_abelian()
