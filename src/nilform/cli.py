@@ -164,6 +164,8 @@ def catalog_export(n, alpha, out):
     """Write every instance at a dimension as algebra JSON files."""
     if n < 7:
         raise click.BadParameter("dimension must be at least 7")
+    if n > serialize.MAX_DIM:
+        raise click.BadParameter(f"dimension must be at most {serialize.MAX_DIM}")
     os.makedirs(out, exist_ok=True)
     count = 0
     for inst in catalog.enumerate_instances(n, alphas=_parse_alphas(alpha)):

@@ -2,11 +2,16 @@
 
 The characteristic sequence is the lexicographic maximum, over vectors X
 outside the derived algebra, of the Jordan block profile of ad(X).  The
-maximum is attained on a Zariski-open set, so it is sampled: every basis
-vector outside C1, 64 random small-integer vectors, and the distinguished
-first basis vector.  Each sampled profile is computed exactly; the result
-is a certified lexicographic lower bound and is cross-checked against the
-expected value for every catalog entry in the test suite.
+maximum is attained on a Zariski-open set, so it is sampled: the basis
+vectors, then 64 random small-integer vectors, drawn lazily from one seeded
+generator.  Each sampled profile is computed exactly, so the result is a
+certified lexicographic lower bound.
+
+ad(X) maps g into C1, so no profile exceeds (dim C1 + 1, 1, ..., 1).
+Sampling stops as soon as a profile reaches that ceiling: the value is then
+exact, not only a lower bound, and the vectors after the witness are never
+built.  Otherwise every candidate is tried, and the result is cross-checked
+against the expected value for every catalog entry in the test suite.
 """
 
 from __future__ import annotations
@@ -62,23 +67,32 @@ def _profile_upper_bound(n, rank1):
     return (n - blocks + 1,) + (1,) * (blocks - 1)
 
 
+def _candidates(n, seed, samples):
+    """Basis vectors e1..en, then `samples` random vectors with entries in [-3, 3]."""
+    for i in range(n):
+        yield basis_vec(n, i)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield [rat(rng.randint(-3, 3)) for _ in range(n)]
+
+
 def char_sequence_with_witness(
     g: LieAlgebra, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPLES
 ):
-    """(CharSequence, witness vector) via exact sampled maximisation."""
+    """(CharSequence, witness vector) via exact sampled maximisation.
+
+    The witness is the first candidate whose profile is the maximum found.
+    Sampling stops once that maximum is the C1 ceiling, which no later
+    candidate can exceed.
+    """
     n = g.dim
     if n == 0:
         return CharSequence(()), []
     c1 = g.derived_subalgebra()
-    rng = random.Random(seed)
-    candidates = [basis_vec(n, 0)]
-    candidates += [basis_vec(n, i) for i in range(1, n)]
-    for _ in range(samples):
-        candidates.append([rat(rng.randint(-3, 3)) for _ in range(n)])
-
+    ceiling = _profile_upper_bound(n, c1.dim)
     best = None
     witness = None
-    for x in candidates:
+    for x in _candidates(n, seed, samples):
         if all(v == 0 for v in x) or c1.contains(x):
             continue
         ad = g.ad(x)
@@ -88,6 +102,8 @@ def char_sequence_with_witness(
         if best is None or profile > best:
             best = profile
             witness = x
+            if best == ceiling:
+                break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")
     return CharSequence(best), witness

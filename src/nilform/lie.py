@@ -68,11 +68,13 @@ class Subspace:
     def reduce(self, v):
         """Remainder of v after elimination against the rref basis."""
         w = [rat(x) for x in v]
-        for r, p in enumerate(self.pivots):
+        for row, p in zip(self.matrix.data, self.pivots):
             f = w[p]
             if f:
-                row = self.matrix.data[r]
-                w = [x - f * y for x, y in zip(w, row)]
+                for k in range(p, self.ambient):    # rref rows vanish left of p
+                    y = row[k]
+                    if y:
+                        w[k] -= f * y
         return w
 
     def contains(self, v):

@@ -9,7 +9,9 @@ denominators cleared once, and every row is kept primitive (divided by the
 gcd of its entries) after each step: one gcd per row and step, where
 Fraction arithmetic pays one per entry.
 Rationals are built only at the end, one division by the pivot per output
-entry; `rank` runs the forward pass only and builds none.
+entry; `rank` runs the forward pass only and builds none, and so does
+`rank_sequence`, which iterates integer images of A instead of forming its
+powers.  `matmul` is row-sparse: it skips the zero entries of both factors.
 
 The reduced row echelon form is unique, so pivots, kernel vectors and
 subspace bases do not depend on the elimination order, and results are
@@ -139,16 +141,18 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Row i of the product is the sum of a[i][k] * (row k of b) over a[i][k] != 0."""
     if a.ncols != b.nrows:
         raise DimensionMismatch("matmul shape mismatch")
-    bt = b.transpose().data
-    out = [
-        [
-            sum((x * y for x, y in zip(arow, bcol) if x and y), ZERO)
-            for bcol in bt
-        ]
-        for arow in a.data
-    ]
+    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
+    out = []
+    for arow in a.data:
+        acc = [ZERO] * b.ncols
+        for x, brow in zip(arow, brows):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(acc)
     return Matrix(out, copy=False)
 
 
@@ -369,24 +373,45 @@ def char_poly(a: Matrix):
     return poly
 
 
+def _apply(cols, v):
+    """Primitive integer row proportional to A v, for A given by its sparse columns."""
+    out = {}
+    for j, x in v.items():
+        for i, y in cols[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return _primitive({i: y for i, y in out.items() if y})
+
+
 def rank_sequence(a: Matrix, kmax=None):
     """Ranks of successive powers [rank(A^0), rank(A^1), ...].
 
     Stops once the rank reaches zero or stabilizes, or after kmax powers.
+    No power of A is formed: rank(A^k) is the dimension of A(A^(k-1) Q^n),
+    so each step pushes an integer echelon basis of the previous image
+    through the columns of A (denominators cleared once) and runs the
+    forward pass of `_echelon` on the results.
     """
     if not a.is_square:
         raise DimensionMismatch("rank_sequence of non-square matrix")
     n = a.nrows
     if kmax is None:
         kmax = n
+    d = common_denominator(chain.from_iterable(a.data))
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(a.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = int(x.numerator) * (d // int(x.denominator))
     seq = [n]
-    p = a
+    # `_cancel` may update its input rows in place: echelon copies of the columns
+    image = [_primitive(dict(c)) for c in cols]
     for _ in range(kmax):
-        r = rank(p)
+        basis = _echelon(image, reduced=False).values()
+        r = len(basis)
         seq.append(r)
         if r == 0 or r == seq[-2]:
             break
-        p = matmul(p, a)
+        image = [_apply(cols, v) for v in basis]
     return seq
 
 

@@ -3,7 +3,8 @@
 Round-trips are bit exact because rationals serialize in canonical lowest
 terms and bracket pairs are emitted in sorted order.  Reading a file that
 is not JSON, or has a missing or invalid field, raises MalformedFile with
-a one-line message naming the field.
+a one-line message naming the field.  So does a `dim` above MAX_DIM,
+before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import json
 from .errors import MalformedFile
 from .lie import LieAlgebra
 from .rational import parse_rat, rat_str
+
+# Largest `dim` a file may declare.  `catalog export` refuses to write larger
+# algebras, so everything it writes loads back.
+MAX_DIM = 1000
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -34,7 +39,7 @@ def _get(obj, key, name):
 def _parse(value, parse, name):
     try:
         return parse(value)
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+    except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise MalformedFile(f"{name}: bad value {value!r}") from None
 
 
@@ -50,6 +55,8 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
     dim = _parse(_get(d, "dim", "dim"), int, "dim")
     if dim < 0:
         raise MalformedFile(f"dim: bad value {dim}")
+    if dim > MAX_DIM:
+        raise MalformedFile(f"dim: {dim} exceeds the limit {MAX_DIM}")
     labels = d.get("labels")
     if labels and (not isinstance(labels, list) or len(labels) != dim):
         raise MalformedFile(f"labels: expected a list of {dim} labels")
@@ -81,6 +88,8 @@ def loads(text: str) -> LieAlgebra:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFile("not valid JSON: nested too deeply") from None
     return algebra_from_dict(d)
 
 

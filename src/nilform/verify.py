@@ -113,12 +113,12 @@ def tables_structural_suite(table_id, m_values, alphas=catalog.DEFAULT_ALPHAS,
             for g in insts:
                 label = catalog.instance_label(i, fam.dimension(m), g.meta.get("alpha"))
                 z = g.center().dim
-                c1 = g.derived_subalgebra().dim
-                oks = [z == tables.DIM_CENTER[i], c1 == tables.DIM_DERIVED[i]]
-                computed = f"dimZ={z} dimC1={c1}"
+                c1 = g.derived_subalgebra()
+                oks = [z == tables.DIM_CENTER[i], c1.dim == tables.DIM_DERIVED[i]]
+                computed = f"dimZ={z} dimC1={c1.dim}"
                 expected = f"dimZ={tables.DIM_CENTER[i]} dimC1={tables.DIM_DERIVED[i]}"
                 if i in tables.DERIVED_ABELIAN:
-                    ab = g.is_abelian_subspace(g.derived_subalgebra())
+                    ab = g.is_abelian_subspace(c1)
                     oks.append(ab == tables.DERIVED_ABELIAN[i])
                     computed += f" C1abelian={ab}"
                     expected += f" C1abelian={tables.DERIVED_ABELIAN[i]}"

@@ -5,9 +5,13 @@ integer fraction-free core: every step divides by the pivot, so every
 entry is a reduced rational.  It is slow but obviously correct, and the
 reduced row echelon form is unique, so the core must reproduce its pivots,
 rows and kernel vectors exactly.
+
+It also keeps the dense product that tests every entry pair of a row and a
+column, and the rank sequence and Jordan profile that form the powers of A
+with that product and rank each one.
 """
 
-from nilform.errors import DimensionMismatch, SingularTransform
+from nilform.errors import DimensionMismatch, NotNilpotent, SingularTransform
 from nilform.linalg import Matrix
 from nilform.rational import ONE, ZERO, rat
 
@@ -150,3 +154,53 @@ def sparse_kernel(rows, ncols):
                 v[p] = -coeff
         kernel.append(v)
     return pivot_cols, kernel
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.ncols != b.nrows:
+        raise DimensionMismatch("matmul shape mismatch")
+    bt = b.transpose().data
+    out = [
+        [
+            sum((x * y for x, y in zip(arow, bcol) if x and y), ZERO)
+            for bcol in bt
+        ]
+        for arow in a.data
+    ]
+    return Matrix(out, copy=False)
+
+
+def rank_sequence(a: Matrix, kmax=None):
+    """[rank(A^0), rank(A^1), ...], stopping at rank zero, a repeated rank or kmax."""
+    if not a.is_square:
+        raise DimensionMismatch("rank_sequence of non-square matrix")
+    n = a.nrows
+    if kmax is None:
+        kmax = n
+    seq = [n]
+    p = a
+    for _ in range(kmax):
+        r = rank(p)
+        seq.append(r)
+        if r == 0 or r == seq[-2]:
+            break
+        p = matmul(p, a)
+    return seq
+
+
+def nilpotent_jordan_profile(a: Matrix):
+    """Jordan block sizes of a nilpotent matrix from its rank sequence, descending."""
+    n = a.nrows
+    seq = rank_sequence(a)
+    if seq[-1] != 0:
+        if n == 0:
+            return ()
+        raise NotNilpotent(f"rank(A^{len(seq) - 1}) = {seq[-1]} > 0")
+    diffs = [seq[k - 1] - seq[k] for k in range(1, len(seq))]
+    profile = []
+    for size in range(len(diffs), 0, -1):
+        count = diffs[size - 1] - (diffs[size] if size < len(diffs) else 0)
+        profile.extend([size] * count)
+    profile.sort(reverse=True)
+    assert sum(profile) == n
+    return tuple(profile)

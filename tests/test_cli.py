@@ -125,6 +125,15 @@ def test_catalog_export_roundtrip(tmp_path):
         assert g.jacobi_check() is None
 
 
+def test_catalog_export_stops_at_max_dim(tmp_path):
+    """Every file `catalog export` writes is one `check --file` can load."""
+    out = tmp_path / "out"
+    result = invoke("catalog", "export", "--dim", str(serialize.MAX_DIM + 1), "--out", str(out))
+    assert result.exit_code == 2
+    assert f"at most {serialize.MAX_DIM}" in result.output
+    assert not out.exists()
+
+
 def test_check_file_detects_jacobi_failure(tmp_path):
     g = catalog.build(1, 5)
     d = serialize.algebra_to_dict(g)
@@ -157,6 +166,10 @@ ALGEBRA_FILES = [
     (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"7": "1"}}]),
      2, "brackets[0].coeffs['7']: index 7 outside 1..3"),
     (_heisenberg_file(labels=["x"]), 2, "labels: expected a list of 3 labels"),
+    ('{"dim": 3, "brackets": ' + "[" * 100000 + "]" * 100000 + "}",
+     2, "not valid JSON: nested too deeply"),
+    (_heisenberg_file(dim=serialize.MAX_DIM + 1, labels=None, brackets=None),
+     2, f"dim: {serialize.MAX_DIM + 1} exceeds the limit {serialize.MAX_DIM}"),
     # [e1, e2] = e1: Jacobi holds, but the algebra is not nilpotent
     (_heisenberg_file(dim=2, labels=None,
                       brackets=[{"i": 1, "j": 2, "coeffs": {"1": "1"}}]),
@@ -167,7 +180,7 @@ ALGEBRA_FILES = [
 @pytest.mark.parametrize("content,code,fragment", ALGEBRA_FILES, ids=[
     "zero-denominator", "decimal", "no-dim", "negative-dim", "truncated",
     "target-out-of-range",
-    "label-count", "not-nilpotent",
+    "label-count", "deeply-nested", "dim-over-limit", "not-nilpotent",
 ])
 def test_check_file_malformed_or_not_nilpotent(tmp_path, content, code, fragment):
     path = tmp_path / "algebra.json"
