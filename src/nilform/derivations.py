@@ -1,60 +1,48 @@
 """Derivation algebras, diagonal weights, and characteristic nilpotency.
 
-A derivation D satisfies D[x,y] = [Dx,y] + [x,Dy]; the space of all
-derivations is the kernel of a linear system with n^2 unknowns, solved
-exactly.  Characteristic nilpotency (every derivation nilpotent) is
-decided by trace-power identity testing on the generic derivation: all
-derivations are nilpotent iff tr(D^k) vanishes identically for k = 1..n.
-Each tr(D^k) is a polynomial in the basis coefficients, tested by exact
-evaluation at random integer points; a nonzero hit produces an exact
-non-nilpotent witness, and the all-zero outcome carries a transcript
-whose false-negative probability is far below 2^-40.
+A derivation D satisfies D[x,y] = [Dx,y] + [x,Dy], so it is determined by
+its values on a generating set.  `derivation_space` takes as unknowns the
+s*n coordinates of D(e_a) on generators e_a: a complement of C1 = [g, g],
+which generates g when g is nilpotent, grown by further basis vectors when
+it does not.  The set of x with D[x,y] = [Dx,y] + [x,Dy] for every y is a
+subalgebra (by Jacobi), so imposing the rule on the pairs (generator, basis
+vector) is enough.  The integer kernel is lifted to the n^2 matrix entries
+and row-reduced once with the columns reversed, which gives exactly the
+canonical rref kernel basis of the full n^2 Leibniz system.
+
+Characteristic nilpotency (every derivation nilpotent) is decided by
+trace-power identity testing on the generic derivation: all derivations
+are nilpotent iff tr(D^k) vanishes identically for k = 1..n.  Each tr(D^k)
+is a polynomial in the basis coefficients, tested by exact evaluation at
+random integer points; a nonzero hit produces an exact non-nilpotent
+witness, and the all-zero outcome carries a transcript whose
+false-negative probability is far below 2^-40.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from math import lcm
 
 from .errors import DimensionMismatch
 from .lie import LieAlgebra, basis_vec
-from .linalg import Matrix, char_poly, common_denominator, matmul, sparse_kernel
+from .linalg import (
+    Matrix,
+    _echelon,
+    _fold,
+    _primitive,
+    char_poly,
+    common_denominator,
+    matmul,
+    sparse_kernel,
+)
 from .linform import LinearForm
 from .rational import ONE, ZERO, rat
 
 CHARNILP_SEED = 987654321
-
-
-def _var_index(l, k, n):
-    # Unknown D_{lk}: entry in row l, column k of the derivation matrix.
-    return l * n + k
-
-
-def _leibniz_rows(g: LieAlgebra):
-    """Sparse constraint rows of the derivation system, in (i, j, t) order."""
-    n = g.dim
-    rows = []
-    cij_cols = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            comp = cij_cols[i][j]
-            for t in range(n):
-                row = {}
-                for k, c in comp.items():
-                    row[_var_index(t, k, n)] = row.get(_var_index(t, k, n), ZERO) + c
-                for l in range(n):
-                    c = cij_cols[l][j].get(t)
-                    if c:
-                        v = _var_index(l, i, n)
-                        row[v] = row.get(v, ZERO) - c
-                    c = cij_cols[i][l].get(t)
-                    if c:
-                        v = _var_index(l, j, n)
-                        row[v] = row.get(v, ZERO) - c
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return rows
 
 
 @dataclass
@@ -102,17 +90,188 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
     return True
 
 
-def derivation_space(g: LieAlgebra) -> DerivationSpace:
-    """Exact kernel of the Leibniz constraint system, basis in rref order."""
+def _integer_brackets(g: LieAlgebra):
+    """br[i][j] = {k: L c_ij^k} for both orders of every nonzero bracket.
+
+    L is the common denominator of the structure constants.  The rescaled
+    bracket L[x, y] has exactly the derivations of [x, y].
+    """
+    scale = common_denominator(c for comp in g.brackets.values() for c in comp.values())
+    br = [{} for _ in range(g.dim)]
+    for (i, j), comp in g.brackets.items():
+        row = {k: int(c.numerator) * (scale // int(c.denominator)) for k, c in comp.items()}
+        br[i][j] = row
+        br[j][i] = {k: -v for k, v in row.items()}
+    return br
+
+
+def _add(acc, form, c):
+    """acc += c * form, for sparse integer linear forms {unknown: int}."""
+    for u, v in form.items():
+        acc[u] = acc.get(u, 0) + c * v
+
+
+def _bracket_image(br, n, p, a, w, dw):
+    """D[e_a, w] = [D e_a, w] + [e_a, D w] as n linear forms.
+
+    Coordinate l of D e_a is the unknown p*n + l; dw holds the forms of D w.
+    """
+    out = [{} for _ in range(n)]
+    for m, x in w.items():                  # [D e_a, w] = -[w, D e_a]
+        for l, comp in br[m].items():
+            for k, c in comp.items():
+                out[k][p * n + l] = out[k].get(p * n + l, 0) - x * c
+    for m, comp in br[a].items():
+        for k, c in comp.items():
+            _add(out[k], dw[m], c)
+    return out
+
+
+def _leibniz_equations(br, forms, a, j):
+    """D[e_a, e_j] - [D e_a, e_j] - [e_a, D e_j] = 0, one row per coordinate."""
+    eq = [{} for _ in forms]
+    for m, c in br[a].get(j, {}).items():
+        for k, f in enumerate(forms[m]):
+            _add(eq[k], f, c)
+    for l, comp in br[j].items():           # -[D e_a, e_j] = [e_j, D e_a]
+        for k, c in comp.items():
+            _add(eq[k], forms[a][l], c)
+    for l, comp in br[a].items():
+        for k, c in comp.items():
+            _add(eq[k], forms[j][l], -c)
+    return [row for row in ({u: v for u, v in r.items() if v} for r in eq) if row]
+
+
+def _generator_forms(g, br):
+    """Generators of g and the matrix of a generic derivation on them.
+
+    Returns (gens, forms): D(e_gens[p]) has coordinate l equal to the
+    unknown p*n + l, and forms[b][l] is coordinate l of d D(e_b) as an
+    integer linear form, for one common integer d > 0.
+    """
     n = g.dim
-    rows = _leibniz_rows(g)
-    pivot_cols, kernel = sparse_kernel(rows, n * n)
-    pivot_set = set(pivot_cols)
-    free_positions = [c for c in range(n * n) if c not in pivot_set]
-    basis = [
-        Matrix([v[i * n : (i + 1) * n] for i in range(n)], copy=False)
-        for v in kernel
-    ]
+    c1 = set(g.derived_subalgebra().pivots)
+    gens = []
+    ws, dws = [], []        # w_t as sparse integer vectors, D(w_t) as n linear forms
+    span, todo = {}, deque()
+    candidates = chain((b for b in range(n) if b not in c1), range(n))
+    while len(ws) < n:
+        if todo:
+            p, u = todo.popleft()
+            w = {}
+            for m, x in ws[u].items():
+                _add(w, br[gens[p]].get(m, {}), x)
+            w = {k: v for k, v in w.items() if v}
+        else:
+            u, w = None, {next(candidates): 1}
+        if not _fold(span, _primitive(dict(w))):    # `_cancel` may update rows in place
+            continue
+        if u is None:                               # a new generator e_b
+            (b,) = w
+            dw = [{len(gens) * n + l: 1} for l in range(n)]
+            gens.append(b)
+        else:
+            dw = _bracket_image(br, n, p, gens[p], ws[u], dws[u])
+        ws.append(w)
+        dws.append(dw)
+        todo.extend((p, len(ws) - 1) for p in range(len(gens)))
+
+    wrows = [{n + i: 1} for i in range(n)]  # [W | I]: W has the columns w_t
+    for t, w in enumerate(ws):
+        for i, x in w.items():
+            wrows[i][t] = x
+    inv = _echelon(wrows)
+    d = lcm(*(inv[t][t] for t in range(n)))
+    forms = [[{} for _ in range(n)] for _ in range(n)]
+    for t, row in inv.items():
+        q = d // row[t]
+        for col, v in row.items():
+            if col >= n:
+                for acc, f in zip(forms[col - n], dws[t]):
+                    _add(acc, f, q * v)
+    return gens, forms
+
+
+def _integer_kernel(rows, ncols):
+    """Kernel of sparse integer rows: one integer vector {col: int} per free column.
+
+    Built from the reduced pivot rows with one lcm of their pivot entries.
+    """
+    pivots = _echelon(rows)
+    scale = lcm(*(row[c] for c, row in pivots.items()))
+    kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        q = scale // row[c]
+        for k, v in row.items():
+            if k != c:
+                kernel[k][c] = -q * v
+    return list(kernel.values())
+
+
+def derivation_space(g: LieAlgebra) -> DerivationSpace:
+    """Der(g) as the canonical rref kernel basis of the n^2 Leibniz system.
+
+    The unknowns are the values D(e_a) on generators e_a only, s*n of
+    them; the steps are:
+    1. Generators.  The coordinates a that are not pivots of C1 = [g, g]
+       span a complement of C1.  A basis w_1..w_n of g grows out of them by
+       iterated brackets [e_a, w_u], kept when independent of those before.
+       If the brackets close below dim n -- g is not nilpotent, as in
+       Der(g) in a tower, [e1, e2] = e1 or sl2 -- the first e_b outside
+       their span joins the generators and the same loop goes on.
+    2. Linear forms.  D(w) is linear in the unknowns:
+       D[e_a, w_u] = [D e_a, w_u] + [e_a, D w_u].  With W the matrix of
+       columns w_t and d the lcm of the pivots of [W | I], d D(e_b) is the
+       integer combination of the D(w_t) in column b of d W^-1.
+    3. Constraints.  {x : D[x, y] = [Dx, y] + [x, Dy] for all y} is a
+       subalgebra by Jacobi and holds every generator, so it is g: the
+       Leibniz rule is imposed on the pairs (e_a, e_j), a a generator.
+    4. Canonical basis.  The integer kernel vectors are lifted to the n^2
+       matrix entries.  Coordinate c is free in the n^2 system iff some
+       derivation has its last nonzero entry at c, so one `_echelon` with
+       the columns reversed returns the free positions, and its rows,
+       divided by their pivots, are the rref kernel basis.
+    Structure constants are scaled to integers first; rationals are built
+    only for the output rows.
+
+    g must satisfy Jacobi, which `LieAlgebra` does not check (see
+    `jacobi_check`): on a table that fails it, steps 1 and 3 no longer
+    hold, and the result still contains every derivation but can also
+    contain matrices that are not derivations.
+    """
+    n = g.dim
+    br = _integer_brackets(g)
+    gens, forms = _generator_forms(g, br)
+    rows, done = [], set()
+    for a in gens:
+        done.add(a)                         # (a, a) is trivial, (a, b) = -(b, a)
+        for j in range(n):
+            if j not in done:
+                rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
+    kernel = _integer_kernel(rows, len(gens) * n)
+
+    uses = {}                               # unknown -> [(kernel vector, entry)]
+    for i, x in enumerate(kernel):
+        for u, v in x.items():
+            uses.setdefault(u, []).append((i, v))
+    last = n * n - 1
+    lifted = [{} for _ in kernel]
+    for b, fb in enumerate(forms):
+        for l, f in enumerate(fb):
+            k = last - (l * n + b)          # entry (l, b), columns reversed
+            for u, c in f.items():
+                for i, v in uses.get(u, ()):
+                    lifted[i][k] = lifted[i].get(k, 0) + c * v
+    canon = _echelon(_primitive({k: v for k, v in r.items() if v}) for r in lifted)
+    free_positions, basis = [], []
+    for c in sorted(canon, reverse=True):
+        row = canon[c]
+        data = [[ZERO] * n for _ in range(n)]
+        for k, v in row.items():
+            l, b = divmod(last - k, n)
+            data[l][b] = rat(v, row[c])
+        free_positions.append(last - c)
+        basis.append(Matrix(data, copy=False))
     return DerivationSpace(algebra=g, basis=basis, free_positions=free_positions)
 
 

@@ -214,27 +214,34 @@ def _cancel(row, prow, c):
     return _primitive(row) if row else row
 
 
+def _fold(pivots, row):
+    """Fold a primitive integer row into a forward echelon {pivot column: row}.
+
+    The row is cancelled on its smallest column against the pivot row there
+    until it reaches a column with no pivot, where it becomes that column's
+    pivot row, made positive.  Returns False when it cancels to zero.
+    """
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
+            return True
+        row = _cancel(row, prow, c)
+    return False
+
+
 def _echelon(rows, reduced=True):
     """Fraction-free Gaussian elimination on sparse primitive integer rows.
 
-    Rows are folded in order; each is cancelled on its smallest column
-    against the pivot row there until it reaches a column with no pivot,
-    where it becomes that column's pivot row, made positive.  Returns
-    {pivot column: row}.  With reduced=True each pivot row is then cancelled
-    against the pivot rows to its right, so dividing it by its pivot entry
-    gives a row of the (unique) reduced row echelon form.
+    Rows are folded in order by `_fold`.  Returns {pivot column: row}.  With
+    reduced=True each pivot row is then cancelled against the pivot rows to
+    its right, so dividing it by its pivot entry gives a row of the (unique)
+    reduced row echelon form.
     """
     pivots = {}
     for row in rows:
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                if row[c] < 0:
-                    row = {k: -v for k, v in row.items()}
-                pivots[c] = row
-                break
-            row = _cancel(row, prow, c)
+        _fold(pivots, row)
     if reduced:
         for c in sorted(pivots, reverse=True):
             row = pivots[c]

@@ -17,6 +17,7 @@ from .derivations import (
     is_characteristically_nilpotent,
     verify_weight_vector,
 )
+from .errors import NotNilpotent
 from .invariants import (
     DEFAULT_SEED,
     char_sequence,
@@ -39,8 +40,11 @@ def check_instance(inst, seed=DEFAULT_SEED):
     jac = g.jacobi_check() is None
     seq = char_sequence(g, seed=seed)
     fil = seq == p_filiform_sequence(g.dim, g.dim - 5)
-    nil = nilindex(g) == seq[0]
-    nonsplit = g.derived_subalgebra().contains_subspace(g.center())
+    lcs = g.lower_central_series()          # its C^1 is [g, g]
+    if lcs[-1].dim != 0:
+        raise NotNilpotent("algebra is not nilpotent")
+    nil = len(lcs) - 1 == seq[0]
+    nonsplit = lcs[1].contains_subspace(g.center())
     return jac, fil, nil, nonsplit, seq
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import reference_linalg as ref
 from nilform import catalog
-from nilform.derivations import _leibniz_rows, is_characteristically_nilpotent
+from nilform.derivations import is_characteristically_nilpotent
 from nilform.errors import SingularTransform
 from nilform.lie import Subspace
 from nilform.linalg import (
@@ -26,6 +26,7 @@ from nilform.linalg import (
     sparse_kernel,
 )
 from nilform.rational import ZERO, rat
+from reference_derivations import _leibniz_rows
 
 
 def _entry(rng):
