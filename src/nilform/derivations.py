@@ -90,21 +90,6 @@ def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
     return True
 
 
-def _integer_brackets(g: LieAlgebra):
-    """br[i][j] = {k: L c_ij^k} for both orders of every nonzero bracket.
-
-    L is the common denominator of the structure constants.  The rescaled
-    bracket L[x, y] has exactly the derivations of [x, y].
-    """
-    scale = common_denominator(c for comp in g.brackets.values() for c in comp.values())
-    br = [{} for _ in range(g.dim)]
-    for (i, j), comp in g.brackets.items():
-        row = {k: int(c.numerator) * (scale // int(c.denominator)) for k, c in comp.items()}
-        br[i][j] = row
-        br[j][i] = {k: -v for k, v in row.items()}
-    return br
-
-
 def _add(acc, form, c):
     """acc += c * form, for sparse integer linear forms {unknown: int}."""
     for u, v in form.items():
@@ -145,13 +130,16 @@ def _leibniz_equations(br, forms, a, j):
 def _generator_forms(g, br):
     """Generators of g and the matrix of a generic derivation on them.
 
-    Returns (gens, forms): D(e_gens[p]) has coordinate l equal to the
-    unknown p*n + l, and forms[b][l] is coordinate l of d D(e_b) as an
-    integer linear form, for one common integer d > 0.
+    Returns (gens, forms, defined): D(e_gens[p]) has coordinate l equal to
+    the unknown p*n + l, and forms[b][l] is coordinate l of d D(e_b) as an
+    integer linear form, for one common integer d > 0.  defined holds the
+    pairs (a, j), in both orders, whose bracket [e_a, x e_j] was kept as a
+    basis vector w_t: D(w_t) is [D e_a, x e_j] + [e_a, D x e_j] by
+    definition, so their Leibniz equations vanish identically.
     """
     n = g.dim
-    c1 = set(g.derived_subalgebra().pivots)
-    gens = []
+    c1 = set(g.derived_echelon())
+    gens, defined = [], set()
     ws, dws = [], []        # w_t as sparse integer vectors, D(w_t) as n linear forms
     span, todo = {}, deque()
     candidates = chain((b for b in range(n) if b not in c1), range(n))
@@ -172,6 +160,9 @@ def _generator_forms(g, br):
             gens.append(b)
         else:
             dw = _bracket_image(br, n, p, gens[p], ws[u], dws[u])
+            if len(ws[u]) == 1:
+                (j,) = ws[u]
+                defined.update(((gens[p], j), (j, gens[p])))
         ws.append(w)
         dws.append(dw)
         todo.extend((p, len(ws) - 1) for p in range(len(gens)))
@@ -189,7 +180,7 @@ def _generator_forms(g, br):
             if col >= n:
                 for acc, f in zip(forms[col - n], dws[t]):
                     _add(acc, f, q * v)
-    return gens, forms
+    return gens, forms, defined
 
 
 def _integer_kernel(rows, ncols):
@@ -225,14 +216,17 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
        integer combination of the D(w_t) in column b of d W^-1.
     3. Constraints.  {x : D[x, y] = [Dx, y] + [x, Dy] for all y} is a
        subalgebra by Jacobi and holds every generator, so it is g: the
-       Leibniz rule is imposed on the pairs (e_a, e_j), a a generator.
+       Leibniz rule is imposed on the pairs (e_a, e_j), a a generator,
+       except those whose bracket defined a basis vector w_t in step 1,
+       where it holds by construction.
     4. Canonical basis.  The integer kernel vectors are lifted to the n^2
        matrix entries.  Coordinate c is free in the n^2 system iff some
        derivation has its last nonzero entry at c, so one `_echelon` with
        the columns reversed returns the free positions, and its rows,
        divided by their pivots, are the rref kernel basis.
-    Structure constants are scaled to integers first; rationals are built
-    only for the output rows.
+    The structure constants are read as integers from
+    `LieAlgebra.integer_brackets`; rationals are built only for the
+    output rows.
 
     g must satisfy Jacobi, which `LieAlgebra` does not check (see
     `jacobi_check`): on a table that fails it, steps 1 and 3 no longer
@@ -240,13 +234,13 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     contain matrices that are not derivations.
     """
     n = g.dim
-    br = _integer_brackets(g)
-    gens, forms = _generator_forms(g, br)
+    br = g.integer_brackets()
+    gens, forms, defined = _generator_forms(g, br)
     rows, done = [], set()
     for a in gens:
         done.add(a)                         # (a, a) is trivial, (a, b) = -(b, a)
         for j in range(n):
-            if j not in done:
+            if j not in done and (a, j) not in defined:
                 rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
     kernel = _integer_kernel(rows, len(gens) * n)
 

@@ -7,6 +7,13 @@ vectors, then 64 random small-integer vectors, drawn lazily from one seeded
 generator.  Each sampled profile is computed exactly, so the result is a
 certified lexicographic lower bound.
 
+All of the sampling runs on integers: membership in C1 is tested against
+an integer echelon of C1, ad(X) is built as sparse integer columns from
+the integer structure tensor (`LieAlgebra.ad_columns`), and the rank used
+for pruning and the Jordan profile come from the same columns
+(`linalg._image_ranks`).  Only the witness is a rational vector, the
+candidate itself.
+
 ad(X) maps g into C1, so no profile exceeds (dim C1 + 1, 1, ..., 1).
 Sampling stops as soon as a profile reaches that ceiling: the value is then
 exact, not only a lower bound, and the vectors after the witness are never
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotNilpotent, VectorInDerivedAlgebra
 from .lie import LieAlgebra, basis_vec
-from .linalg import nilpotent_jordan_profile, rank
+from .linalg import _block_sizes, _image_ranks, _integer_row, _remainder
 from .rational import rat
 
 DEFAULT_SEED = 20260809
@@ -54,9 +61,9 @@ def p_filiform_sequence(n, p):
 
 def char_sequence_of_vector(g: LieAlgebra, x) -> CharSequence:
     """Jordan profile of ad(x); requires x outside the derived algebra."""
-    if g.derived_subalgebra().contains(x):
+    if not _remainder(g.derived_echelon(), _integer_row(enumerate(x))):
         raise VectorInDerivedAlgebra("characteristic vectors lie outside C1")
-    return CharSequence(nilpotent_jordan_profile(g.ad(x)))
+    return CharSequence(_block_sizes(g.dim, _image_ranks(g.ad_columns(x))))
 
 
 def _profile_upper_bound(n, rank1):
@@ -88,17 +95,18 @@ def char_sequence_with_witness(
     n = g.dim
     if n == 0:
         return CharSequence(()), []
-    c1 = g.derived_subalgebra()
-    ceiling = _profile_upper_bound(n, c1.dim)
+    c1 = g.derived_echelon()
+    ceiling = _profile_upper_bound(n, len(c1))
     best = None
     witness = None
     for x in _candidates(n, seed, samples):
-        if all(v == 0 for v in x) or c1.contains(x):
+        if not _remainder(c1, _integer_row(enumerate(x))):     # zero or in C1
             continue
-        ad = g.ad(x)
-        if best is not None and _profile_upper_bound(n, rank(ad)) <= best:
+        ranks = _image_ranks(g.ad_columns(x))
+        rank1 = next(ranks)
+        if best is not None and _profile_upper_bound(n, rank1) <= best:
             continue
-        profile = nilpotent_jordan_profile(ad)
+        profile = _block_sizes(n, [rank1, *ranks])
         if best is None or profile > best:
             best = profile
             witness = x

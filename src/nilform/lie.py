@@ -3,11 +3,21 @@
 Brackets are stored sparsely for ordered basis pairs (i < j, 0-based):
 `LieAlgebra.brackets` maps each pair with a nonzero bracket to its
 {k: c} coefficients, and antisymmetry is structural, so [x, x] = 0 by
-construction.  The bilinear bracket, ad(v), the center and the Leibniz
-rule of the derivation layer are all one contraction of these stored
-pairs: a single pass that skips zero coordinates, with no dense table
-built beside them.  Algebras are treated as immutable after
-construction, so everything here is safe to share across threads.
+construction.  The rational bracket, ad(v) and the center are each one
+contraction of these stored pairs: a single pass that skips zero
+coordinates, with no dense table built beside them.
+
+The hot path runs on integers.  `integer_brackets` holds the same
+constants once, scaled by their common denominator L to Python ints, and
+L[x, y] has the ranks, images, spans and derivations of [x, y].  ad(x) for
+the characteristic sequence (`ad_columns`), the derived algebra, the lower
+central and derived series and the derivation solver all read it and
+eliminate with the integer core of `linalg`; rationals are built only for
+the rref `Subspace`s returned, which are unique, so they do not depend on
+the scaling.  The tensor is built on first use, so algebras that are never
+queried pay nothing.  Algebras are treated as immutable after
+construction, so everything here is safe to share across threads: two
+threads that race on the first use build equal tensors.
 """
 
 from __future__ import annotations
@@ -15,7 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
-from .linalg import Matrix, inverse, matvec, rank, row_reduce, sparse_kernel
+from .linalg import (
+    Matrix,
+    _echelon,
+    _integer_row,
+    _primitive,
+    _rref,
+    common_denominator,
+    inverse,
+    matvec,
+    rank,
+    row_reduce,
+    sparse_kernel,
+)
 from .rational import ONE, ZERO, rat
 
 
@@ -49,6 +71,12 @@ class Subspace:
                 raise DimensionMismatch("vector length != ambient dimension")
         pivots, basis = row_reduce(vectors, ambient)
         return Subspace(ambient, Matrix(basis, copy=False), tuple(pivots))
+
+    @staticmethod
+    def _of_echelon(ambient, pivots):
+        """The span of a forward integer echelon {pivot column: row}, reduced in place."""
+        cols, basis = _rref(pivots, ambient)
+        return Subspace(ambient, Matrix(basis, copy=False), tuple(cols))
 
     @staticmethod
     def zero(ambient):
@@ -97,6 +125,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
 
+def _int_bracket(br, u, v):
+    """[u, v] for sparse integer vectors {index: int}, through the integer tensor br."""
+    out = {}
+    for i, x in u.items():
+        row = br[i]
+        for m, y in v.items():
+            comp = row.get(m)
+            if comp:
+                xy = x * y
+                for k, c in comp.items():
+                    out[k] = out.get(k, 0) + xy * c
+    return {k: c for k, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class JacobiFailure:
     triple: tuple
@@ -110,7 +152,7 @@ class JacobiFailure:
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q with a distinguished basis."""
 
-    __slots__ = ("dim", "labels", "brackets", "meta")
+    __slots__ = ("dim", "labels", "brackets", "meta", "_tensor")
 
     def __init__(self, dim, brackets, labels=None, meta=None):
         self.dim = dim
@@ -131,6 +173,7 @@ class LieAlgebra:
                 clean[(i, j)] = comp
         self.brackets = clean
         self.meta = dict(meta) if meta else {}
+        self._tensor = None
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -172,6 +215,46 @@ class LieAlgebra:
                     rows[k][i] -= vj * c
         return Matrix(rows, copy=False)
 
+    def integer_brackets(self):
+        """br[i][j] = {k: L c_ij^k} for both orders of every nonzero bracket.
+
+        L is the common denominator of the structure constants.  The
+        rescaled bracket L[x, y] has exactly the ranks, images, spans and
+        derivations of [x, y].  Built on first use and kept; callers must
+        not modify it.
+        """
+        if self._tensor is None:
+            scale = common_denominator(
+                c for comp in self.brackets.values() for c in comp.values()
+            )
+            br = [{} for _ in range(self.dim)]
+            for (i, j), comp in self.brackets.items():
+                row = {
+                    k: int(c.numerator) * (scale // int(c.denominator))
+                    for k, c in comp.items()
+                }
+                br[i][j] = row
+                br[j][i] = {k: -v for k, v in row.items()}
+            self._tensor = br
+        return self._tensor
+
+    def ad_columns(self, v):
+        """Sparse integer columns {k: int} of a positive multiple of ad(v).
+
+        Column j is [v, e_j] = sum_i v_i L[e_i, e_j], with v scaled to a
+        primitive integer vector.
+        """
+        if len(v) != self.dim:
+            raise DimensionMismatch("vector length != dim")
+        br = self.integer_brackets()
+        cols = [{} for _ in range(self.dim)]
+        for i, x in _integer_row(enumerate(v)).items():
+            for j, comp in br[i].items():
+                col = cols[j]
+                for k, c in comp.items():
+                    col[k] = col.get(k, 0) + x * c
+        return [{k: y for k, y in col.items() if y} for col in cols]
+
     # -- axioms -------------------------------------------------------------
 
     def jacobi_check(self):
@@ -204,14 +287,17 @@ class LieAlgebra:
 
     # -- derived structure ---------------------------------------------------
 
+    def derived_echelon(self):
+        """Forward integer echelon {pivot column: row} of C1 = [g, g].
+
+        C1 is spanned by the stored pairs; the rows are copies of the
+        integer structure constants, so they may be reduced in place.
+        """
+        br = self.integer_brackets()
+        return _echelon((_primitive(dict(br[i][j])) for i, j in self.brackets), reduced=False)
+
     def derived_subalgebra(self):
-        vecs = []
-        for comp in self.brackets.values():
-            v = zero_vec(self.dim)
-            for k, c in comp.items():
-                v[k] = c
-            vecs.append(v)
-        return Subspace.span(self.dim, vecs)
+        return Subspace._of_echelon(self.dim, self.derived_echelon())
 
     def center(self):
         """Kernel of x -> ([e_a, x])_a, one sparse row per (a, k) coordinate."""
@@ -223,36 +309,37 @@ class LieAlgebra:
         _, kernel = sparse_kernel(list(rows.values()), self.dim)
         return Subspace.span(self.dim, kernel)
 
-    def _bracket_spaces(self, a: Subspace, b: Subspace):
-        vecs = []
-        for u in a.basis_vectors():
-            for v in b.basis_vectors():
-                vecs.append(self.bracket(u, v))
-        return Subspace.span(self.dim, vecs)
+    def _series(self, images):
+        """[g, C1, ...] for terms T' = span images(integer basis of T), from T = C1.
+
+        Each term is one forward integer echelon of the integer images; the
+        series ends with the first repeat or 0, and rationals are built only
+        for the rref of the returned terms.
+        """
+        terms = [{j: {j: 1} for j in range(self.dim)}]
+        nxt = self.derived_echelon()
+        while len(nxt) < len(terms[-1]):        # each term lies in the one before
+            terms.append(nxt)
+            if not nxt:
+                break
+            vectors = images(list(nxt.values()))
+            nxt = _echelon((_primitive(w) for w in vectors if w), reduced=False)
+        return [Subspace._of_echelon(self.dim, t) for t in terms]
 
     def lower_central_series(self):
         """[C^0 = g, C^1, ...] descending; ends with the first repeat or 0."""
-        whole = Subspace.full(self.dim)
-        series = [whole]
-        while True:
-            nxt = self._bracket_spaces(whole, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        br = self.integer_brackets()
+        return self._series(
+            lambda basis: (_int_bracket(br, {i: 1}, v) for i in range(self.dim) for v in basis)
+        )
 
     def derived_series(self):
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self._bracket_spaces(series[-1], series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        br = self.integer_brackets()
+        return self._series(
+            lambda basis: (
+                _int_bracket(br, u, v) for t, u in enumerate(basis) for v in basis[t + 1 :]
+            )
+        )
 
     def is_nilpotent(self):
         return self.lower_central_series()[-1].dim == 0

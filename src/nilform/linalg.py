@@ -1,17 +1,24 @@
 """Exact linear algebra over the rationals.
 
 Matrices are dense lists of rationals (see `rational`).  Every row
-reduction -- rank, rref, kernels, inverse, solve, subspace spans and the
-sparse Leibniz systems of the derivation layer -- runs on one integer core,
-`_echelon`: fraction-free Gaussian elimination on sparse {col: int} rows,
-after Bareiss (Math. Comp. 22, 1968, 565-578).  Each input row has its
-denominators cleared once, and every row is kept primitive (divided by the
-gcd of its entries) after each step: one gcd per row and step, where
-Fraction arithmetic pays one per entry.
-Rationals are built only at the end, one division by the pivot per output
-entry; `rank` runs the forward pass only and builds none, and so does
-`rank_sequence`, which iterates integer images of A instead of forming its
-powers.  `matmul` is row-sparse: it skips the zero entries of both factors.
+reduction -- rank, rref, kernels, inverse, solve, subspace spans, the
+central series and ad(x) of the Lie layer, and the sparse Leibniz systems
+of the derivation layer -- runs on one integer core, `_echelon`:
+fraction-free Gaussian elimination on sparse {col: int} rows, after
+Bareiss (Math. Comp. 22, 1968, 565-578).  Rational input rows have their
+denominators cleared once; the Lie layer hands in integer rows directly.
+Every row is kept primitive (divided by the gcd of its entries) after each
+step: one gcd per row and step, where Fraction arithmetic pays one per
+entry.  Rationals are built only at the end, one division by the pivot per
+output entry; `rank` runs the forward pass only and builds none.
+
+Ranks of powers come from one integer core too: `_image_ranks` takes an
+operator as sparse integer columns and iterates integer images instead of
+forming powers, and `_block_sizes` turns the ranks into a nilpotent Jordan
+profile.  `rank_sequence` and `nilpotent_jordan_profile` clear the
+denominators of a rational matrix once and call them; the characteristic
+sequence calls them on the integer columns of ad(x).  `matmul` is
+row-sparse: it skips the zero entries of both factors.
 
 The reduced row echelon form is unique, so pivots, kernel vectors and
 subspace bases do not depend on the elimination order, and results are
@@ -21,7 +28,7 @@ Berkowitz scheme, which is division-free.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 from .errors import DimensionMismatch, NotNilpotent, SingularTransform
@@ -214,41 +221,61 @@ def _cancel(row, prow, c):
     return _primitive(row) if row else row
 
 
-def _fold(pivots, row):
-    """Fold a primitive integer row into a forward echelon {pivot column: row}.
+def _remainder(pivots, row):
+    """Cancel a primitive integer row against a forward echelon {pivot column: row}.
 
     The row is cancelled on its smallest column against the pivot row there
-    until it reaches a column with no pivot, where it becomes that column's
-    pivot row, made positive.  Returns False when it cancels to zero.
+    until it reaches a column with no pivot; it returns {} when the row lies
+    in the span of the echelon.  The row may be updated in place.
     """
     while row:
         c = min(row)
         prow = pivots.get(c)
         if prow is None:
-            pivots[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
-            return True
+            return row
         row = _cancel(row, prow, c)
-    return False
+    return row
+
+
+def _fold(pivots, row):
+    """Fold a primitive integer row into a forward echelon {pivot column: row}.
+
+    The remainder of the row becomes the pivot row of its smallest column,
+    made positive.  Returns False when it cancels to zero.
+    """
+    row = _remainder(pivots, row)
+    if not row:
+        return False
+    c = min(row)
+    pivots[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
+    return True
 
 
 def _echelon(rows, reduced=True):
     """Fraction-free Gaussian elimination on sparse primitive integer rows.
 
     Rows are folded in order by `_fold`.  Returns {pivot column: row}.  With
-    reduced=True each pivot row is then cancelled against the pivot rows to
-    its right, so dividing it by its pivot entry gives a row of the (unique)
-    reduced row echelon form.
+    reduced=True the echelon is then reduced by `_reduce`.
     """
     pivots = {}
     for row in rows:
         _fold(pivots, row)
     if reduced:
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for k in [k for k in row if k != c and k in pivots]:
-                row = _cancel(row, pivots[k], k)
-            pivots[c] = row
+        _reduce(pivots)
     return pivots
+
+
+def _reduce(pivots):
+    """Cancel each pivot row of a forward echelon against the pivot rows to its right.
+
+    In place.  Dividing a reduced pivot row by its pivot entry gives a row
+    of the (unique) reduced row echelon form.
+    """
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _cancel(row, pivots[k], k)
+        pivots[c] = row
 
 
 def _rref_row(row, c, ncols):
@@ -277,11 +304,16 @@ def _kernel(pivots, ncols):
     return list(vectors.values())
 
 
-def row_reduce(rows, ncols):
-    """Pivot columns and nonzero rows of the rref of dense rational rows."""
-    pivots = _echelon(_integer_row(enumerate(r)) for r in rows)
+def _rref(pivots, ncols):
+    """Pivot columns and dense rational rref rows of a forward echelon (reduced in place)."""
+    _reduce(pivots)
     cols = sorted(pivots)
     return cols, [_rref_row(pivots[c], c, ncols) for c in cols]
+
+
+def row_reduce(rows, ncols):
+    """Pivot columns and nonzero rows of the rref of dense rational rows."""
+    return _rref(_echelon((_integer_row(enumerate(r)) for r in rows), reduced=False), ncols)
 
 
 def rref(a: Matrix):
@@ -389,51 +421,47 @@ def _apply(cols, v):
     return _primitive({i: y for i, y in out.items() if y})
 
 
-def rank_sequence(a: Matrix, kmax=None):
-    """Ranks of successive powers [rank(A^0), rank(A^1), ...].
-
-    Stops once the rank reaches zero or stabilizes, or after kmax powers.
-    No power of A is formed: rank(A^k) is the dimension of A(A^(k-1) Q^n),
-    so each step pushes an integer echelon basis of the previous image
-    through the columns of A (denominators cleared once) and runs the
-    forward pass of `_echelon` on the results.
-    """
-    if not a.is_square:
-        raise DimensionMismatch("rank_sequence of non-square matrix")
-    n = a.nrows
-    if kmax is None:
-        kmax = n
+def _integer_columns(a: Matrix):
+    """Sparse integer columns {row: int} of d A, d the common denominator of A."""
     d = common_denominator(chain.from_iterable(a.data))
-    cols = [{} for _ in range(n)]
+    cols = [{} for _ in range(a.ncols)]
     for i, row in enumerate(a.data):
         for j, x in enumerate(row):
             if x:
                 cols[j][i] = int(x.numerator) * (d // int(x.denominator))
-    seq = [n]
+    return cols
+
+
+def _image_ranks(cols):
+    """rank(A), rank(A^2), ... lazily, for A given by sparse integer columns.
+
+    No power of A is formed: rank(A^k) is the dimension of A(A^(k-1) Q^n),
+    so each step pushes an integer echelon basis of the previous image
+    through the columns and runs the forward pass of `_echelon` on the
+    results.  Stops after the rank reaches zero or repeats, which happens
+    within n steps for an n x n matrix with n > 0.
+    """
+    prev = len(cols)
     # `_cancel` may update its input rows in place: echelon copies of the columns
     image = [_primitive(dict(c)) for c in cols]
-    for _ in range(kmax):
+    while True:
         basis = _echelon(image, reduced=False).values()
         r = len(basis)
-        seq.append(r)
-        if r == 0 or r == seq[-2]:
-            break
+        yield r
+        if r == 0 or r == prev:
+            return
+        prev = r
         image = [_apply(cols, v) for v in basis]
-    return seq
 
 
-def nilpotent_jordan_profile(a: Matrix):
-    """Jordan block sizes of a nilpotent matrix, sorted descending.
+def _block_sizes(n, ranks):
+    """Jordan block sizes, descending, of a nilpotent n x n matrix from rank(A^k), k >= 1.
 
-    Derived from the rank sequence r_k = rank(A^k): the number of blocks
-    of size >= k equals r_{k-1} - r_k.  Raises NotNilpotent when some
-    power fails to vanish.
+    The number of blocks of size >= k equals r_{k-1} - r_k.  Raises
+    NotNilpotent when the ranks end above zero.
     """
-    n = a.nrows
-    seq = rank_sequence(a)
+    seq = [n, *ranks]
     if seq[-1] != 0:
-        if n == 0:
-            return ()
         raise NotNilpotent(f"rank(A^{len(seq) - 1}) = {seq[-1]} > 0")
     diffs = [seq[k - 1] - seq[k] for k in range(1, len(seq))]
     profile = []
@@ -443,6 +471,28 @@ def nilpotent_jordan_profile(a: Matrix):
     profile.sort(reverse=True)
     assert sum(profile) == n
     return tuple(profile)
+
+
+def rank_sequence(a: Matrix, kmax=None):
+    """Ranks of successive powers [rank(A^0), rank(A^1), ...].
+
+    Stops once the rank reaches zero or stabilizes, or after kmax powers.
+    The denominators of A are cleared once and the ranks come from
+    `_image_ranks`.
+    """
+    if not a.is_square:
+        raise DimensionMismatch("rank_sequence of non-square matrix")
+    n = a.nrows
+    return [n, *islice(_image_ranks(_integer_columns(a)), n if kmax is None else kmax)]
+
+
+def nilpotent_jordan_profile(a: Matrix):
+    """Jordan block sizes of a nilpotent matrix, sorted descending.
+
+    Derived from the rank sequence (see `_block_sizes`).  Raises
+    NotNilpotent when some power fails to vanish.
+    """
+    return _block_sizes(a.nrows, rank_sequence(a)[1:])
 
 
 def sparse_kernel(rows, ncols):

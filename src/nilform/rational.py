@@ -1,29 +1,22 @@
 """Exact rational scalars.
 
 Everything downstream computes over Q with no rounding anywhere.  The
-scalar type is gmpy2.mpq when available (it is several times faster than
-fractions.Fraction and stores values in lowest terms with a positive
-denominator), falling back to Fraction otherwise.
+scalar type is fractions.Fraction, which stores values in lowest terms
+with a positive denominator.  The hot loops do not run on it: row
+reduction and the Lie layer work on integers (see `linalg` and `lie`), and
+rationals are built only for their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
+Rational = Fraction
 
-    Rational = type(_mpq(1, 2))
 
-    def rat(p=0, q=1):
-        """Build a rational from ints, a string like '3/4', or another rational."""
-        return _mpq(p, q) if q != 1 else _mpq(p)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
-
-    def rat(p=0, q=1):
-        return Fraction(p, q) if q != 1 else Fraction(p)
+def rat(p=0, q=1):
+    """Build a rational from ints, a string like '3/4', or another rational."""
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 ZERO = rat(0)

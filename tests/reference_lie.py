@@ -7,6 +7,11 @@ bracket through a sparse dict, ad(v) column by column through
 dense stack of all adjoint rows, and the Leibniz rule checked pair by pair
 with hand-rolled loops.  They are kept as plain functions of the algebra;
 the center's kernel comes from the reference field eliminator.
+
+`derived_subalgebra`, `lower_central_series` and `derived_series` are the
+versions used before the series ran on the integer structure tensor: each
+term is the `Subspace.span` of the rational brackets of the rref basis
+vectors of the terms before it.
 """
 
 from nilform.errors import DimensionMismatch
@@ -90,3 +95,47 @@ def is_derivation(g, d):
             if lhs != rhs:
                 return False
     return True
+
+
+def derived_subalgebra(g):
+    vecs = []
+    for comp in g.brackets.values():
+        v = zero_vec(g.dim)
+        for k, c in comp.items():
+            v[k] = c
+        vecs.append(v)
+    return Subspace.span(g.dim, vecs)
+
+
+def _bracket_spaces(g, a, b):
+    vecs = []
+    for u in a.basis_vectors():
+        for v in b.basis_vectors():
+            vecs.append(g.bracket(u, v))
+    return Subspace.span(g.dim, vecs)
+
+
+def lower_central_series(g):
+    """[C^0 = g, C^1, ...] descending; ends with the first repeat or 0."""
+    whole = Subspace.full(g.dim)
+    series = [whole]
+    while True:
+        nxt = _bracket_spaces(g, whole, series[-1])
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+    return series
+
+
+def derived_series(g):
+    series = [Subspace.full(g.dim)]
+    while True:
+        nxt = _bracket_spaces(g, series[-1], series[-1])
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+    return series

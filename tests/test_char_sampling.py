@@ -6,7 +6,7 @@ stops at the C1 ceiling, and `rank_sequence` ranks integer images instead
 of powers; both must give exactly the same rank sequences, sequences and
 witnesses.  The sets are every catalog instance at n = 7..10, seeded
 random conjugates (dense structure constants), and abelian(4),
-heisenberg(2) and g7^65 + abelian(1).
+heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
 """
 
 import random
@@ -115,7 +115,12 @@ def _algebras(name):
         rng = random.Random(2025)
         picks = (catalog.build(65, 3), catalog.build(84, 3), catalog.build(6, 4))
         return tuple(_conjugate(g, rng) for g in picks for _ in range(2))
-    return (abelian(4), heisenberg(2), catalog.build(65, 3).direct_sum(abelian(1)))
+    return (
+        abelian(4),
+        heisenberg(2),
+        catalog.build(65, 3).direct_sum(abelian(1)),
+        catalog.build(7, 4, rat(1, 2)),             # structure constants with denominator 2
+    )
 
 
 SETS = ["catalog", "conjugates", "small"]
@@ -150,16 +155,17 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
     """ad(x) is built up to the witness when it reaches the C1 ceiling, else for all.
 
     Every candidate outside C1 is otherwise tried: the n basis vectors and
-    the 64 random ones, minus those in C1.
+    the 64 random ones, minus those in C1.  The sampling builds ad(x) as
+    integer columns, through `LieAlgebra.ad_columns`.
     """
     seen = []
-    ad = LieAlgebra.ad
+    ad_columns = LieAlgebra.ad_columns
 
-    def recording_ad(g, v):
+    def recording_ad_columns(g, v):
         seen.append(v)
-        return ad(g, v)
+        return ad_columns(g, v)
 
-    monkeypatch.setattr(LieAlgebra, "ad", recording_ad)
+    monkeypatch.setattr(LieAlgebra, "ad_columns", recording_ad_columns)
     stopped = 0
     for g in _algebras("catalog")[:60]:
         seen.clear()

@@ -7,6 +7,11 @@ passes over `LieAlgebra.brackets` must give exactly the same vectors,
 matrices, subspaces and verdicts on three sets of algebras: every catalog
 instance at n = 7..10, seeded random conjugates (dense structure
 constants), and abelian(4), heisenberg(2) and Der(g7^81).
+
+The derived algebra and the lower central and derived series, which run on
+the integer structure tensor, must give the same Subspaces as the rational
+reference on those sets and on g8^7 with alpha = 1/2 (common denominator
+2) and the non-nilpotent [e1, e2] = e1 and sl2.
 """
 
 import random
@@ -17,7 +22,7 @@ import pytest
 import reference_lie as ref
 from nilform import catalog
 from nilform.derivations import derivation_algebra, derivation_space, is_derivation
-from nilform.lie import abelian, basis_vec, heisenberg
+from nilform.lie import LieAlgebra, abelian, basis_vec, heisenberg
 from nilform.linalg import Matrix, rank
 from nilform.rational import ONE, ZERO, rat
 
@@ -50,10 +55,24 @@ def _algebras(name):
         rng = random.Random(2024)
         picks = (catalog.build(65, 3), catalog.build(84, 3), catalog.build(6, 4))
         return tuple(_conjugate(g, rng) for g in picks)
+    if name == "rational":
+        return (
+            catalog.build(7, 4, rat(1, 2)),
+            LieAlgebra(2, {(0, 1): {0: ONE}}),                      # [e1, e2] = e1
+            LieAlgebra(3, {(0, 1): {1: rat(2)}, (0, 2): {2: rat(-2)}, (1, 2): {0: ONE}}),  # sl2
+        )
     return (abelian(4), heisenberg(2), derivation_algebra(catalog.build(81, 3)))
 
 
 SETS = ["catalog", "conjugates", "small"]
+
+
+@pytest.mark.parametrize("name", SETS + ["rational"])
+def test_series_match_reference(name):
+    for g in _algebras(name):
+        assert g.derived_subalgebra() == ref.derived_subalgebra(g)
+        assert g.lower_central_series() == ref.lower_central_series(g)
+        assert g.derived_series() == ref.derived_series(g)
 
 
 @pytest.mark.parametrize("name", SETS)
