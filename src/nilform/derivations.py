@@ -10,13 +10,21 @@ vector) is enough.  The integer kernel is lifted to the n^2 matrix entries
 and row-reduced once with the columns reversed, which gives exactly the
 canonical rref kernel basis of the full n^2 Leibniz system.
 
+Diagonal derivations come from the integer kernel of the weight system
+lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
+parameters for the weight reports, and `diagonal_witness` reads a witness
+straight off one kernel vector.
+
 Characteristic nilpotency (every derivation nilpotent) is decided by
 trace-power identity testing on the generic derivation: all derivations
 are nilpotent iff tr(D^k) vanishes identically for k = 1..n.  Each tr(D^k)
 is a polynomial in the basis coefficients, tested by exact evaluation at
 random integer points; a nonzero hit produces an exact non-nilpotent
 witness, and the all-zero outcome carries a transcript whose
-false-negative probability is far below 2^-40.
+false-negative probability is far below 2^-40.  The decision runs on
+integers: D is a row-sparse integer matrix, its powers stop at the first
+zero one, and the characteristic polynomial of a witness is computed only
+when a caller reads it.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
@@ -40,7 +49,7 @@ from .linalg import (
     sparse_kernel,
 )
 from .linform import LinearForm
-from .rational import ONE, ZERO, rat
+from .rational import ZERO, rat
 
 CHARNILP_SEED = 987654321
 
@@ -345,12 +354,13 @@ def _ordered_vars(form: LinearForm):
     return sorted(form.variables(), key=sort_key)
 
 
-def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
-    """Solve lambda_i + lambda_j = lambda_k over all stored brackets.
+def _weight_kernel(g: LieAlgebra):
+    """Free positions and kernel vectors of lambda_i + lambda_j = lambda_k.
 
-    Columns are processed in reverse so the free parameters land on the
-    lowest basis positions, matching the naming convention (the X1 and X2
-    weights come first, then the mu's in index order).
+    One equation per stored bracket coefficient.  Columns are processed in
+    reverse, so the free parameters land on the lowest basis positions, and
+    kernel vector t, which is 1 at its free column, holds the weight of
+    position pos at index n - 1 - pos.
     """
     n = g.dim
     rows = []
@@ -358,15 +368,27 @@ def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
     for (i, j), comp in sorted(g.brackets.items()):
         for k in sorted(comp):
             row = {}
-            for pos, c in ((i, ONE), (j, ONE), (k, -ONE)):
-                row[pos] = row.get(pos, ZERO) + c
+            for pos, c in ((i, 1), (j, 1), (k, -1)):
+                row[pos] = row.get(pos, 0) + c
             row = {n - 1 - c: v for c, v in row.items() if v}
             key = tuple(sorted(row.items()))
             if row and key not in seen:
                 seen.add(key)
                 rows.append(row)
     pivot_cols, kernel = sparse_kernel(rows, n)
-    free_cols = [n - 1 - c for c in range(n) if c not in set(pivot_cols)]
+    pivot_set = set(pivot_cols)
+    return [n - 1 - c for c in range(n) if c not in pivot_set], kernel
+
+
+def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
+    """Solve lambda_i + lambda_j = lambda_k over all stored brackets.
+
+    The free parameters sit on the lowest basis positions, matching the
+    naming convention (the X1 and X2 weights come first, then the mu's in
+    index order).
+    """
+    n = g.dim
+    free_cols, kernel = _weight_kernel(g)
     weights = []
     for pos in range(n):
         form = LinearForm()
@@ -390,23 +412,21 @@ def verify_weight_vector(g: LieAlgebra, v) -> bool:
 
 
 def diagonal_witness(g: LieAlgebra):
-    """A nonzero diagonal derivation when one exists, else None."""
-    sig = diagonal_derivations(g)
-    if sig.rank == 0:
+    """A nonzero diagonal derivation when one exists, else None.
+
+    The weights of the kernel vector whose parameter name sorts first: the
+    diagonal the weight signature gives with that parameter set to 1 and
+    every other one to 0.
+    """
+    free_cols, kernel = _weight_kernel(g)
+    if not kernel:
         return None
-    all_vars = set()
-    for w in sig.weights:
-        all_vars |= w.variables()
-    for chosen in sorted(all_vars):
-        assignment = {v: (ONE if v == chosen else ZERO) for v in all_vars}
-        diag = [w.substitute(assignment).const for w in sig.weights]
-        if any(diag):
-            n = g.dim
-            rows = [[ZERO] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            return Matrix(rows, copy=False)
-    return None
+    t = min(range(len(kernel)), key=lambda t: _weight_param_name(free_cols[t]))
+    n = g.dim
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = kernel[t][n - 1 - i]
+    return Matrix(rows, copy=False)
 
 
 # -- characteristic nilpotency -------------------------------------------------
@@ -417,20 +437,41 @@ class CharNilpotency:
 
     value False always comes with an exact witness (a non-nilpotent
     derivation); value True carries the randomized-test transcript.
+    witness_char_poly, the characteristic polynomial of the witness (None
+    without one), is computed from the witness on first access.
     """
 
     value: bool
     witness: Matrix = None
-    witness_char_poly: list = None
     transcript: dict = None
 
     def __bool__(self):
         return self.value
 
+    @cached_property
+    def witness_char_poly(self):
+        return None if self.witness is None else char_poly(self.witness)
 
-def _integer_scaled(mat: Matrix):
+
+def _integer_entries(mat: Matrix):
+    """(i, j, int) for the nonzero entries of d M, d the common denominator of M."""
     denom = common_denominator(x for row in mat.data for x in row)
-    return [[int(x * denom) for x in row] for row in mat.data]
+    return [
+        (i, j, int(x * denom))
+        for i, row in enumerate(mat.data) for j, x in enumerate(row) if x
+    ]
+
+
+def _int_matmul(a, b):
+    """Row-sparse product of integer matrices given as rows {col: int}."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def is_characteristically_nilpotent(
@@ -441,17 +482,16 @@ def is_characteristically_nilpotent(
     Checks the diagonal rank first (a nonzero diagonal derivation is an
     exact semisimple witness), then tests tr(D^k) = 0 identically for
     k = 1..n on the generic derivation by exact evaluation at random
-    integer points.
+    integer points.  The powers of D are row-sparse integer matrices, and
+    a trial stops at the first zero power: every later trace is 0 too.
     """
     n = g.dim
     witness = diagonal_witness(g)
     if witness is not None:
-        return CharNilpotency(
-            value=False, witness=witness, witness_char_poly=char_poly(witness)
-        )
+        return CharNilpotency(value=False, witness=witness)
     if space is None:
         space = derivation_space(g)
-    basis_int = [_integer_scaled(b) for b in space.basis]
+    basis_int = [_integer_entries(b) for b in space.basis]
     r = len(basis_int)
     if r == 0:
         return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})
@@ -461,37 +501,24 @@ def is_characteristically_nilpotent(
     rng = random.Random(seed)
     for trial in range(trials):
         coeffs = [rng.randint(-bound, bound) for _ in range(r)]
-        d = [[0] * n for _ in range(n)]
+        d = [{} for _ in range(n)]
         for c, b in zip(coeffs, basis_int):
-            if not c:
-                continue
-            for i in range(n):
-                bi = b[i]
-                di = d[i]
-                for j in range(n):
-                    if bi[j]:
-                        di[j] += c * bi[j]
+            if c:
+                for i, j, v in b:
+                    d[i][j] = d[i].get(j, 0) + c * v
+        d = [{j: v for j, v in row.items() if v} for row in d]
         p = d
         for _ in range(n):
-            tr = sum(p[i][i] for i in range(n))
-            if tr != 0:
-                mat = Matrix([[rat(x) for x in row] for row in d], copy=False)
-                return CharNilpotency(
-                    value=False, witness=mat, witness_char_poly=char_poly(mat)
-                )
+            if sum(row.get(i, 0) for i, row in enumerate(p)):
+                mat = Matrix([[rat(row.get(j, 0)) for j in range(n)] for row in d], copy=False)
+                return CharNilpotency(value=False, witness=mat)
             p = _int_matmul(p, d)
+            if not any(p):
+                break
     return CharNilpotency(
         value=True,
         transcript={"seed": seed, "trials": trials, "bound": bound, "powers": n},
     )
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a
-    ]
 
 
 @dataclass

@@ -7,10 +7,11 @@ vectors, then 64 random small-integer vectors, drawn lazily from one seeded
 generator.  Each sampled profile is computed exactly, so the result is a
 certified lexicographic lower bound.
 
-All of the sampling runs on integers: membership in C1 is tested against
-an integer echelon of C1, ad(X) is built as sparse integer columns from
-the integer structure tensor (`LieAlgebra.ad_columns`), and the rank used
-for pruning and the Jordan profile come from the same columns
+All of the sampling runs on integers: the denominators of each candidate
+are cleared once, membership in C1 is tested against an integer echelon
+of C1, ad(X) is built as sparse integer columns from the integer
+structure tensor (`LieAlgebra.ad_columns`), and the rank used for pruning
+and the Jordan profile come from the same columns
 (`linalg._image_ranks`).  Only the witness is a rational vector, the
 candidate itself.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import NotNilpotent, VectorInDerivedAlgebra
+from .errors import DimensionMismatch, NotNilpotent, VectorInDerivedAlgebra
 from .lie import LieAlgebra, basis_vec
 from .linalg import _block_sizes, _image_ranks, _integer_row, _remainder
 from .rational import rat
@@ -61,9 +62,12 @@ def p_filiform_sequence(n, p):
 
 def char_sequence_of_vector(g: LieAlgebra, x) -> CharSequence:
     """Jordan profile of ad(x); requires x outside the derived algebra."""
-    if not _remainder(g.derived_echelon(), _integer_row(enumerate(x))):
+    if len(x) != g.dim:
+        raise DimensionMismatch("vector length != dim")
+    row = _integer_row(enumerate(x))
+    if not _remainder(g.derived_echelon(), dict(row)):
         raise VectorInDerivedAlgebra("characteristic vectors lie outside C1")
-    return CharSequence(_block_sizes(g.dim, _image_ranks(g.ad_columns(x))))
+    return CharSequence(_block_sizes(g.dim, _image_ranks(g.ad_columns(row))))
 
 
 def _profile_upper_bound(n, rank1):
@@ -100,9 +104,10 @@ def char_sequence_with_witness(
     best = None
     witness = None
     for x in _candidates(n, seed, samples):
-        if not _remainder(c1, _integer_row(enumerate(x))):     # zero or in C1
+        row = _integer_row(enumerate(x))
+        if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
-        ranks = _image_ranks(g.ad_columns(x))
+        ranks = _image_ranks(g.ad_columns(row))
         rank1 = next(ranks)
         if best is not None and _profile_upper_bound(n, rank1) <= best:
             continue

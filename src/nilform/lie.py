@@ -11,29 +11,32 @@ The hot path runs on integers.  `integer_brackets` holds the same
 constants once, scaled by their common denominator L to Python ints, and
 L[x, y] has the ranks, images, spans and derivations of [x, y].  ad(x) for
 the characteristic sequence (`ad_columns`), the derived algebra, the lower
-central and derived series and the derivation solver all read it and
-eliminate with the integer core of `linalg`; rationals are built only for
-the rref `Subspace`s returned, which are unique, so they do not depend on
-the scaling.  The tensor is built on first use, so algebras that are never
-queried pay nothing.  Algebras are treated as immutable after
-construction, so everything here is safe to share across threads: two
-threads that race on the first use build equal tensors.
+central and derived series, the Jacobi check, the basis change and the
+derivation solver all read it and eliminate with the integer core of
+`linalg`; rationals are built only for what is returned: the rref
+`Subspace`s, which are unique, so they do not depend on the scaling, the
+residual of a Jacobi failure and the new structure constants of a basis
+change, each divided by its known scale.  The tensor is built on first
+use, so algebras that are never queried pay nothing.  Algebras are treated
+as immutable after construction, so everything here is safe to share
+across threads: two threads that race on the first use build equal
+tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
 from .linalg import (
     Matrix,
     _echelon,
+    _integer_columns,
     _integer_row,
     _primitive,
     _rref,
     common_denominator,
-    inverse,
-    matvec,
     rank,
     row_reduce,
     sparse_kernel,
@@ -215,6 +218,10 @@ class LieAlgebra:
                     rows[k][i] -= vj * c
         return Matrix(rows, copy=False)
 
+    def _denominator(self):
+        """L, the common denominator of the structure constants."""
+        return common_denominator(c for comp in self.brackets.values() for c in comp.values())
+
     def integer_brackets(self):
         """br[i][j] = {k: L c_ij^k} for both orders of every nonzero bracket.
 
@@ -224,9 +231,7 @@ class LieAlgebra:
         not modify it.
         """
         if self._tensor is None:
-            scale = common_denominator(
-                c for comp in self.brackets.values() for c in comp.values()
-            )
+            scale = self._denominator()
             br = [{} for _ in range(self.dim)]
             for (i, j), comp in self.brackets.items():
                 row = {
@@ -239,16 +244,14 @@ class LieAlgebra:
         return self._tensor
 
     def ad_columns(self, v):
-        """Sparse integer columns {k: int} of a positive multiple of ad(v).
+        """Sparse integer columns {k: int} of ad(v) for an integer vector v = {i: int}.
 
-        Column j is [v, e_j] = sum_i v_i L[e_i, e_j], with v scaled to a
-        primitive integer vector.
+        Column j is [v, e_j] = sum_i v_i L[e_i, e_j], a positive multiple of
+        ad of any rational vector that v is proportional to.
         """
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector length != dim")
         br = self.integer_brackets()
         cols = [{} for _ in range(self.dim)]
-        for i, x in _integer_row(enumerate(v)).items():
+        for i, x in v.items():
             for j, comp in br[i].items():
                 col = cols[j]
                 for k, c in comp.items():
@@ -262,26 +265,26 @@ class LieAlgebra:
 
         Scans basis triples i < j < k in lexicographic order and reports the
         residual of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+        It is accumulated on the integer tensor, scaled by L^2, and divided
+        by L^2 only for the failure returned.
         """
         n = self.dim
+        br = self.integer_brackets()
         for i in range(n):
             for j in range(i + 1, n):
-                cij = self.bracket_basis(i, j)
+                cij = br[i].get(j)
                 for k in range(j + 1, n):
                     acc = {}
-                    for a, c in cij.items():
-                        for t, d in self.bracket_basis(a, k).items():
-                            acc[t] = acc.get(t, ZERO) + c * d
-                    for a, c in self.bracket_basis(j, k).items():
-                        for t, d in self.bracket_basis(a, i).items():
-                            acc[t] = acc.get(t, ZERO) + c * d
-                    for a, c in self.bracket_basis(k, i).items():
-                        for t, d in self.bracket_basis(a, j).items():
-                            acc[t] = acc.get(t, ZERO) + c * d
+                    for comp, b in ((cij, k), (br[j].get(k), i), (br[k].get(i), j)):
+                        if comp:                # acc += [comp, e_b]
+                            for a, c in comp.items():
+                                for t, d in br[a].get(b, {}).items():
+                                    acc[t] = acc.get(t, 0) + c * d
                     if any(acc.values()):
+                        scale = self._denominator() ** 2
                         res = zero_vec(n)
                         for t, c in acc.items():
-                            res[t] = c
+                            res[t] = rat(c, scale)
                         return JacobiFailure((i, j, k), res)
         return None
 
@@ -371,24 +374,43 @@ class LieAlgebra:
         """Conjugate the structure constants by an invertible matrix.
 
         Columns of the matrix express the new basis in old coordinates.
+        With d the common denominator of T, the brackets of the integer
+        columns of d T come from the integer tensor, scaled by L d^2.  Row
+        i of the reduced integer echelon of [T | I] holds p_i T^-1 row i,
+        so coordinate i of a new bracket is an integer divided by
+        p_i L d^2; a rational is built only for each nonzero one.
         """
         t = transform.matrix if isinstance(transform, BasisChange) else transform
-        if t.nrows != self.dim or t.ncols != self.dim:
+        n = self.dim
+        if t.nrows != n or t.ncols != n:
             raise DimensionMismatch("basis change must be n x n")
-        if rank(t) != self.dim:
+        if rank(t) != n:
             raise SingularTransform("basis change matrix is singular")
-        tinv = inverse(t)
-        cols = [t.col(j) for j in range(self.dim)]
+        br = self.integer_brackets()
+        d = common_denominator(chain.from_iterable(t.data))
+        cols = _integer_columns(t)              # columns of d T
+        inv = _echelon(
+            _integer_row(chain(enumerate(r), [(n + i, 1)])) for i, r in enumerate(t.data)
+        )
+        tinv = [{} for _ in range(n)]           # tinv[j][i] = p_i T^-1[i][j]
+        for i, row in inv.items():
+            for k, v in row.items():
+                if k >= n:
+                    tinv[k - n][i] = v
+        scale = self._denominator() * d * d
+        denom = [inv[i][i] * scale for i in range(n)]
         new = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                w = self.bracket(cols[a], cols[b])
-                coeffs = matvec(tinv, w)
-                comp = {k: c for k, c in enumerate(coeffs) if c}
+        for a in range(n):
+            for b in range(a + 1, n):
+                acc = {}
+                for j, x in _int_bracket(br, cols[a], cols[b]).items():
+                    for i, v in tinv[j].items():
+                        acc[i] = acc.get(i, 0) + x * v
+                comp = {i: rat(acc[i], denom[i]) for i in sorted(acc) if acc[i]}
                 if comp:
                     new[(a, b)] = comp
         meta = {k: v for k, v in self.meta.items() if k != "defining_basis"}
-        return LieAlgebra(self.dim, new, labels=self.labels, meta=meta)
+        return LieAlgebra(n, new, labels=self.labels, meta=meta)
 
     def is_ideal(self, s: Subspace):
         return all(

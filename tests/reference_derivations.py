@@ -6,12 +6,22 @@ unknowns D_{lk} (row l, column k of the derivation matrix), one sparse row
 per basis pair i < j and coordinate t, with its kernel taken by
 `sparse_kernel`.  Its kernel basis, one vector per free column of the
 rref in ascending order, is the canonical basis the new solver must return.
+
+`is_characteristically_nilpotent` is the decision used before it ran on
+sparse integer powers: it computes the characteristic polynomial of every
+witness eagerly, forms all n dense integer powers of the generic
+derivation (`_int_matmul`), and takes the diagonal witness from the
+`LinearForm` weight signature (`diagonal_witness`).  Its result type is
+the eager `CharNilpotency` of that version.
 """
 
-from nilform.derivations import DerivationSpace
+import random
+from dataclasses import dataclass
+
+from nilform.derivations import CHARNILP_SEED, DerivationSpace, diagonal_derivations
 from nilform.lie import LieAlgebra
-from nilform.linalg import Matrix, sparse_kernel
-from nilform.rational import ZERO
+from nilform.linalg import Matrix, char_poly, common_denominator, sparse_kernel
+from nilform.rational import ONE, ZERO, rat
 
 
 def _var_index(l, k, n):
@@ -58,3 +68,106 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
         for v in kernel
     ]
     return DerivationSpace(algebra=g, basis=basis, free_positions=free_positions)
+
+
+def diagonal_witness(g: LieAlgebra):
+    """A nonzero diagonal derivation when one exists, else None."""
+    sig = diagonal_derivations(g)
+    if sig.rank == 0:
+        return None
+    all_vars = set()
+    for w in sig.weights:
+        all_vars |= w.variables()
+    for chosen in sorted(all_vars):
+        assignment = {v: (ONE if v == chosen else ZERO) for v in all_vars}
+        diag = [w.substitute(assignment).const for w in sig.weights]
+        if any(diag):
+            n = g.dim
+            rows = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+            return Matrix(rows, copy=False)
+    return None
+
+
+@dataclass
+class CharNilpotency:
+    """Outcome of the nilpotency test for the full derivation algebra.
+
+    value False always comes with an exact witness (a non-nilpotent
+    derivation); value True carries the randomized-test transcript.
+    """
+
+    value: bool
+    witness: Matrix = None
+    witness_char_poly: list = None
+    transcript: dict = None
+
+    def __bool__(self):
+        return self.value
+
+
+def _integer_scaled(mat: Matrix):
+    denom = common_denominator(x for row in mat.data for x in row)
+    return [[int(x * denom) for x in row] for row in mat.data]
+
+
+def is_characteristically_nilpotent(
+    g: LieAlgebra, seed=CHARNILP_SEED, space: DerivationSpace = None
+) -> CharNilpotency:
+    """Decide whether every derivation of g is nilpotent.
+
+    Checks the diagonal rank first (a nonzero diagonal derivation is an
+    exact semisimple witness), then tests tr(D^k) = 0 identically for
+    k = 1..n on the generic derivation by exact evaluation at random
+    integer points.
+    """
+    n = g.dim
+    witness = diagonal_witness(g)
+    if witness is not None:
+        return CharNilpotency(
+            value=False, witness=witness, witness_char_poly=char_poly(witness)
+        )
+    if space is None:
+        space = derivation_space(g)
+    basis_int = [_integer_scaled(b) for b in space.basis]
+    r = len(basis_int)
+    if r == 0:
+        return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})
+
+    bound = 2 * n * n
+    trials = max(2 * (n + 1), 16)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        coeffs = [rng.randint(-bound, bound) for _ in range(r)]
+        d = [[0] * n for _ in range(n)]
+        for c, b in zip(coeffs, basis_int):
+            if not c:
+                continue
+            for i in range(n):
+                bi = b[i]
+                di = d[i]
+                for j in range(n):
+                    if bi[j]:
+                        di[j] += c * bi[j]
+        p = d
+        for _ in range(n):
+            tr = sum(p[i][i] for i in range(n))
+            if tr != 0:
+                mat = Matrix([[rat(x) for x in row] for row in d], copy=False)
+                return CharNilpotency(
+                    value=False, witness=mat, witness_char_poly=char_poly(mat)
+                )
+            p = _int_matmul(p, d)
+    return CharNilpotency(
+        value=True,
+        transcript={"seed": seed, "trials": trials, "bound": bound, "powers": n},
+    )
+
+
+def _int_matmul(a, b):
+    n = len(a)
+    bt = list(zip(*b))
+    return [
+        [sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a
+    ]

@@ -12,11 +12,16 @@ the center's kernel comes from the reference field eliminator.
 versions used before the series ran on the integer structure tensor: each
 term is the `Subspace.span` of the rational brackets of the rref basis
 vectors of the terms before it.
+
+`change_basis` and `jacobi_check` are the versions used before they ran
+on the integer structure tensor: the rational bracket of the columns of T,
+mapped back through the rational inverse of T, and the Jacobi residual
+accumulated in rationals through `bracket_basis`.
 """
 
-from nilform.errors import DimensionMismatch
-from nilform.lie import Subspace, zero_vec
-from nilform.linalg import Matrix
+from nilform.errors import DimensionMismatch, SingularTransform
+from nilform.lie import BasisChange, JacobiFailure, LieAlgebra, Subspace, zero_vec
+from nilform.linalg import Matrix, inverse, matvec, rank
 from nilform.rational import ONE, ZERO
 
 from reference_linalg import kernel_basis
@@ -139,3 +144,56 @@ def derived_series(g):
         if nxt.dim == 0:
             break
     return series
+
+
+def change_basis(g, transform):
+    """Conjugate the structure constants by an invertible matrix.
+
+    Columns of the matrix express the new basis in old coordinates.
+    """
+    t = transform.matrix if isinstance(transform, BasisChange) else transform
+    if t.nrows != g.dim or t.ncols != g.dim:
+        raise DimensionMismatch("basis change must be n x n")
+    if rank(t) != g.dim:
+        raise SingularTransform("basis change matrix is singular")
+    tinv = inverse(t)
+    cols = [t.col(j) for j in range(g.dim)]
+    new = {}
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            w = g.bracket(cols[a], cols[b])
+            coeffs = matvec(tinv, w)
+            comp = {k: c for k, c in enumerate(coeffs) if c}
+            if comp:
+                new[(a, b)] = comp
+    meta = {k: v for k, v in g.meta.items() if k != "defining_basis"}
+    return LieAlgebra(g.dim, new, labels=g.labels, meta=meta)
+
+
+def jacobi_check(g):
+    """None when the Jacobi identity holds, else the first failure.
+
+    Scans basis triples i < j < k in lexicographic order and reports the
+    residual of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    """
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = g.bracket_basis(i, j)
+            for k in range(j + 1, n):
+                acc = {}
+                for a, c in cij.items():
+                    for t, d in g.bracket_basis(a, k).items():
+                        acc[t] = acc.get(t, ZERO) + c * d
+                for a, c in g.bracket_basis(j, k).items():
+                    for t, d in g.bracket_basis(a, i).items():
+                        acc[t] = acc.get(t, ZERO) + c * d
+                for a, c in g.bracket_basis(k, i).items():
+                    for t, d in g.bracket_basis(a, j).items():
+                        acc[t] = acc.get(t, ZERO) + c * d
+                if any(acc.values()):
+                    res = zero_vec(n)
+                    for t, c in acc.items():
+                        res[t] = c
+                    return JacobiFailure((i, j, k), res)
+    return None

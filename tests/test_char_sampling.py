@@ -20,7 +20,7 @@ from nilform import catalog
 from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import _profile_upper_bound, char_sequence_with_witness
 from nilform.lie import LieAlgebra, abelian, heisenberg
-from nilform.linalg import Matrix, inverse, matmul, rank, rank_sequence
+from nilform.linalg import Matrix, _integer_row, inverse, matmul, rank, rank_sequence
 from nilform.rational import ONE, ZERO, rat
 
 
@@ -156,7 +156,8 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
 
     Every candidate outside C1 is otherwise tried: the n basis vectors and
     the 64 random ones, minus those in C1.  The sampling builds ad(x) as
-    integer columns, through `LieAlgebra.ad_columns`.
+    integer columns, through `LieAlgebra.ad_columns` on the primitive
+    integer row of x.
     """
     seen = []
     ad_columns = LieAlgebra.ad_columns
@@ -173,7 +174,7 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
         c1 = g.derived_subalgebra()
         if tuple(seq) == _profile_upper_bound(g.dim, c1.dim):
             stopped += 1
-            assert seen[-1] is witness
+            assert seen[-1] == _integer_row(enumerate(witness))
         else:
             assert len(seen) == sum(
                 1 for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)

@@ -1,0 +1,112 @@
+"""Differential tests: the characteristic-nilpotency decision against the reference.
+
+`reference_derivations` keeps the earlier decision: the diagonal witness
+read off the `LinearForm` weight signature, all n dense integer powers of
+the generic derivation, and the characteristic polynomial of every witness
+computed eagerly.  `diagonal_witness` now takes the witness straight from
+the kernel of the weight system, the powers are row-sparse and stop at the
+first zero power, and `witness_char_poly` is computed on access.  Both must
+give the same verdict, witness and transcript on every catalog instance at
+n = 7..10, on seeded conjugates of the ten criterion-10 picks, on
+abelian(1), on Der(g7^81) and on a conjugate of sl2, whose derivations are
+all traceless, so its witness shows only in tr(D^2); every witness
+polynomial must be the characteristic polynomial of the witness, on both
+negative paths.
+"""
+
+import random
+from functools import cache
+
+import pytest
+
+import reference_derivations as ref
+from nilform import catalog
+from nilform.derivations import (
+    derivation_algebra,
+    derivation_space,
+    diagonal_witness,
+    is_characteristically_nilpotent,
+)
+from nilform.lie import LieAlgebra, abelian
+from nilform.linalg import Matrix, char_poly, rank
+from nilform.rational import rat
+
+# Criterion-10 picks: (family, m, alpha).
+PICKS = [(65, 3, None), (66, 3, rat(2)), (81, 3, None), (84, 3, None),
+         (99, 3, None), (6, 4, None), (7, 4, rat(1, 2)), (24, 4, None),
+         (39, 4, None), (51, 4, None)]
+
+
+def _conjugate(g, rng):
+    n = g.dim
+    while True:
+        t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if rank(t) == n:
+            return g.change_basis(t)
+
+
+@cache
+def _algebras(name):
+    if name == "catalog":
+        return tuple(
+            inst.algebra for n in range(7, 11) for inst in catalog.enumerate_instances(n)
+        )
+    if name == "conjugates":
+        rng = random.Random(2028)
+        return tuple(_conjugate(catalog.build(fam, m, alpha), rng) for fam, m, alpha in PICKS)
+    sl2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    return (abelian(1), derivation_algebra(catalog.build(81, 3)),
+            _conjugate(sl2, random.Random(2029)))
+
+
+SETS = ["catalog", "conjugates", "small"]
+
+
+@cache
+def _verdicts(name):
+    """(algebra, decision, reference decision), both on the same derivation space."""
+    out = []
+    for g in _algebras(name):
+        space = derivation_space(g)
+        out.append((g, is_characteristically_nilpotent(g, space=space),
+                    ref.is_characteristically_nilpotent(g, space=space)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_diagonal_witness_matches_reference(name):
+    for g in _algebras(name):
+        assert diagonal_witness(g) == ref.diagonal_witness(g), g
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_decision_matches_reference(name):
+    for g, got, want in _verdicts(name):
+        assert got.value == want.value, g
+        assert got.witness == want.witness, g
+        assert got.transcript == want.transcript, g
+
+
+def test_witness_char_poly_on_both_negative_paths():
+    """Computed on access, it equals the reference's eager polynomial."""
+    for name in SETS:
+        for g, got, want in _verdicts(name):
+            if got.value:
+                assert got.witness_char_poly is None
+                continue
+            assert got.witness_char_poly == char_poly(got.witness) == want.witness_char_poly, g
+            assert got.witness_char_poly != [rat(1)] + [rat(0)] * g.dim
+
+
+def test_sets_exercise_every_outcome():
+    """Positive verdicts, diagonal witnesses and trace-power witnesses all occur.
+
+    Some trace-power witness has trace 0, so it is found at a power k > 1.
+    """
+    outcomes = {
+        "positive" if got.value else
+        "diagonal" if diagonal_witness(g) is not None else
+        "power 1" if got.witness.trace() else "power > 1"
+        for name in SETS for g, got, _ in _verdicts(name)
+    }
+    assert outcomes == {"positive", "diagonal", "power 1", "power > 1"}

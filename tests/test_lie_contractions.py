@@ -11,7 +11,11 @@ constants), and abelian(4), heisenberg(2) and Der(g7^81).
 The derived algebra and the lower central and derived series, which run on
 the integer structure tensor, must give the same Subspaces as the rational
 reference on those sets and on g8^7 with alpha = 1/2 (common denominator
-2) and the non-nilpotent [e1, e2] = e1 and sl2.
+2) and the non-nilpotent [e1, e2] = e1 and sl2.  On the same sets the
+integer `change_basis` must give the same structure constants as the
+rational one under seeded integer and non-integer transforms, and the
+integer `jacobi_check` the same verdict, and on perturbed tables the same
+first failing triple and residual.
 """
 
 import random
@@ -22,7 +26,8 @@ import pytest
 import reference_lie as ref
 from nilform import catalog
 from nilform.derivations import derivation_algebra, derivation_space, is_derivation
-from nilform.lie import LieAlgebra, abelian, basis_vec, heisenberg
+from nilform.errors import SingularTransform
+from nilform.lie import BasisChange, LieAlgebra, abelian, basis_vec, heisenberg
 from nilform.linalg import Matrix, rank
 from nilform.rational import ONE, ZERO, rat
 
@@ -135,3 +140,59 @@ def test_is_derivation_matches_reference(name):
                 assert not is_derivation(g, bad) and not ref.is_derivation(g, bad)
         eye = Matrix.identity(n)
         assert is_derivation(g, eye) == ref.is_derivation(g, eye) == g.is_abelian()
+
+
+def _transform(rng, n, integer):
+    """A seeded invertible n x n matrix, integer or with rational entries."""
+    while True:
+        if integer:
+            t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        else:
+            t = Matrix([_vector(rng, n) for _ in range(n)])
+        if rank(t) == n:
+            return t
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "rational"])
+@pytest.mark.parametrize("name", SETS + ["rational"])
+def test_change_basis_matches_reference(name, integer):
+    rng = random.Random(4)
+    for g in _algebras(name):
+        t = _transform(rng, g.dim, integer)
+        h, want = g.change_basis(t), ref.change_basis(g, t)
+        assert h.brackets == want.brackets, g
+        assert h.meta == want.meta
+        assert g.change_basis(BasisChange(t)) == h
+
+
+def test_change_basis_singular_matches_reference():
+    g = catalog.build(7, 4, rat(1, 2))
+    rows = _transform(random.Random(5), g.dim, False).rows()
+    rows[3] = [2 * x - y for x, y in zip(rows[1], rows[5])]     # rank n - 1
+    t = Matrix(rows, copy=False)
+    for change_basis in (g.change_basis, lambda t: ref.change_basis(g, t)):
+        with pytest.raises(SingularTransform):
+            change_basis(t)
+
+
+@pytest.mark.parametrize("name", SETS + ["rational"])
+def test_jacobi_check_matches_reference(name):
+    """None on every algebra; on perturbed tables the same first failure."""
+    rng = random.Random(6)
+    failures = 0
+    for g in _algebras(name):
+        assert g.jacobi_check() is None and ref.jacobi_check(g) is None
+        if not g.brackets:
+            continue
+        brackets = {pair: dict(comp) for pair, comp in g.brackets.items()}
+        pair = rng.choice(sorted(brackets))
+        k = rng.randrange(g.dim)
+        shift = rat(rng.randint(1, 5), rng.randint(1, 3))
+        brackets[pair][k] = brackets[pair].get(k, ZERO) + shift
+        bad = LieAlgebra(g.dim, brackets)
+        failure, want = bad.jacobi_check(), ref.jacobi_check(bad)
+        assert failure == want, g
+        if failure is not None:
+            failures += 1
+            assert str(failure) == str(want)
+    assert failures
