@@ -208,8 +208,32 @@ def _integer_kernel(rows, ncols):
     return list(kernel.values())
 
 
+# (algebra, space) of the last `derivation_space` call; replaced whole.
+_last_space = (None, None)
+
+
 def derivation_space(g: LieAlgebra) -> DerivationSpace:
     """Der(g) as the canonical rref kernel basis of the n^2 Leibniz system.
+
+    The last result is kept and returned again while the argument is the
+    same object (`is`, not `==`), so a sequence of calls on one algebra --
+    `invariants.fingerprint` and then the characteristic-nilpotency
+    decision, or a tower level and then its derivation algebra -- solves
+    the system once.  Only one algebra and one space are held.  This relies
+    on the rule `LieAlgebra.integer_brackets` relies on: neither an algebra
+    nor a returned space is ever modified.  `_solve_derivation_space`
+    solves the system and states its Jacobi assumption.
+    """
+    global _last_space
+    last, space = _last_space
+    if last is not g:
+        space = _solve_derivation_space(g)
+        _last_space = (g, space)            # one assignment: never a mixed pair
+    return space
+
+
+def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
+    """The Leibniz system of `derivation_space`, solved on generators.
 
     The unknowns are the values D(e_a) on generators e_a only, s*n of
     them; the steps are:
@@ -474,9 +498,7 @@ def _int_matmul(a, b):
     return out
 
 
-def is_characteristically_nilpotent(
-    g: LieAlgebra, seed=CHARNILP_SEED, space: DerivationSpace = None
-) -> CharNilpotency:
+def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 
     Checks the diagonal rank first (a nonzero diagonal derivation is an
@@ -484,14 +506,14 @@ def is_characteristically_nilpotent(
     k = 1..n on the generic derivation by exact evaluation at random
     integer points.  The powers of D are row-sparse integer matrices, and
     a trial stops at the first zero power: every later trace is 0 too.
+    The derivation space is `derivation_space(g)`, so a caller that has
+    just built it for the same algebra does not build it again.
     """
     n = g.dim
     witness = diagonal_witness(g)
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
-    if space is None:
-        space = derivation_space(g)
-    basis_int = [_integer_entries(b) for b in space.basis]
+    basis_int = [_integer_entries(b) for b in derivation_space(g).basis]
     r = len(basis_int)
     if r == 0:
         return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})

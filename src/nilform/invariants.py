@@ -3,32 +3,34 @@
 The characteristic sequence is the lexicographic maximum, over vectors X
 outside the derived algebra, of the Jordan block profile of ad(X).  The
 maximum is attained on a Zariski-open set, so it is sampled: the basis
-vectors, then 64 random small-integer vectors, drawn lazily from one seeded
-generator.  Each sampled profile is computed exactly, so the result is a
-certified lexicographic lower bound.
+vectors, then 64 random small-integer vectors from one seeded generator.
+Each sampled profile is computed exactly, so the result is a certified
+lexicographic lower bound.
 
-All of the sampling runs on integers: the denominators of each candidate
-are cleared once, membership in C1 is tested against an integer echelon
-of C1, ad(X) is built as sparse integer columns from the integer
-structure tensor (`LieAlgebra.ad_columns`), and the rank used for pruning
-and the Jordan profile come from the same columns
-(`linalg._image_ranks`).  Only the witness is a rational vector, the
-candidate itself.
+All of the sampling runs on integers: the candidates of each dimension are
+drawn once and kept as primitive integer rows, membership in C1 is tested
+against an integer echelon of C1, ad(X) is built as sparse integer columns
+from the integer structure tensor (`LieAlgebra.ad_columns`), and the rank
+used for pruning and the Jordan profile come from the same columns
+(`linalg._image_ranks`).  Only the witness is a rational vector, built
+from its candidate on return.
 
 ad(X) maps g into C1, so no profile exceeds (dim C1 + 1, 1, ..., 1).
 Sampling stops as soon as a profile reaches that ceiling: the value is then
-exact, not only a lower bound, and the vectors after the witness are never
-built.  Otherwise every candidate is tried, and the result is cross-checked
-against the expected value for every catalog entry in the test suite.
+exact, not only a lower bound, and the candidates after the witness are
+never tried.  Otherwise every candidate is tried, and the result is
+cross-checked against the expected value for every catalog entry in the
+test suite.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DimensionMismatch, NotNilpotent, VectorInDerivedAlgebra
-from .lie import LieAlgebra, basis_vec
+from .lie import LieAlgebra
 from .linalg import _block_sizes, _image_ranks, _integer_row, _remainder
 from .rational import rat
 
@@ -78,13 +80,18 @@ def _profile_upper_bound(n, rank1):
     return (n - blocks + 1,) + (1,) * (blocks - 1)
 
 
+@lru_cache(maxsize=32)
 def _candidates(n, seed, samples):
-    """Basis vectors e1..en, then `samples` random vectors with entries in [-3, 3]."""
-    for i in range(n):
-        yield basis_vec(n, i)
+    """Basis vectors e1..en, then `samples` random vectors with entries in [-3, 3].
+
+    As (integer tuple, primitive sparse row) pairs, drawn once per
+    (n, seed, samples) and shared by every algebra of dimension n, so
+    neither the tuples nor the rows may be modified.
+    """
+    vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield [rat(rng.randint(-3, 3)) for _ in range(n)]
+    vectors += (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(samples))
+    return tuple((x, _integer_row(enumerate(x))) for x in vectors)
 
 
 def char_sequence_with_witness(
@@ -103,8 +110,7 @@ def char_sequence_with_witness(
     ceiling = _profile_upper_bound(n, len(c1))
     best = None
     witness = None
-    for x in _candidates(n, seed, samples):
-        row = _integer_row(enumerate(x))
+    for x, row in _candidates(n, seed, samples):
         if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
         ranks = _image_ranks(g.ad_columns(row))
@@ -119,7 +125,7 @@ def char_sequence_with_witness(
                 break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")
-    return CharSequence(best), witness
+    return CharSequence(best), [rat(v) for v in witness]
 
 
 def char_sequence(g: LieAlgebra, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPLES):

@@ -168,7 +168,7 @@ class LieAlgebra:
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(f"bad bracket pair ({i}, {j})")
-            comp = {k: rat(c) for k, c in comp.items() if rat(c)}
+            comp = {k: c for k, c in ((k, rat(c)) for k, c in comp.items()) if c}
             for k in comp:
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"bad bracket target {k}")

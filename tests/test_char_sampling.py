@@ -194,3 +194,14 @@ def test_not_nilpotent_raises_in_both(g):
         char_sequence_with_witness(g)
     with pytest.raises(NotNilpotent):
         ref_inv.char_sequence_with_witness(g)
+
+
+def test_witness_is_a_fresh_rational_list():
+    """The candidates are shared across calls; the witness returned is not."""
+    g = catalog.build(65, 3)
+    _, first = char_sequence_with_witness(g)
+    _, second = char_sequence_with_witness(g)
+    assert first == second and first is not second
+    assert all(type(x) is type(ONE) for x in first + second)
+    first[0] += 1
+    assert char_sequence_with_witness(g)[1] == second != first

@@ -64,11 +64,15 @@ SETS = ["catalog", "conjugates", "small"]
 
 @cache
 def _verdicts(name):
-    """(algebra, decision, reference decision), both on the same derivation space."""
+    """(algebra, decision, reference decision), both on the same derivation space.
+
+    The decision reads the space `derivation_space` keeps for the last
+    algebra it was called on, so it sees the one the reference is given.
+    """
     out = []
     for g in _algebras(name):
         space = derivation_space(g)
-        out.append((g, is_characteristically_nilpotent(g, space=space),
+        out.append((g, is_characteristically_nilpotent(g),
                     ref.is_characteristically_nilpotent(g, space=space)))
     return tuple(out)
 
