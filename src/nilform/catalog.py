@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidDimension, MissingParameter
-from .lie import LieAlgebra
+from .lie import LieAlgebra, from_bracket_list
 from .rational import ONE, rat, rat_str
 
 ALPHA_FAMILIES = (7, 66)
@@ -671,22 +671,14 @@ def build(i, m, alpha=None) -> LieAlgebra:
 
     n = fam.dimension(m)
     nyy = n - 6
-    brackets = {}
+    entries = []
     for lhs, rhs, targets in fam.common(m) + fam.bullet:
         a, b = _idx(lhs), _idx(rhs)
         if max(a, b) >= n:
             raise InvalidDimension(
                 f"family {i} at m = {m}: bracket ({lhs}, {rhs}) out of range"
             )
-        comp = {}
-        for tgt, c in targets:
-            comp[_idx(tgt)] = rat(alpha) if c == "a" else rat(c)
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        entry = brackets.setdefault((a, b), {})
-        for k, c in comp.items():
-            entry[k] = entry.get(k, rat(0)) + sign * c
+        entries.append((a, b, {_idx(tgt): alpha if c == "a" else c for tgt, c in targets}))
 
     labels = tuple(f"X{j}" for j in range(1, 7)) + tuple(
         f"Y{k}" for k in range(1, nyy + 1)
@@ -700,7 +692,7 @@ def build(i, m, alpha=None) -> LieAlgebra:
     }
     if fam.needs_alpha:
         meta["alpha"] = alpha
-    return LieAlgebra(n, brackets, labels=labels, meta=meta)
+    return from_bracket_list(n, entries, labels=labels, meta=meta)
 
 
 def instance_label(i, n, alpha=None):
@@ -770,17 +762,9 @@ def enumerate_instances(n, alphas=DEFAULT_ALPHAS):
 # -- printed derivation-algebra presentations used by the tower checks -------
 
 def _algebra_from_z_brackets(dim, spec, name):
-    brackets = {}
-    for i, j, targets in spec:
-        a, b = i - 1, j - 1
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        comp = brackets.setdefault((a, b), {})
-        for k, c in targets:
-            comp[k - 1] = comp.get(k - 1, rat(0)) + sign * rat(c)
+    entries = [(i - 1, j - 1, {k - 1: c for k, c in targets}) for i, j, targets in spec]
     labels = tuple(f"Z{i}" for i in range(1, dim + 1))
-    return LieAlgebra(dim, brackets, labels=labels, meta={"name": name})
+    return from_bracket_list(dim, entries, labels=labels, meta={"name": name})
 
 
 def derivation_presentation_g8_6() -> LieAlgebra:

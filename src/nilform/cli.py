@@ -17,14 +17,17 @@ from .reports import Report
 
 
 def _parse_range(text):
-    """'7..12' or '9' -> inclusive integer range."""
+    """'7..12' or '9' -> inclusive integer range; A..B with B < A is an error."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            lo, hi = (int(x) for x in text.split("..", 1))
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise click.BadParameter(f"expected A..B or an integer, got {text!r}")
+    if hi < lo:
+        raise click.BadParameter(f"empty range {text!r}: B must be at least A")
+    return list(range(lo, hi + 1))
 
 
 def _parse_alphas(text):
@@ -130,7 +133,7 @@ def dertower(family, dim, depth, seed, fmt):
     if family not in catalog.FAMILIES:
         raise click.BadParameter(f"no family {family}")
     fam = catalog.FAMILIES[family]
-    m = dim // 2 if fam.parity == "even" else (dim - 1) // 2
+    m = dim // 2
     if fam.dimension(m) != dim or m < fam.m_min:
         raise click.BadParameter(f"family {family} is not defined at dimension {dim}")
     _emit(verify.dertower_suite(family, dim, depth=depth, seed=_seed(seed)), fmt)

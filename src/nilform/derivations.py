@@ -42,9 +42,11 @@ from .linalg import (
     Matrix,
     _echelon,
     _fold,
+    _integer_columns,
+    _integer_kernel,
+    _inverse_echelon,
     _primitive,
     char_poly,
-    common_denominator,
     matmul,
     sparse_kernel,
 )
@@ -176,11 +178,11 @@ def _generator_forms(g, br):
         dws.append(dw)
         todo.extend((p, len(ws) - 1) for p in range(len(gens)))
 
-    wrows = [{n + i: 1} for i in range(n)]  # [W | I]: W has the columns w_t
+    wrows = [[] for _ in range(n)]          # W has the columns w_t
     for t, w in enumerate(ws):
         for i, x in w.items():
-            wrows[i][t] = x
-    inv = _echelon(wrows)
+            wrows[i].append((t, x))
+    inv = _inverse_echelon(wrows, n)
     d = lcm(*(inv[t][t] for t in range(n)))
     forms = [[{} for _ in range(n)] for _ in range(n)]
     for t, row in inv.items():
@@ -190,22 +192,6 @@ def _generator_forms(g, br):
                 for acc, f in zip(forms[col - n], dws[t]):
                     _add(acc, f, q * v)
     return gens, forms, defined
-
-
-def _integer_kernel(rows, ncols):
-    """Kernel of sparse integer rows: one integer vector {col: int} per free column.
-
-    Built from the reduced pivot rows with one lcm of their pivot entries.
-    """
-    pivots = _echelon(rows)
-    scale = lcm(*(row[c] for c, row in pivots.items()))
-    kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
-    for c, row in pivots.items():
-        q = scale // row[c]
-        for k, v in row.items():
-            if k != c:
-                kernel[k][c] = -q * v
-    return list(kernel.values())
 
 
 # (algebra, space) of the last `derivation_space` call; replaced whole.
@@ -275,7 +261,7 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
         for j in range(n):
             if j not in done and (a, j) not in defined:
                 rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
-    kernel = _integer_kernel(rows, len(gens) * n)
+    _, _, kernel = _integer_kernel(rows, len(gens) * n)
 
     uses = {}                               # unknown -> [(kernel vector, entry)]
     for i, x in enumerate(kernel):
@@ -477,15 +463,6 @@ class CharNilpotency:
         return None if self.witness is None else char_poly(self.witness)
 
 
-def _integer_entries(mat: Matrix):
-    """(i, j, int) for the nonzero entries of d M, d the common denominator of M."""
-    denom = common_denominator(x for row in mat.data for x in row)
-    return [
-        (i, j, int(x * denom))
-        for i, row in enumerate(mat.data) for j, x in enumerate(row) if x
-    ]
-
-
 def _int_matmul(a, b):
     """Row-sparse product of integer matrices given as rows {col: int}."""
     out = []
@@ -513,7 +490,7 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
     witness = diagonal_witness(g)
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
-    basis_int = [_integer_entries(b) for b in derivation_space(g).basis]
+    basis_int = [_integer_columns(b)[1] for b in derivation_space(g).basis]
     r = len(basis_int)
     if r == 0:
         return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})
@@ -526,8 +503,9 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
         d = [{} for _ in range(n)]
         for c, b in zip(coeffs, basis_int):
             if c:
-                for i, j, v in b:
-                    d[i][j] = d[i].get(j, 0) + c * v
+                for j, col in enumerate(b):
+                    for i, v in col.items():
+                        d[i][j] = d[i].get(j, 0) + c * v
         d = [{j: v for j, v in row.items() if v} for row in d]
         p = d
         for _ in range(n):

@@ -26,14 +26,13 @@ tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
 from .linalg import (
     Matrix,
     _echelon,
     _integer_columns,
-    _integer_row,
+    _inverse_echelon,
     _primitive,
     _rref,
     common_denominator,
@@ -80,10 +79,6 @@ class Subspace:
         """The span of a forward integer echelon {pivot column: row}, reduced in place."""
         cols, basis = _rref(pivots, ambient)
         return Subspace(ambient, Matrix(basis, copy=False), tuple(cols))
-
-    @staticmethod
-    def zero(ambient):
-        return Subspace.span(ambient, [])
 
     @staticmethod
     def full(ambient):
@@ -376,22 +371,18 @@ class LieAlgebra:
         Columns of the matrix express the new basis in old coordinates.
         With d the common denominator of T, the brackets of the integer
         columns of d T come from the integer tensor, scaled by L d^2.  Row
-        i of the reduced integer echelon of [T | I] holds p_i T^-1 row i,
-        so coordinate i of a new bracket is an integer divided by
+        i of the reduced integer echelon of [T | I] (`_inverse_echelon`,
+        which raises SingularTransform for a singular T) holds p_i T^-1 row
+        i, so coordinate i of a new bracket is an integer divided by
         p_i L d^2; a rational is built only for each nonzero one.
         """
         t = transform.matrix if isinstance(transform, BasisChange) else transform
         n = self.dim
         if t.nrows != n or t.ncols != n:
             raise DimensionMismatch("basis change must be n x n")
-        if rank(t) != n:
-            raise SingularTransform("basis change matrix is singular")
+        inv = _inverse_echelon((enumerate(r) for r in t.data), n)
         br = self.integer_brackets()
-        d = common_denominator(chain.from_iterable(t.data))
-        cols = _integer_columns(t)              # columns of d T
-        inv = _echelon(
-            _integer_row(chain(enumerate(r), [(n + i, 1)])) for i, r in enumerate(t.data)
-        )
+        d, cols = _integer_columns(t)           # cols: the columns of d T
         tinv = [{} for _ in range(n)]           # tinv[j][i] = p_i T^-1[i][j]
         for i, row in inv.items():
             for k, v in row.items():
@@ -539,6 +530,25 @@ class BasisChange:
 
     def __repr__(self):
         return f"BasisChange(kind {self.kind}, n={self.matrix.nrows})"
+
+
+def from_bracket_list(dim, entries, labels=None, meta=None):
+    """The algebra with [e_i, e_j] = sum of c e_k over entries (i, j, {k: c}).
+
+    Indices are 0-based, and i != j may come in either order: an entry
+    (j, i, comp) with i < j adds -comp to the pair (i, j), and entries on
+    one pair add up.  `LieAlgebra` drops the zero coefficients and the
+    pairs that cancel.
+    """
+    brackets = {}
+    for i, j, comp in entries:
+        sign = 1
+        if i > j:
+            i, j, sign = j, i, -1
+        entry = brackets.setdefault((i, j), {})
+        for k, c in comp.items():
+            entry[k] = entry.get(k, ZERO) + sign * rat(c)
+    return LieAlgebra(dim, brackets, labels=labels, meta=meta)
 
 
 def abelian(n, labels=None):

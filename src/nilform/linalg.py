@@ -10,7 +10,10 @@ denominators cleared once; the Lie layer hands in integer rows directly.
 Every row is kept primitive (divided by the gcd of its entries) after each
 step: one gcd per row and step, where Fraction arithmetic pays one per
 entry.  Rationals are built only at the end, one division by the pivot per
-output entry; `rank` runs the forward pass only and builds none.
+output entry; `rank` runs the forward pass only and builds none.  Kernels
+and inverses each have one integer reader, `_integer_kernel` and
+`_inverse_echelon`, shared by the rational entry points here, by
+`LieAlgebra.change_basis` and by the derivation solver.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
 operator as sparse integer columns and iterates integer images instead of
@@ -29,7 +32,7 @@ Berkowitz scheme, which is division-free.
 from __future__ import annotations
 
 from itertools import chain, islice
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotNilpotent, SingularTransform
 from .rational import ONE, ZERO, rat
@@ -278,37 +281,52 @@ def _reduce(pivots):
         pivots[c] = row
 
 
-def _rref_row(row, c, ncols):
-    """Dense rational row of the rref from the reduced pivot row at column c."""
-    p = row[c]
+def _rref_row(row, d, ncols):
+    """Dense rational row row/d of a sparse integer row {col: int}."""
     out = [ZERO] * ncols
     for k, v in row.items():
-        out[k] = rat(v, p)
+        out[k] = rat(v, d)
     return out
 
 
-def _kernel(pivots, ncols):
-    """One kernel vector per free column, ascending.
+def _integer_kernel(rows, ncols):
+    """Kernel of sparse integer rows, on the reduced integer echelon.
 
-    The vector is 1 at its free column and minus that column of the rref
-    at the pivot coordinates, so it is zero at every other free column.
+    Returns (pivot columns ascending, scale, vectors): scale is the lcm of
+    the pivot entries, and there is one integer vector {col: int} per free
+    column, ascending, equal to scale times the canonical kernel vector of
+    that column: 1 there, minus that column of the rref at the pivot
+    coordinates, and zero at every other free column.
     """
-    vectors = {f: [ZERO] * ncols for f in range(ncols) if f not in pivots}
-    for f, v in vectors.items():
-        v[f] = ONE
+    pivots = _echelon(rows)
+    scale = lcm(*(row[c] for c, row in pivots.items()))
+    kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
-        p = row[c]
+        q = scale // row[c]
         for k, v in row.items():
             if k != c:
-                vectors[k][c] = rat(-v, p)
-    return list(vectors.values())
+                kernel[k][c] = -q * v
+    return sorted(pivots), scale, list(kernel.values())
+
+
+def _inverse_echelon(rows, n):
+    """Reduced integer echelon of [M | I] for an n x n matrix M.
+
+    rows holds the rows of M as (col, value) pairs, values ints or
+    rationals.  Returns {i: row} for i < n, where row i is p_i (e_i | row i
+    of M^-1) with p_i > 0.  Raises SingularTransform when M is singular.
+    """
+    pivots = _echelon(_integer_row(chain(r, [(n + i, 1)])) for i, r in enumerate(rows))
+    if any(c not in pivots for c in range(n)):
+        raise SingularTransform("matrix is singular")
+    return pivots
 
 
 def _rref(pivots, ncols):
     """Pivot columns and dense rational rref rows of a forward echelon (reduced in place)."""
     _reduce(pivots)
     cols = sorted(pivots)
-    return cols, [_rref_row(pivots[c], c, ncols) for c in cols]
+    return cols, [_rref_row(pivots[c], pivots[c][c], ncols) for c in cols]
 
 
 def row_reduce(rows, ncols):
@@ -336,7 +354,8 @@ def kernel_basis(a: Matrix):
     Each returned vector has a 1 in its free coordinate and zeros at the
     other free coordinates, so the basis is canonical.
     """
-    return _kernel(_echelon(_integer_row(enumerate(r)) for r in a.data), a.ncols)
+    _, scale, kernel = _integer_kernel((_integer_row(enumerate(r)) for r in a.data), a.ncols)
+    return [_rref_row(v, scale, a.ncols) for v in kernel]
 
 
 def solve(a: Matrix, b):
@@ -363,12 +382,8 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square:
         raise DimensionMismatch("inverse of non-square matrix")
     n = a.nrows
-    pivots = _echelon(
-        _integer_row(chain(enumerate(r), [(n + i, ONE)])) for i, r in enumerate(a.data)
-    )
-    if any(c not in pivots for c in range(n)):
-        raise SingularTransform("matrix is singular")
-    return Matrix([_rref_row(pivots[i], i, 2 * n)[n:] for i in range(n)], copy=False)
+    inv = _inverse_echelon((enumerate(r) for r in a.data), n)
+    return Matrix([_rref_row(inv[i], inv[i][i], 2 * n)[n:] for i in range(n)], copy=False)
 
 
 def char_poly(a: Matrix):
@@ -422,14 +437,14 @@ def _apply(cols, v):
 
 
 def _integer_columns(a: Matrix):
-    """Sparse integer columns {row: int} of d A, d the common denominator of A."""
+    """(d, sparse integer columns {row: int} of d A), d the common denominator of A."""
     d = common_denominator(chain.from_iterable(a.data))
     cols = [{} for _ in range(a.ncols)]
     for i, row in enumerate(a.data):
         for j, x in enumerate(row):
             if x:
                 cols[j][i] = int(x.numerator) * (d // int(x.denominator))
-    return cols
+    return d, cols
 
 
 def _image_ranks(cols):
@@ -483,7 +498,7 @@ def rank_sequence(a: Matrix, kmax=None):
     if not a.is_square:
         raise DimensionMismatch("rank_sequence of non-square matrix")
     n = a.nrows
-    return [n, *islice(_image_ranks(_integer_columns(a)), n if kmax is None else kmax)]
+    return [n, *islice(_image_ranks(_integer_columns(a)[1]), n if kmax is None else kmax)]
 
 
 def nilpotent_jordan_profile(a: Matrix):
@@ -502,5 +517,5 @@ def sparse_kernel(rows, ncols):
     row echelon form, ascending, and one dense kernel vector per free
     column, ascending.
     """
-    pivots = _echelon(_integer_row(raw.items()) for raw in rows)
-    return sorted(pivots), _kernel(pivots, ncols)
+    cols, scale, kernel = _integer_kernel((_integer_row(raw.items()) for raw in rows), ncols)
+    return cols, [_rref_row(v, scale, ncols) for v in kernel]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import TemplateMismatch
-from .lie import BasisChange, LieAlgebra, basis_vec, zero_vec
+from .lie import BasisChange, LieAlgebra, basis_vec, from_bracket_list, zero_vec
 from .linalg import Matrix, solve
 from .rational import ONE, ZERO, rat
 
@@ -53,14 +53,9 @@ class GenericN5Law:
         for name in ("d", "e", "f", "m", "p"):
             if len(getattr(self, name)) != ny:
                 raise TemplateMismatch(f"parameter vector {name} must have length {ny}")
-        object.__setattr__(self, "d", tuple(rat(x) for x in self.d))
-        object.__setattr__(self, "e", tuple(rat(x) for x in self.e))
-        object.__setattr__(self, "f", tuple(rat(x) for x in self.f))
-        object.__setattr__(self, "m", tuple(rat(x) for x in self.m))
-        object.__setattr__(self, "p", tuple(rat(x) for x in self.p))
-        object.__setattr__(self, "n6", rat(self.n6))
-        object.__setattr__(self, "o6", rat(self.o6))
-        object.__setattr__(self, "p6", rat(self.p6))
+            object.__setattr__(self, name, tuple(rat(x) for x in getattr(self, name)))
+        for name in ("n6", "o6", "p6"):
+            object.__setattr__(self, name, rat(getattr(self, name)))
         clean = {}
         for (i, j), c in self.a.items():
             if not 1 <= i < j <= ny:
@@ -83,77 +78,29 @@ class GenericN5Law:
             return self.a.get((i, j), ZERO)
         return -self.a.get((j, i), ZERO)
 
-    def __eq__(self, other):
-        return isinstance(other, GenericN5Law) and (
-            self.n,
-            self.d,
-            self.e,
-            self.f,
-            self.m,
-            self.n6,
-            self.o6,
-            self.p,
-            self.p6,
-            self.a,
-        ) == (
-            other.n,
-            other.d,
-            other.e,
-            other.f,
-            other.m,
-            other.n6,
-            other.o6,
-            other.p,
-            other.p6,
-            other.a,
-        )
-
 
 def instantiate(t: GenericN5Law) -> LieAlgebra:
     """Write out the template brackets as an explicit algebra."""
     n = t.n
     ny = n - 6
-    brackets = {}
-
-    def add(i, j, comp):
-        comp = {k: rat(c) for k, c in comp.items() if rat(c)}
-        if not comp:
-            return
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        entry = brackets.setdefault((i, j), {})
-        for k, c in comp.items():
-            entry[k] = entry.get(k, ZERO) + sign * c
-
-    for j in (1, 2, 3, 4):
-        add(0, j, {j + 1: ONE})
     mix = {5 + k: t.m[k - 1] for k in range(1, ny + 1)}
     mix[5] = t.n6
-    add(4, 1, mix)
-    add(2, 3, mix)
-    add(3, 1, {5: t.o6})
     pmix = {5 + k: t.p[k - 1] for k in range(1, ny + 1)}
     pmix[4] = t.o6
     pmix[5] = t.p6
-    add(2, 1, pmix)
+    entries = [(0, j, {j + 1: ONE}) for j in (1, 2, 3, 4)]
+    entries += [(4, 1, mix), (2, 3, mix), (3, 1, {5: t.o6}), (2, 1, pmix)]
     for i in range(1, ny + 1):
         yi = 5 + i
-        add(yi, 3, {5: t.d[i - 1]})
-        add(yi, 2, {4: t.d[i - 1], 5: t.e[i - 1]})
-        add(yi, 1, {3: t.d[i - 1], 4: t.e[i - 1], 5: t.f[i - 1]})
-    for (i, j), c in t.a.items():
-        add(5 + i, 5 + j, {5: c})
+        entries.append((yi, 3, {5: t.d[i - 1]}))
+        entries.append((yi, 2, {4: t.d[i - 1], 5: t.e[i - 1]}))
+        entries.append((yi, 1, {3: t.d[i - 1], 4: t.e[i - 1], 5: t.f[i - 1]}))
+    entries += [(5 + i, 5 + j, {5: c}) for (i, j), c in t.a.items()]
 
     labels = tuple(f"X{j}" for j in range(1, 7)) + tuple(
         f"Y{k}" for k in range(1, ny + 1)
     )
-    brackets = {
-        pair: {k: c for k, c in comp.items() if c}
-        for pair, comp in brackets.items()
-    }
-    brackets = {pair: comp for pair, comp in brackets.items() if comp}
-    return LieAlgebra(n, brackets, labels=labels)
+    return from_bracket_list(n, entries, labels=labels)
 
 
 def template_match(g: LieAlgebra):

@@ -298,10 +298,7 @@ def corollary_sums_suite(pairs=((65, 65), (65, 83), (83, 83)), seed=DEFAULT_SEED
 
 def dertower_suite(family, dim, depth=1, seed=DEFAULT_SEED) -> Report:
     report = Report("dertower", seed)
-    if dim % 2 == 0:
-        m = dim // 2
-    else:
-        m = (dim - 1) // 2
+    m = dim // 2
     fam = catalog.FAMILIES[family]
     alpha = 2 if fam.needs_alpha else None
     g = catalog.build(family, m, alpha)

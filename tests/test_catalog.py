@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from nilform import catalog, tables
+from nilform import catalog, serialize, tables, template
 from nilform.errors import InvalidDimension, MissingParameter
 from nilform.invariants import char_sequence, fingerprint, p_filiform_sequence
 from nilform.rational import rat
@@ -107,3 +110,24 @@ def test_chain_with_abelian():
     assert tuple(char_sequence(g)) == (3, 1, 1)
     g = catalog.chain_with_abelian(5, 6)
     assert tuple(char_sequence(g)) == (4, 1, 1)
+
+
+# SHA-256 of `serialize.dumps` over the algebras built from bracket lists:
+# the catalog at n = 7..13, the two printed derivation presentations and 20
+# instantiated templates.  Pinned before the builders were merged into
+# `lie.from_bracket_list`; never regenerate it to make a change pass.
+CONSTRUCTION_DIGEST = "630a27a0b34a09d65ddcd48a6f5df86eb8b37be791adc28b32f4f2fc6677abc7"
+
+
+def test_algebra_construction_digest():
+    h = hashlib.sha256()
+    for n in range(7, 14):
+        for inst in catalog.enumerate_instances(n):
+            h.update(serialize.dumps(inst.algebra).encode())
+    for g in (catalog.derivation_presentation_g8_6(), catalog.derivation_presentation_g7_81()):
+        h.update(serialize.dumps(g).encode())
+    rng = random.Random(1)
+    for _ in range(20):
+        law = template.sample_transform_stratum(10, rng)
+        h.update(serialize.dumps(template.instantiate(law)).encode())
+    assert h.hexdigest() == CONSTRUCTION_DIGEST

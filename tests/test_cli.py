@@ -41,6 +41,10 @@ def test_bad_flags_exit_2():
     assert invoke("tables", "--id", "12").exit_code == 2
     assert invoke("dertower", "--family", "200", "--dim", "8").exit_code == 2
     assert invoke("dertower", "--family", "1", "--dim", "9").exit_code == 2
+    # a reversed range runs nothing: a usage error, not "0/0 checks passed"
+    assert invoke("check", "--dims", "9..7").exit_code == 2
+    assert invoke("charnilp", "--dims", "9..7").exit_code == 2
+    assert invoke("tables", "--id", "1", "--m", "6..4").exit_code == 2
 
 
 def test_tables_structural_pass():

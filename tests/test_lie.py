@@ -3,9 +3,17 @@ import random
 import pytest
 
 from nilform import catalog
-from nilform.errors import NotAnIdeal, SingularTransform
+from nilform.errors import DimensionMismatch, NotAnIdeal, SingularTransform
 from nilform.invariants import char_sequence
-from nilform.lie import BasisChange, LieAlgebra, Subspace, abelian, basis_vec, heisenberg
+from nilform.lie import (
+    BasisChange,
+    LieAlgebra,
+    Subspace,
+    abelian,
+    basis_vec,
+    from_bracket_list,
+    heisenberg,
+)
 from nilform.linalg import Matrix, rank
 from nilform.rational import rat
 
@@ -180,3 +188,19 @@ def test_basis_change_kind_validation():
         BasisChange(Matrix.zeros(3, 3))
     with pytest.raises(ValueError):
         BasisChange(Matrix.identity(3), kind="V")
+
+
+def test_from_bracket_list():
+    g = from_bracket_list(4, [(2, 0, {3: 2}), (0, 1, {2: 1}), (1, 0, {3: 1})],
+                          labels=("a", "b", "c", "d"), meta={"name": "t"})
+    assert g.brackets == {(0, 2): {3: rat(-2)}, (0, 1): {2: rat(1), 3: rat(-1)}}
+    assert g.labels == ("a", "b", "c", "d") and g.meta == {"name": "t"}
+    # two entries on one pair add up; reversed pairs count negated
+    g = from_bracket_list(3, [(0, 1, {2: rat(1, 2)}), (0, 1, {2: rat(1, 3)}), (1, 0, {2: 1})])
+    assert g.brackets == {(0, 1): {2: rat(-1, 6)}}
+    # entries that cancel leave no pair, zero coefficients are dropped
+    entries = [(0, 1, {2: 1}), (1, 0, {2: 1}), (0, 2, {1: 0, 2: 0}), (1, 2, {0: 0, 1: 3})]
+    g = from_bracket_list(3, entries)
+    assert g.brackets == {(1, 2): {1: rat(3)}}
+    with pytest.raises(DimensionMismatch):
+        from_bracket_list(3, [(1, 1, {2: 1})])
