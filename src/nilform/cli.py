@@ -46,7 +46,11 @@ def _seed(value):
     if value is not None:
         return value
     env = os.environ.get("NILFORM_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        click.echo(f"Error: NILFORM_SEED must be an integer, got {env!r}", err=True)
+        sys.exit(2)
 
 
 def _emit(report: Report, fmt):

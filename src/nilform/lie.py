@@ -3,42 +3,42 @@
 Brackets are stored sparsely for ordered basis pairs (i < j, 0-based):
 `LieAlgebra.brackets` maps each pair with a nonzero bracket to its
 {k: c} coefficients, and antisymmetry is structural, so [x, x] = 0 by
-construction.  The rational bracket, ad(v) and the center are each one
-contraction of these stored pairs: a single pass that skips zero
-coordinates, with no dense table built beside them.
+construction.
 
-The hot path runs on integers.  `integer_brackets` holds the same
-constants once, scaled by their common denominator L to Python ints, and
-L[x, y] has the ranks, images, spans and derivations of [x, y].  ad(x) for
-the characteristic sequence (`ad_columns`), the derived algebra, the lower
+Everything computed from them contracts one table: `integer_brackets`
+holds the same constants once, scaled by their common denominator L to
+Python ints (cleared by `linalg._scaled`), for both orders of each pair,
+and L[x, y] has the ranks, images, spans and derivations of [x, y].  The
+bracket and ad(v) clear their rational arguments the same way and contract
+them with it; the center is the integer kernel of its rows; ad(x) for the
+characteristic sequence (`ad_columns`), the derived algebra, the lower
 central and derived series, the Jacobi check, the basis change and the
-derivation solver all read it and eliminate with the integer core of
-`linalg`; rationals are built only for what is returned: the rref
-`Subspace`s, which are unique, so they do not depend on the scaling, the
-residual of a Jacobi failure and the new structure constants of a basis
-change, each divided by its known scale.  The tensor is built on first
-use, so algebras that are never queried pay nothing.  Algebras are treated
-as immutable after construction, so everything here is safe to share
-across threads: two threads that race on the first use build equal
-tensors.
+derivation solver read it and eliminate with the integer core of `linalg`.
+Rationals are built only for what is returned, each integer divided by its
+known scale: the bracket, ad(v), the rref `Subspace`s (unique, so they do
+not depend on the scaling), the residual of a Jacobi failure and the new
+structure constants of a basis change.  The tensor is built on first use,
+so algebras that are never queried pay nothing.  Algebras are treated as
+immutable after construction, so everything here is safe to share across
+threads: two threads that race on the first use build equal tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotAnIdeal, SingularTransform
+from .errors import DimensionMismatch, NotAnIdeal
 from .linalg import (
     Matrix,
     _echelon,
     _integer_columns,
+    _integer_kernel,
     _inverse_echelon,
     _primitive,
     _rref,
-    common_denominator,
-    rank,
+    _rref_row,
+    _scaled,
     row_reduce,
-    sparse_kernel,
 )
 from .rational import ONE, ZERO, rat
 
@@ -185,58 +185,53 @@ class LieAlgebra:
         return {k: -c for k, c in d.items()} if d else {}
 
     def bracket(self, u, v):
-        """Bilinear extension [u, v] for coordinate vectors, as a dense list."""
+        """Bilinear extension [u, v] for coordinate vectors, as a dense list.
+
+        With u = u'/d_u and v = v'/d_v cleared to integers, [u, v] is the
+        integer bracket of u' and v' divided by L d_u d_v.
+        """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
-        out = zero_vec(self.dim)
-        for (i, j), comp in self.brackets.items():
-            # most coordinates of basis and rref vectors vanish: skip those products
-            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
-            f = (ui * vj if ui and vj else 0) - (uj * vi if uj and vi else 0)
-            if f:
-                for k, c in comp.items():
-                    out[k] += f * c
-        return out
+        du, iu = _scaled(enumerate(u))
+        dv, iv = _scaled(enumerate(v))
+        w = _int_bracket(self.integer_brackets(), iu, iv)
+        return _rref_row(w, self._denominator() * du * dv, self.dim)
 
     def ad(self, v):
-        """Matrix of ad(v): x -> [v, x] in the given basis."""
+        """Matrix of ad(v): x -> [v, x] in the given basis, from `ad_columns`."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
+        d, iv = _scaled(enumerate(v))
+        scale = self._denominator() * d
         rows = [zero_vec(self.dim) for _ in range(self.dim)]
-        for (i, j), comp in self.brackets.items():
-            vi, vj = v[i], v[j]
-            if vi:                              # v_i [e_i, e_j] in column j
-                for k, c in comp.items():
-                    rows[k][j] += vi * c
-            if vj:                              # v_j [e_j, e_i] in column i
-                for k, c in comp.items():
-                    rows[k][i] -= vj * c
+        for j, col in enumerate(self.ad_columns(iv)):
+            for k, c in col.items():
+                rows[k][j] = rat(c, scale)
         return Matrix(rows, copy=False)
 
     def _denominator(self):
         """L, the common denominator of the structure constants."""
-        return common_denominator(c for comp in self.brackets.values() for c in comp.values())
+        self.integer_brackets()
+        return self._tensor[0]
 
     def integer_brackets(self):
         """br[i][j] = {k: L c_ij^k} for both orders of every nonzero bracket.
 
-        L is the common denominator of the structure constants.  The
-        rescaled bracket L[x, y] has exactly the ranks, images, spans and
-        derivations of [x, y].  Built on first use and kept; callers must
-        not modify it.
+        L is the common denominator of the structure constants, which
+        `_scaled` clears in one call.  The rescaled bracket L[x, y] has
+        exactly the ranks, images, spans and derivations of [x, y].  Built
+        on first use and kept with L; callers must not modify it.
         """
         if self._tensor is None:
-            scale = self._denominator()
+            scale, consts = _scaled(
+                ((i, j, k), c) for (i, j), comp in self.brackets.items() for k, c in comp.items()
+            )
             br = [{} for _ in range(self.dim)]
-            for (i, j), comp in self.brackets.items():
-                row = {
-                    k: int(c.numerator) * (scale // int(c.denominator))
-                    for k, c in comp.items()
-                }
-                br[i][j] = row
-                br[j][i] = {k: -v for k, v in row.items()}
-            self._tensor = br
-        return self._tensor
+            for (i, j, k), c in consts.items():
+                br[i].setdefault(j, {})[k] = c
+                br[j].setdefault(i, {})[k] = -c
+            self._tensor = (scale, br)
+        return self._tensor[1]
 
     def ad_columns(self, v):
         """Sparse integer columns {k: int} of ad(v) for an integer vector v = {i: int}.
@@ -298,14 +293,14 @@ class LieAlgebra:
         return Subspace._of_echelon(self.dim, self.derived_echelon())
 
     def center(self):
-        """Kernel of x -> ([e_a, x])_a, one sparse row per (a, k) coordinate."""
+        """Kernel of x -> ([e_a, x])_a, one integer row [e_a, e_j]_k per (a, k) coordinate."""
         rows = {}
-        for (i, j), comp in self.brackets.items():
-            for k, c in comp.items():
-                rows.setdefault((i, k), {})[j] = c
-                rows.setdefault((j, k), {})[i] = -c
-        _, kernel = sparse_kernel(list(rows.values()), self.dim)
-        return Subspace.span(self.dim, kernel)
+        for a, brs in enumerate(self.integer_brackets()):
+            for j, comp in brs.items():
+                for k, c in comp.items():
+                    rows.setdefault((a, k), {})[j] = c
+        _, _, kernel = _integer_kernel((_primitive(r) for r in rows.values()), self.dim)
+        return Subspace._of_echelon(self.dim, _echelon(map(_primitive, kernel), reduced=False))
 
     def _series(self, images):
         """[g, C1, ...] for terms T' = span images(integer basis of T), from T = C1.
@@ -368,19 +363,21 @@ class LieAlgebra:
     def change_basis(self, transform):
         """Conjugate the structure constants by an invertible matrix.
 
-        Columns of the matrix express the new basis in old coordinates.
+        Columns of the matrix express the new basis in old coordinates; a
+        bare matrix is wrapped in a `BasisChange`, which eliminates it once.
         With d the common denominator of T, the brackets of the integer
         columns of d T come from the integer tensor, scaled by L d^2.  Row
-        i of the reduced integer echelon of [T | I] (`_inverse_echelon`,
-        which raises SingularTransform for a singular T) holds p_i T^-1 row
-        i, so coordinate i of a new bracket is an integer divided by
-        p_i L d^2; a rational is built only for each nonzero one.
+        i of the reduced integer echelon of [T | I] that the `BasisChange`
+        keeps holds p_i T^-1 row i, so coordinate i of a new bracket is an
+        integer divided by p_i L d^2; a rational is built only for each
+        nonzero one.
         """
-        t = transform.matrix if isinstance(transform, BasisChange) else transform
+        if not isinstance(transform, BasisChange):
+            transform = BasisChange(transform)
+        t, inv = transform.matrix, transform._inverse
         n = self.dim
-        if t.nrows != n or t.ncols != n:
+        if t.nrows != n:
             raise DimensionMismatch("basis change must be n x n")
-        inv = _inverse_echelon((enumerate(r) for r in t.data), n)
         br = self.integer_brackets()
         d, cols = _integer_columns(t)           # cols: the columns of d T
         tinv = [{} for _ in range(n)]           # tinv[j][i] = p_i T^-1[i][j]
@@ -424,16 +421,9 @@ class LieAlgebra:
         new = {}
         for a in range(len(comp)):
             for b in range(a + 1, len(comp)):
-                w = self.bracket(
-                    basis_vec(self.dim, comp[a]), basis_vec(self.dim, comp[b])
-                )
-                w = ideal.reduce(w)
-                compd = {}
-                for k, c in enumerate(w):
-                    if c:
-                        compd[index_of[k]] = c
-                if compd:
-                    new[(a, b)] = compd
+                w = self.bracket_basis(comp[a], comp[b])
+                w = ideal.reduce([w.get(k, ZERO) for k in range(self.dim)])
+                new[(a, b)] = {index_of[k]: c for k, c in enumerate(w) if c}
         labels = tuple(self.labels[c] for c in comp)
         return LieAlgebra(len(comp), new, labels=labels)
 
@@ -514,7 +504,11 @@ class LieAlgebra:
 
 
 class BasisChange:
-    """Invertible transition matrix, optionally tagged with its kind."""
+    """Invertible transition matrix, optionally tagged with its kind.
+
+    T is eliminated once, here: `change_basis` reads T^-1 from the kept
+    integer echelon of [T | I], and a singular T raises SingularTransform.
+    """
 
     KINDS = ("I", "II", "III", "IV", "general")
 
@@ -523,8 +517,7 @@ class BasisChange:
             raise ValueError(f"unknown basis-change kind {kind!r}")
         if matrix.nrows != matrix.ncols:
             raise DimensionMismatch("basis change must be square")
-        if rank(matrix) != matrix.nrows:
-            raise SingularTransform("basis change matrix is singular")
+        self._inverse = _inverse_echelon((enumerate(r) for r in matrix.data), matrix.nrows)
         self.matrix = matrix
         self.kind = kind
 

@@ -5,15 +5,17 @@ reduction -- rank, rref, kernels, inverse, solve, subspace spans, the
 central series and ad(x) of the Lie layer, and the sparse Leibniz systems
 of the derivation layer -- runs on one integer core, `_echelon`:
 fraction-free Gaussian elimination on sparse {col: int} rows, after
-Bareiss (Math. Comp. 22, 1968, 565-578).  Rational input rows have their
-denominators cleared once; the Lie layer hands in integer rows directly.
-Every row is kept primitive (divided by the gcd of its entries) after each
-step: one gcd per row and step, where Fraction arithmetic pays one per
-entry.  Rationals are built only at the end, one division by the pivot per
-output entry; `rank` runs the forward pass only and builds none.  Kernels
-and inverses each have one integer reader, `_integer_kernel` and
-`_inverse_echelon`, shared by the rational entry points here, by
-`LieAlgebra.change_basis` and by the derivation solver.
+Bareiss (Math. Comp. 22, 1968, 565-578).  Rationals are cleared to
+integers in one place, `_scaled`: rational rows, the columns of a rational
+matrix, the arguments of the Lie bracket and the structure constants of
+the Lie layer's integer tensor all go through it.  Every row is kept
+primitive (divided by the gcd of its entries) after each step: one gcd per
+row and step, where Fraction arithmetic pays one per entry.  Rationals are
+built only at the end, one division by the pivot per output entry; `rank`
+runs the forward pass only and builds none.  Kernels and inverses each
+have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
+by the rational entry points here, by `LieAlgebra.center`, by
+`BasisChange` and by the derivation solver.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
 operator as sparse integer columns and iterates integer images instead of
@@ -174,33 +176,26 @@ def matvec(a: Matrix, v):
     ]
 
 
-def common_denominator(values):
-    """Least common multiple of the denominators of some exact rationals."""
-    d = 1
-    for x in values:
-        q = int(x.denominator)
-        if d % q:
-            d = d // gcd(d, q) * q
-    return d
-
-
 def _primitive(row):
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g != 1 else row
 
 
-def _integer_row(items):
-    """Primitive sparse integer row {col: int} proportional to (col, value) pairs.
+def _scaled(items):
+    """(d, {key: d x}) for (key, value) pairs, d the common denominator of the values.
 
-    Values may be ints or rationals: both have .numerator and .denominator.
+    The one place where rationals are cleared to integers.  Values may be
+    ints or rationals: both have .numerator and .denominator.  Zero values
+    are dropped.
     """
-    items = [(c, x) for c, x in items if x]
-    if not items:
-        return {}
-    d = common_denominator(x for _, x in items)
-    return _primitive(
-        {c: int(x.numerator) * (d // int(x.denominator)) for c, x in items}
-    )
+    row = {k: x for k, x in items if x}
+    d = lcm(*{x.denominator for x in row.values()})
+    return d, {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+
+
+def _integer_row(items):
+    """Primitive sparse integer row {col: int} proportional to (col, value) pairs."""
+    return _primitive(_scaled(items)[1])
 
 
 def _cancel(row, prow, c):
@@ -438,12 +433,10 @@ def _apply(cols, v):
 
 def _integer_columns(a: Matrix):
     """(d, sparse integer columns {row: int} of d A), d the common denominator of A."""
-    d = common_denominator(chain.from_iterable(a.data))
+    d, entries = _scaled(((i, j), x) for i, row in enumerate(a.data) for j, x in enumerate(row))
     cols = [{} for _ in range(a.ncols)]
-    for i, row in enumerate(a.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = int(x.numerator) * (d // int(x.denominator))
+    for (i, j), v in entries.items():
+        cols[j][i] = v
     return d, cols
 
 

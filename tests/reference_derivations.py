@@ -17,10 +17,11 @@ the eager `CharNilpotency` of that version.
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from nilform.derivations import CHARNILP_SEED, DerivationSpace, diagonal_derivations
 from nilform.lie import LieAlgebra
-from nilform.linalg import Matrix, char_poly, common_denominator, sparse_kernel
+from nilform.linalg import Matrix, char_poly, sparse_kernel
 from nilform.rational import ONE, ZERO, rat
 
 
@@ -108,7 +109,7 @@ class CharNilpotency:
 
 
 def _integer_scaled(mat: Matrix):
-    denom = common_denominator(x for row in mat.data for x in row)
+    denom = lcm(*(x.denominator for row in mat.data for x in row))
     return [[int(x * denom) for x in row] for row in mat.data]
 
 

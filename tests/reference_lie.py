@@ -17,10 +17,16 @@ vectors of the terms before it.
 on the integer structure tensor: the rational bracket of the columns of T,
 mapped back through the rational inverse of T, and the Jacobi residual
 accumulated in rationals through `bracket_basis`.
+
+`is_ideal`, `quotient` and `is_abelian_subspace` are the versions used
+before `bracket` read the integer structure tensor: they bracket through
+the rational `bracket` above, and the quotient brackets every pair of
+complement basis vectors before reducing it against the ideal.  The
+reference `change_basis` brackets through it too.
 """
 
-from nilform.errors import DimensionMismatch, SingularTransform
-from nilform.lie import BasisChange, JacobiFailure, LieAlgebra, Subspace, zero_vec
+from nilform.errors import DimensionMismatch, NotAnIdeal, SingularTransform
+from nilform.lie import BasisChange, JacobiFailure, LieAlgebra, Subspace, basis_vec, zero_vec
 from nilform.linalg import Matrix, inverse, matvec, rank
 from nilform.rational import ONE, ZERO
 
@@ -161,7 +167,7 @@ def change_basis(g, transform):
     new = {}
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            w = g.bracket(cols[a], cols[b])
+            w = bracket(g, cols[a], cols[b])
             coeffs = matvec(tinv, w)
             comp = {k: c for k, c in enumerate(coeffs) if c}
             if comp:
@@ -197,3 +203,49 @@ def jacobi_check(g):
                         res[t] = c
                     return JacobiFailure((i, j, k), res)
     return None
+
+
+def is_abelian_subspace(g, s: Subspace):
+    """True iff [s, s] = 0, checked on pairs of basis vectors of s."""
+    vecs = s.basis_vectors()
+    return all(
+        not any(bracket(g, u, v))
+        for t, u in enumerate(vecs)
+        for v in vecs[t + 1 :]
+    )
+
+
+def is_ideal(g, s: Subspace):
+    return all(
+        s.contains(bracket(g, basis_vec(g.dim, j), v))
+        for v in s.basis_vectors()
+        for j in range(g.dim)
+    )
+
+
+def quotient(g, ideal: Subspace):
+    """Quotient by an ideal, on the standard-vector complement basis.
+
+    The complement takes the non-pivot coordinates of the ideal's rref
+    basis in ascending order, which makes the construction deterministic.
+    """
+    if not is_ideal(g, ideal):
+        raise NotAnIdeal("subspace is not an ideal")
+    pivot_set = set(ideal.pivots)
+    comp = [i for i in range(g.dim) if i not in pivot_set]
+    index_of = {c: t for t, c in enumerate(comp)}
+    new = {}
+    for a in range(len(comp)):
+        for b in range(a + 1, len(comp)):
+            w = bracket(
+                g, basis_vec(g.dim, comp[a]), basis_vec(g.dim, comp[b])
+            )
+            w = ideal.reduce(w)
+            compd = {}
+            for k, c in enumerate(w):
+                if c:
+                    compd[index_of[k]] = c
+            if compd:
+                new[(a, b)] = compd
+    labels = tuple(g.labels[c] for c in comp)
+    return LieAlgebra(len(comp), new, labels=labels)

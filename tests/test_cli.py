@@ -207,6 +207,16 @@ def test_seed_env_fallback(monkeypatch):
     assert json.loads(result.output)["seed"] == 777
 
 
+def test_seed_env_malformed_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("NILFORM_SEED", "abc")
+    result = invoke("check", "--dims", "7..7")
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, Exception)    # no traceback
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("Error: ")
+    assert "NILFORM_SEED" in result.output
+
+
 def test_report_determinism():
     a = invoke("distinguish", "--dim", "12", "--format", "json").output
     b = invoke("distinguish", "--dim", "12", "--format", "json").output

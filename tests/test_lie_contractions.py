@@ -2,18 +2,20 @@
 
 `reference_lie` keeps the earlier bracket (through a sparse dict), ad(v)
 built column by column, the center as the kernel of the dense stack of
-adjoint rows, and the pair-by-pair Leibniz check.  The rewritten single
-passes over `LieAlgebra.brackets` must give exactly the same vectors,
-matrices, subspaces and verdicts on three sets of algebras: every catalog
-instance at n = 7..10, seeded random conjugates (dense structure
-constants), and abelian(4), heisenberg(2) and Der(g7^81).
+adjoint rows, and the pair-by-pair Leibniz check.  The bracket, ad(v) and
+the center, which contract the integer structure tensor, must give exactly
+the same vectors, matrices and subspaces, and `is_derivation` the same
+verdicts, on three sets of algebras: every catalog instance at n = 7..10,
+seeded random conjugates (dense structure constants), and abelian(4),
+heisenberg(2) and Der(g7^81); all but `is_derivation` also on a fourth,
+g8^7 with alpha = 1/2 (common denominator 2) and the non-nilpotent
+[e1, e2] = e1 and sl2.
 
-The derived algebra and the lower central and derived series, which run on
-the integer structure tensor, must give the same Subspaces as the rational
-reference on those sets and on g8^7 with alpha = 1/2 (common denominator
-2) and the non-nilpotent [e1, e2] = e1 and sl2.  On the same sets the
-integer `change_basis` must give the same structure constants as the
-rational one under seeded integer and non-integer transforms, and the
+On all four sets the derived algebra and the lower central and derived
+series must give the same Subspaces as the rational reference; `is_ideal`,
+`is_abelian_subspace` and `quotient` the same verdicts and quotient
+algebras; the integer `change_basis` the same structure constants as the
+rational one under seeded integer and non-integer transforms; and the
 integer `jacobi_check` the same verdict, and on perturbed tables the same
 first failing triple and residual.
 """
@@ -26,8 +28,8 @@ import pytest
 import reference_lie as ref
 from nilform import catalog
 from nilform.derivations import derivation_algebra, derivation_space, is_derivation
-from nilform.errors import SingularTransform
-from nilform.lie import BasisChange, LieAlgebra, abelian, basis_vec, heisenberg
+from nilform.errors import NotAnIdeal, SingularTransform
+from nilform.lie import BasisChange, LieAlgebra, Subspace, abelian, basis_vec, heisenberg
 from nilform.linalg import Matrix, rank
 from nilform.rational import ONE, ZERO, rat
 
@@ -80,7 +82,7 @@ def test_series_match_reference(name):
         assert g.derived_series() == ref.derived_series(g)
 
 
-@pytest.mark.parametrize("name", SETS)
+@pytest.mark.parametrize("name", SETS + ["rational"])
 def test_bracket_matches_reference(name):
     rng = random.Random(1)
     for g in _algebras(name):
@@ -92,7 +94,7 @@ def test_bracket_matches_reference(name):
             assert g.bracket(e, v) == ref.bracket(g, e, v)
 
 
-@pytest.mark.parametrize("name", SETS)
+@pytest.mark.parametrize("name", SETS + ["rational"])
 def test_ad_matches_reference(name):
     rng = random.Random(2)
     for g in _algebras(name):
@@ -102,7 +104,7 @@ def test_ad_matches_reference(name):
             assert g.ad(v) == ref.ad(g, v)
 
 
-@pytest.mark.parametrize("name", SETS)
+@pytest.mark.parametrize("name", SETS + ["rational"])
 def test_center_matches_reference(name):
     for g in _algebras(name):
         assert g.center() == ref.center(g)
@@ -112,6 +114,33 @@ def _perturbed(d, p):
     rows = d.rows()
     rows[p // d.ncols][p % d.ncols] += ONE
     return Matrix(rows, copy=False)
+
+
+@pytest.mark.parametrize("name", SETS + ["rational"])
+def test_ideals_and_quotients_match_reference(name):
+    """The same ideals, [s, s] = 0 verdicts and quotients as the reference.
+
+    Both versions take the quotient by the center and by each lower-central
+    term; every coordinate line gets the same `is_ideal` verdict, and on
+    one that is not an ideal both quotients raise NotAnIdeal.
+    """
+    non_ideals = 0
+    for g in _algebras(name):
+        for s in [g.center(), *g.lower_central_series()]:
+            assert g.is_ideal(s) and ref.is_ideal(g, s)
+            assert g.is_abelian_subspace(s) == ref.is_abelian_subspace(g, s)
+            h, want = g.quotient(s), ref.quotient(g, s)
+            assert h == want and h.labels == want.labels, g
+        lines = [Subspace.span(g.dim, [basis_vec(g.dim, i)]) for i in range(g.dim)]
+        verdicts = [g.is_ideal(line) for line in lines]
+        assert verdicts == [ref.is_ideal(g, line) for line in lines]
+        if not all(verdicts):
+            non_ideals += 1
+            line = lines[verdicts.index(False)]
+            for quotient in (g.quotient, lambda s: ref.quotient(g, s)):
+                with pytest.raises(NotAnIdeal):
+                    quotient(line)
+    assert non_ideals
 
 
 @pytest.mark.parametrize("name", SETS)
