@@ -18,7 +18,9 @@ Rationals are built only for what is returned, each integer divided by its
 known scale: the bracket, ad(v), the rref `Subspace`s (unique, so they do
 not depend on the scaling), the residual of a Jacobi failure and the new
 structure constants of a basis change.  The tensor is built on first use,
-so algebras that are never queried pay nothing.  Algebras are treated as
+so algebras that are never queried pay nothing, and the forward echelon of
+C1 is kept beside it once built, so the characteristic sequence and the
+series share one elimination of C1.  Algebras are treated as
 immutable after construction, so everything here is safe to share across
 threads: two threads that race on the first use build equal tensors.
 """
@@ -123,6 +125,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
 
+def _copy(pivots):
+    """A copy of an integer echelon {pivot column: row} that may be modified."""
+    return {c: dict(row) for c, row in pivots.items()}
+
+
 def _int_bracket(br, u, v):
     """[u, v] for sparse integer vectors {index: int}, through the integer tensor br."""
     out = {}
@@ -220,7 +227,8 @@ class LieAlgebra:
         L is the common denominator of the structure constants, which
         `_scaled` clears in one call.  The rescaled bracket L[x, y] has
         exactly the ranks, images, spans and derivations of [x, y].  Built
-        on first use and kept with L; callers must not modify it.
+        on first use and kept with L and, once `derived_echelon` has built
+        it, the echelon of C1; callers must not modify it.
         """
         if self._tensor is None:
             scale, consts = _scaled(
@@ -230,7 +238,7 @@ class LieAlgebra:
             for (i, j, k), c in consts.items():
                 br[i].setdefault(j, {})[k] = c
                 br[j].setdefault(i, {})[k] = -c
-            self._tensor = (scale, br)
+            self._tensor = (scale, br, None)
         return self._tensor[1]
 
     def ad_columns(self, v):
@@ -283,14 +291,19 @@ class LieAlgebra:
     def derived_echelon(self):
         """Forward integer echelon {pivot column: row} of C1 = [g, g].
 
-        C1 is spanned by the stored pairs; the rows are copies of the
-        integer structure constants, so they may be reduced in place.
+        C1 is spanned by the stored pairs.  The echelon is built on first
+        use and kept with the tensor; callers must not modify it, and
+        `_copy` gives a copy that may be reduced in place.
         """
-        br = self.integer_brackets()
-        return _echelon((_primitive(dict(br[i][j])) for i, j in self.brackets), reduced=False)
+        self.integer_brackets()
+        scale, br, c1 = self._tensor
+        if c1 is None:
+            c1 = _echelon((_primitive(dict(br[i][j])) for i, j in self.brackets), reduced=False)
+            self._tensor = (scale, br, c1)
+        return c1
 
     def derived_subalgebra(self):
-        return Subspace._of_echelon(self.dim, self.derived_echelon())
+        return Subspace._of_echelon(self.dim, _copy(self.derived_echelon()))
 
     def center(self):
         """Kernel of x -> ([e_a, x])_a, one integer row [e_a, e_j]_k per (a, k) coordinate."""
@@ -310,7 +323,7 @@ class LieAlgebra:
         for the rref of the returned terms.
         """
         terms = [{j: {j: 1} for j in range(self.dim)}]
-        nxt = self.derived_echelon()
+        nxt = _copy(self.derived_echelon())
         while len(nxt) < len(terms[-1]):        # each term lies in the one before
             terms.append(nxt)
             if not nxt:
@@ -364,28 +377,27 @@ class LieAlgebra:
         """Conjugate the structure constants by an invertible matrix.
 
         Columns of the matrix express the new basis in old coordinates; a
-        bare matrix is wrapped in a `BasisChange`, which eliminates it once.
-        With d the common denominator of T, the brackets of the integer
-        columns of d T come from the integer tensor, scaled by L d^2.  Row
-        i of the reduced integer echelon of [T | I] that the `BasisChange`
-        keeps holds p_i T^-1 row i, so coordinate i of a new bracket is an
-        integer divided by p_i L d^2; a rational is built only for each
-        nonzero one.
+        bare matrix is wrapped in a `BasisChange`, which clears and
+        eliminates it once.  With d the common denominator of T, the
+        brackets of the integer columns of d T come from the integer
+        tensor, scaled by L d^2.  Row i of the reduced integer echelon of
+        [d T | I] that the `BasisChange` keeps holds p_i (d T)^-1 row i, so
+        coordinate i of a new bracket is an integer divided by p_i L d; a
+        rational is built only for each nonzero one.
         """
         if not isinstance(transform, BasisChange):
             transform = BasisChange(transform)
-        t, inv = transform.matrix, transform._inverse
+        inv, cols = transform._inverse, transform._columns  # cols: the columns of d T
         n = self.dim
-        if t.nrows != n:
+        if len(cols) != n:
             raise DimensionMismatch("basis change must be n x n")
         br = self.integer_brackets()
-        d, cols = _integer_columns(t)           # cols: the columns of d T
-        tinv = [{} for _ in range(n)]           # tinv[j][i] = p_i T^-1[i][j]
+        tinv = [{} for _ in range(n)]           # tinv[j][i] = p_i (d T)^-1[i][j]
         for i, row in inv.items():
             for k, v in row.items():
                 if k >= n:
                     tinv[k - n][i] = v
-        scale = self._denominator() * d * d
+        scale = self._denominator() * transform._scale
         denom = [inv[i][i] * scale for i in range(n)]
         new = {}
         for a in range(n):
@@ -506,8 +518,10 @@ class LieAlgebra:
 class BasisChange:
     """Invertible transition matrix, optionally tagged with its kind.
 
-    T is eliminated once, here: `change_basis` reads T^-1 from the kept
-    integer echelon of [T | I], and a singular T raises SingularTransform.
+    T is cleared to integers and eliminated once, here: with d the common
+    denominator of T, it keeps d and the integer columns of d T, and
+    `change_basis` reads (d T)^-1 from the kept integer echelon of
+    [d T | I].  A singular T raises SingularTransform.
     """
 
     KINDS = ("I", "II", "III", "IV", "general")
@@ -517,7 +531,12 @@ class BasisChange:
             raise ValueError(f"unknown basis-change kind {kind!r}")
         if matrix.nrows != matrix.ncols:
             raise DimensionMismatch("basis change must be square")
-        self._inverse = _inverse_echelon((enumerate(r) for r in matrix.data), matrix.nrows)
+        self._scale, self._columns = _integer_columns(matrix)
+        rows = [[] for _ in range(matrix.nrows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                rows[i].append((j, v))
+        self._inverse = _inverse_echelon(rows, matrix.nrows)
         self.matrix = matrix
         self.kind = kind
 

@@ -2,11 +2,13 @@
 
 `reference_invariants` tries every candidate and `reference_linalg` forms
 the powers of ad(x) to rank them.  The sampling in `nilform.invariants`
-stops at the C1 ceiling, and `rank_sequence` ranks integer images instead
-of powers; both must give exactly the same rank sequences, sequences and
-witnesses.  The sets are every catalog instance at n = 7..10, seeded
-random conjugates (dense structure constants), and abelian(4),
-heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
+stops at the C1 ceiling or at a witness whose rank the degree-1 kernel
+certificate shows to be generic, and `rank_sequence` ranks integer images
+instead of powers; both must give exactly the same rank sequences,
+sequences and witnesses.  The sets are every catalog instance at
+n = 7..13, seeded random conjugates (dense structure constants), and
+abelian(4), heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
+The certificate itself is checked against the rational reference bracket.
 """
 
 import random
@@ -15,12 +17,33 @@ from functools import cache
 import pytest
 
 import reference_invariants as ref_inv
+import reference_lie as ref_lie
 import reference_linalg as ref
 from nilform import catalog
 from nilform.errors import DimensionMismatch, NotNilpotent
-from nilform.invariants import _profile_upper_bound, char_sequence_with_witness
+from nilform.invariants import (
+    CHAR_SEQUENCE_SAMPLES,
+    DEFAULT_SEED,
+    _ad_kernel_maps,
+    _candidates,
+    _generic_rank_bound,
+    _is_sparse,
+    _profile_upper_bound,
+    char_sequence_with_witness,
+)
 from nilform.lie import LieAlgebra, abelian, heisenberg
-from nilform.linalg import Matrix, _integer_row, inverse, matmul, rank, rank_sequence
+from nilform.linalg import (
+    Matrix,
+    _echelon,
+    _image_ranks,
+    _integer_row,
+    _primitive,
+    _remainder,
+    inverse,
+    matmul,
+    rank,
+    rank_sequence,
+)
 from nilform.rational import ONE, ZERO, rat
 
 
@@ -109,7 +132,7 @@ def _conjugate(g, rng):
 def _algebras(name):
     if name == "catalog":
         return tuple(
-            inst.algebra for n in range(7, 11) for inst in catalog.enumerate_instances(n)
+            inst.algebra for n in range(7, 14) for inst in catalog.enumerate_instances(n)
         )
     if name == "conjugates":
         rng = random.Random(2025)
@@ -151,13 +174,36 @@ def test_char_sequence_matches_reference_across_seeds(seed, samples):
                 == ref_inv.char_sequence_with_witness(g, seed=seed, samples=samples))
 
 
+def _outcome(g, seq, witness):
+    """How the sampling may stop: "ceiling", "certified" or "exhausted".
+
+    "certified" when seq = (r + 1, 1, ..., 1) for r = rank ad(witness)
+    = n - len(seq), the tensor passes the density gate and the kernel
+    certificate at the witness bounds the generic rank by r.
+    """
+    n = g.dim
+    if tuple(seq) == _profile_upper_bound(n, g.derived_subalgebra().dim):
+        return "ceiling"
+    r = n - len(seq)
+    if (
+        tuple(seq) == _profile_upper_bound(n, r)
+        and _is_sparse(g)
+        and _generic_rank_bound(_ad_kernel_maps(g), n, _integer_row(enumerate(witness))) <= r
+    ):
+        return "certified"
+    return "exhausted"
+
+
 def test_char_sequence_stops_at_the_ceiling(monkeypatch):
-    """ad(x) is built up to the witness when it reaches the C1 ceiling, else for all.
+    """ad(x) is built up to the witness after a ceiling or a certified stop, else for all.
 
     Every candidate outside C1 is otherwise tried: the n basis vectors and
     the 64 random ones, minus those in C1.  The sampling builds ad(x) as
     integer columns, through `LieAlgebra.ad_columns` on the primitive
-    integer row of x.
+    integer row of x.  On the catalog at n = 7..13, 171 sequences reach
+    the C1 ceiling, 114 stop at a certified witness and 59 try every
+    candidate; the dense conjugates fail the density gate and never
+    certify.
     """
     seen = []
     ad_columns = LieAlgebra.ad_columns
@@ -167,19 +213,82 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
         return ad_columns(g, v)
 
     monkeypatch.setattr(LieAlgebra, "ad_columns", recording_ad_columns)
-    stopped = 0
-    for g in _algebras("catalog")[:60]:
-        seen.clear()
-        seq, witness = char_sequence_with_witness(g)
-        c1 = g.derived_subalgebra()
-        if tuple(seq) == _profile_upper_bound(g.dim, c1.dim):
-            stopped += 1
-            assert seen[-1] == _integer_row(enumerate(witness))
-        else:
-            assert len(seen) == sum(
-                1 for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)
-            )
-    assert 0 < stopped < 60
+    counts = {}
+    for name in ("catalog", "conjugates"):
+        counts[name] = {"ceiling": 0, "certified": 0, "exhausted": 0}
+        for g in _algebras(name):
+            seen.clear()
+            seq, witness = char_sequence_with_witness(g)
+            calls = list(seen)
+            outcome = _outcome(g, seq, witness)
+            counts[name][outcome] += 1
+            if outcome == "exhausted":
+                c1 = g.derived_subalgebra()
+                assert len(calls) == sum(
+                    1 for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)
+                )
+            else:
+                assert calls[-1] == _integer_row(enumerate(witness))
+    assert counts["catalog"] == {"ceiling": 171, "certified": 114, "exhausted": 59}
+    assert counts["conjugates"]["certified"] == 0
+
+
+def _basis_brackets(g):
+    """table[i][k] = the nonzero (t, c) of [e_i, e_k], from the reference bracket.
+
+    Computed for i < k; [e_k, e_i] = -[e_i, e_k] and [e_i, e_i] = 0.
+    """
+    n = g.dim
+    basis = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(i + 1, n):
+            table[i][k] = [(t, c) for t, c in enumerate(ref_lie.bracket(g, basis[i], basis[k])) if c]
+            table[k][i] = [(t, -c) for t, c in table[i][k]]
+    return table
+
+
+def _row_identities_hold(n, table, m):
+    """[e_i, M e_j] + [e_j, M e_i] = 0 for i < j and [e_i, M e_i] = 0, in rationals.
+
+    M is given by its sparse integer columns {k: M_kj}, and table holds the
+    brackets of basis vectors (`_basis_brackets`).
+    """
+    image = {}                                  # image[(i, j)] = [e_i, M e_j], sparse
+    for j, col in enumerate(m):
+        for k, c in col.items():
+            for i in range(n):
+                for t, y in table[i][k]:
+                    acc = image.setdefault((i, j), {})
+                    acc[t] = acc.get(t, ZERO) + c * y
+    for (i, j), acc in image.items():
+        other = image.get((j, i), {}) if i != j else {}
+        if any(acc.get(t, ZERO) + other.get(t, ZERO) for t in acc.keys() | other.keys()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["catalog", "conjugates"])
+def test_kernel_certificate_is_sound(name):
+    """Each kernel map satisfies the row identities, and the bound holds at every candidate.
+
+    The bound at any candidate w bounds the generic rank of ad(x), so the
+    least bound over the candidates must be at least the largest rank of
+    ad(x) over them.  The conjugates call the certificate past the density
+    gate.
+    """
+    for g in _algebras(name):
+        n = g.dim
+        maps = _ad_kernel_maps(g)
+        flat = ({k * n + j: c for j, col in enumerate(m) for k, c in col.items()} for m in maps)
+        span = _echelon(map(_primitive, flat), reduced=False)
+        assert not _remainder(span, {k * n + k: 1 for k in range(n)})   # M = I solves it
+        table = _basis_brackets(g)
+        assert all(_row_identities_hold(n, table, m) for m in maps)
+        rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
+        bound = min(_generic_rank_bound(maps, n, row) for row in rows)
+        top = max(next(_image_ranks(g.ad_columns(row))) for row in rows)
+        assert bound >= top
 
 
 NOT_NILPOTENT = [
