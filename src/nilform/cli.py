@@ -30,6 +30,14 @@ def _parse_range(text):
     return list(range(lo, hi + 1))
 
 
+def _catalog_dims(text):
+    """The dimensions n >= 7 of a range; a range with none of them is an error."""
+    dims = [n for n in _parse_range(text) if n >= 7]
+    if not dims:
+        raise click.BadParameter(f"range {text!r} has no dimension of at least 7")
+    return dims
+
+
 def _parse_alphas(text):
     from .rational import parse_rat
 
@@ -80,8 +88,7 @@ def check(dims, alpha, seed, fmt, path):
             click.echo(f"Error: {path}: {exc}", err=True)
             sys.exit(2)
         _emit(verify.check_algebra_file(g, seed=seed), fmt)
-    dims = [n for n in _parse_range(dims) if n >= 7]
-    _emit(verify.check_suite(dims, alphas=_parse_alphas(alpha), seed=seed), fmt)
+    _emit(verify.check_suite(_catalog_dims(dims), alphas=_parse_alphas(alpha), seed=seed), fmt)
 
 
 @main.command()
@@ -117,7 +124,7 @@ def charnilp(dims, alpha, sums, certificates, seed, fmt):
     """Characteristic nilpotency classification over the catalog."""
     seed = _seed(seed)
     report = verify.charnilp_suite(
-        [n for n in _parse_range(dims) if n >= 7], alphas=_parse_alphas(alpha),
+        _catalog_dims(dims), alphas=_parse_alphas(alpha),
         seed=seed, certificates=certificates,
     )
     if sums:
@@ -129,7 +136,7 @@ def charnilp(dims, alpha, sums, certificates, seed, fmt):
 @main.command()
 @click.option("--family", type=int, required=True)
 @click.option("--dim", type=int, required=True)
-@click.option("--depth", type=int, default=1)
+@click.option("--depth", type=click.IntRange(min=0), default=1)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def dertower(family, dim, depth, seed, fmt):

@@ -22,9 +22,10 @@ is a polynomial in the basis coefficients, tested by exact evaluation at
 random integer points; a nonzero hit produces an exact non-nilpotent
 witness, and the all-zero outcome carries a transcript whose
 false-negative probability is far below 2^-40.  The decision runs on
-integers: D is a row-sparse integer matrix, its powers stop at the first
-zero one, and the characteristic polynomial of a witness is computed only
-when a caller reads it.
+integers: D and its powers are sparse integer columns built by
+`linalg._combine`, the powers stop at the first zero one, and the
+characteristic polynomial of a witness is computed only when a caller
+reads it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from itertools import chain
 from math import lcm
 
 from .errors import DimensionMismatch
-from .lie import LieAlgebra, basis_vec
+from .lie import LieAlgebra, _int_bracket, basis_vec
 from .linalg import (
     Matrix,
+    _combine,
     _echelon,
     _fold,
     _integer_columns,
@@ -157,10 +159,7 @@ def _generator_forms(g, br):
     while len(ws) < n:
         if todo:
             p, u = todo.popleft()
-            w = {}
-            for m, x in ws[u].items():
-                _add(w, br[gens[p]].get(m, {}), x)
-            w = {k: v for k, v in w.items() if v}
+            w = _int_bracket(br, {gens[p]: 1}, ws[u])
         else:
             u, w = None, {next(candidates): 1}
         if not _fold(span, _primitive(dict(w))):    # `_cancel` may update rows in place
@@ -239,10 +238,12 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
        except those whose bracket defined a basis vector w_t in step 1,
        where it holds by construction.
     4. Canonical basis.  The integer kernel vectors are lifted to the n^2
-       matrix entries.  Coordinate c is free in the n^2 system iff some
-       derivation has its last nonzero entry at c, so one `_echelon` with
-       the columns reversed returns the free positions, and its rows,
-       divided by their pivots, are the rref kernel basis.
+       matrix entries: the lift of x is the `_combine` of x with the
+       columns of the forms, one {entry: coefficient} per unknown.
+       Coordinate c is free in the n^2 system iff some derivation has its
+       last nonzero entry at c, so one `_echelon` with the columns
+       reversed returns the free positions, and its rows, divided by their
+       pivots, are the rref kernel basis.
     The structure constants are read as integers from
     `LieAlgebra.integer_brackets`; rationals are built only for the
     output rows.
@@ -263,19 +264,14 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
                 rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
     _, _, kernel = _integer_kernel(rows, len(gens) * n)
 
-    uses = {}                               # unknown -> [(kernel vector, entry)]
-    for i, x in enumerate(kernel):
-        for u, v in x.items():
-            uses.setdefault(u, []).append((i, v))
     last = n * n - 1
-    lifted = [{} for _ in kernel]
+    fcols = [{} for _ in range(len(gens) * n)]  # unknown -> {entry: coefficient}
     for b, fb in enumerate(forms):
         for l, f in enumerate(fb):
             k = last - (l * n + b)          # entry (l, b), columns reversed
             for u, c in f.items():
-                for i, v in uses.get(u, ()):
-                    lifted[i][k] = lifted[i].get(k, 0) + c * v
-    canon = _echelon(_primitive({k: v for k, v in r.items() if v}) for r in lifted)
+                fcols[u][k] = c
+    canon = _echelon(_primitive(_combine(fcols, x)) for x in kernel)
     free_positions, basis = [], []
     for c in sorted(canon, reverse=True):
         row = canon[c]
@@ -463,26 +459,15 @@ class CharNilpotency:
         return None if self.witness is None else char_poly(self.witness)
 
 
-def _int_matmul(a, b):
-    """Row-sparse product of integer matrices given as rows {col: int}."""
-    out = []
-    for arow in a:
-        acc = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return out
-
-
 def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 
     Checks the diagonal rank first (a nonzero diagonal derivation is an
     exact semisimple witness), then tests tr(D^k) = 0 identically for
     k = 1..n on the generic derivation by exact evaluation at random
-    integer points.  The powers of D are row-sparse integer matrices, and
-    a trial stops at the first zero power: every later trace is 0 too.
+    integer points.  D and its powers are sparse integer columns built by
+    `_combine`, and a trial stops at the first zero power: every later
+    trace is 0 too.
     The derivation space is `derivation_space(g)`, so a caller that has
     just built it for the same algebra does not build it again.
     """
@@ -494,25 +479,21 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
     r = len(basis_int)
     if r == 0:
         return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})
+    by_col = [[b[j] for b in basis_int] for j in range(n)]      # column j of each basis element
 
     bound = 2 * n * n
     trials = max(2 * (n + 1), 16)
     rng = random.Random(seed)
     for trial in range(trials):
         coeffs = [rng.randint(-bound, bound) for _ in range(r)]
-        d = [{} for _ in range(n)]
-        for c, b in zip(coeffs, basis_int):
-            if c:
-                for j, col in enumerate(b):
-                    for i, v in col.items():
-                        d[i][j] = d[i].get(j, 0) + c * v
-        d = [{j: v for j, v in row.items() if v} for row in d]
+        coeffs = {t: c for t, c in enumerate(coeffs) if c}
+        d = [_combine(col_j, coeffs) for col_j in by_col]           # the columns of D
         p = d
         for _ in range(n):
-            if sum(row.get(i, 0) for i, row in enumerate(p)):
-                mat = Matrix([[rat(row.get(j, 0)) for j in range(n)] for row in d], copy=False)
-                return CharNilpotency(value=False, witness=mat)
-            p = _int_matmul(p, d)
+            if sum(col.get(j, 0) for j, col in enumerate(p)):
+                rows = [[rat(col.get(i, 0)) for col in d] for i in range(n)]
+                return CharNilpotency(value=False, witness=Matrix(rows, copy=False))
+            p = [_combine(p, col) for col in d]                     # the columns of P D
             if not any(p):
                 break
     return CharNilpotency(

@@ -46,8 +46,8 @@ from functools import lru_cache
 from .errors import DimensionMismatch, NotNilpotent, VectorInDerivedAlgebra
 from .lie import LieAlgebra
 from .linalg import (
-    _apply,
     _block_sizes,
+    _combine,
     _echelon,
     _image_ranks,
     _integer_kernel,
@@ -127,7 +127,7 @@ def _ad_kernel_maps(g: LieAlgebra):
     rows.  Most rows have one entry and say that entry of M is 0; they are
     substituted into the others before the elimination, and the kernel
     vectors they leave free are dropped.  Each M is returned as its sparse
-    integer columns {k: M_kj}, the form `linalg._apply` reads.
+    integer columns {k: M_kj}, so `linalg._combine` gives M x.
     """
     n = g.dim
     br = g.integer_brackets()
@@ -159,7 +159,7 @@ def _generic_rank_bound(maps, n, x):
     Over Q(y) the vectors M y lie in ker ad(y) and have rank at least their
     rank at the integer vector x = {i: int}.
     """
-    return n - len(_echelon((_apply(m, x) for m in maps), reduced=False))
+    return n - len(_echelon((_primitive(_combine(m, x)) for m in maps), reduced=False))
 
 
 def _is_sparse(g: LieAlgebra):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, NotAnIdeal
 from .linalg import (
     Matrix,
+    _combine,
     _echelon,
     _integer_columns,
     _integer_kernel,
@@ -402,11 +403,8 @@ class LieAlgebra:
         new = {}
         for a in range(n):
             for b in range(a + 1, n):
-                acc = {}
-                for j, x in _int_bracket(br, cols[a], cols[b]).items():
-                    for i, v in tinv[j].items():
-                        acc[i] = acc.get(i, 0) + x * v
-                comp = {i: rat(acc[i], denom[i]) for i in sorted(acc) if acc[i]}
+                acc = _combine(tinv, _int_bracket(br, cols[a], cols[b]))
+                comp = {i: rat(acc[i], denom[i]) for i in sorted(acc)}
                 if comp:
                     new[(a, b)] = comp
         meta = {k: v for k, v in self.meta.items() if k != "defining_basis"}

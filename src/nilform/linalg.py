@@ -22,8 +22,10 @@ operator as sparse integer columns and iterates integer images instead of
 forming powers, and `_block_sizes` turns the ranks into a nilpotent Jordan
 profile.  `rank_sequence` and `nilpotent_jordan_profile` clear the
 denominators of a rational matrix once and call them; the characteristic
-sequence calls them on the integer columns of ad(x).  `matmul` is
-row-sparse: it skips the zero entries of both factors.
+sequence calls them on the integer columns of ad(x).  Every product of a
+sparse integer operator and a vector, here and in the Lie, invariant and
+derivation layers, is one routine, `_combine`; `matmul` calls it on the
+cleared integer columns of its factors.
 
 The reduced row echelon form is unique, so pivots, kernel vectors and
 subspace bases do not depend on the elimination order, and results are
@@ -153,18 +155,16 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Row i of the product is the sum of a[i][k] * (row k of b) over a[i][k] != 0."""
+    """Column j of AB is the `_combine` of the integer columns of A with column j of B."""
     if a.ncols != b.nrows:
         raise DimensionMismatch("matmul shape mismatch")
-    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
-    out = []
-    for arow in a.data:
-        acc = [ZERO] * b.ncols
-        for x, brow in zip(arow, brows):
-            if x:
-                for j, y in brow:
-                    acc[j] += x * y
-        out.append(acc)
+    da, acols = _integer_columns(a)
+    db, bcols = _integer_columns(b)
+    d = da * db
+    out = [[ZERO] * b.ncols for _ in range(a.nrows)]
+    for j, bcol in enumerate(bcols):
+        for i, v in _combine(acols, bcol).items():
+            out[i][j] = rat(v, d)
     return Matrix(out, copy=False)
 
 
@@ -179,6 +179,18 @@ def matvec(a: Matrix, v):
 def _primitive(row):
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g != 1 else row
+
+
+def _combine(rows, v):
+    """Sum of x * rows[k] over the entries k: x of a sparse integer vector v, zeros dropped.
+
+    rows is any indexable of sparse {i: int} dicts: with the columns of A it gives A v.
+    """
+    out = {}
+    for k, x in v.items():
+        for i, y in rows[k].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: y for i, y in out.items() if y}
 
 
 def _scaled(items):
@@ -422,18 +434,9 @@ def char_poly(a: Matrix):
     return poly
 
 
-def _apply(cols, v):
-    """Primitive integer row proportional to A v, for A given by its sparse columns."""
-    out = {}
-    for j, x in v.items():
-        for i, y in cols[j].items():
-            out[i] = out.get(i, 0) + x * y
-    return _primitive({i: y for i, y in out.items() if y})
-
-
 def _integer_columns(a: Matrix):
     """(d, sparse integer columns {row: int} of d A), d the common denominator of A."""
-    d, entries = _scaled(((i, j), x) for i, row in enumerate(a.data) for j, x in enumerate(row))
+    d, entries = _scaled(((i, j), x) for i, row in enumerate(a.data) for j, x in enumerate(row) if x)
     cols = [{} for _ in range(a.ncols)]
     for (i, j), v in entries.items():
         cols[j][i] = v
@@ -459,7 +462,7 @@ def _image_ranks(cols):
         if r == 0 or r == prev:
             return
         prev = r
-        image = [_apply(cols, v) for v in basis]
+        image = [_primitive(_combine(cols, v)) for v in basis]
 
 
 def _block_sizes(n, ranks):

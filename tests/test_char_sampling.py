@@ -114,9 +114,14 @@ def test_rank_sequence_rejects_non_square():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_matmul_matches_reference(seed):
     rng = random.Random(seed)
+    pairs = [
+        (Matrix([[1, 0], [rat(-1, 2), 3], [0, 2]]), Matrix.zeros(2, 0)),  # zero-width factor
+        (Matrix.zeros(0, 0), Matrix.zeros(0, 0)),
+    ]
     for _ in range(40):
         p, q, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
-        a, b = _random_matrix(rng, p, q), _random_matrix(rng, q, r)
+        pairs.append((_random_matrix(rng, p, q), _random_matrix(rng, q, r)))
+    for a, b in pairs:
         assert matmul(a, b) == ref.matmul(a, b)
 
 

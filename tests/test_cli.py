@@ -19,8 +19,9 @@ def test_help_lists_commands():
 
 
 def test_check_empty_range():
-    result = invoke("check", "--dims", "6..6")
-    assert result.exit_code == 0
+    # no dimension >= 7 is left, so the run would check nothing: a usage error
+    assert invoke("check", "--dims", "6..6").exit_code == 2
+    assert invoke("check", "--dims", "3..5").exit_code == 2
 
 
 def test_check_n7_passes():
@@ -45,6 +46,8 @@ def test_bad_flags_exit_2():
     assert invoke("check", "--dims", "9..7").exit_code == 2
     assert invoke("charnilp", "--dims", "9..7").exit_code == 2
     assert invoke("tables", "--id", "1", "--m", "6..4").exit_code == 2
+    assert invoke("charnilp", "--dims", "1..6").exit_code == 2
+    assert invoke("dertower", "--family", "1", "--dim", "8", "--depth", "-1").exit_code == 2
 
 
 def test_tables_structural_pass():
