@@ -16,7 +16,9 @@ from .invariants import DEFAULT_SEED
 from .reports import Report
 
 
-def _parse_range(text):
+# Option callbacks: click names the option in the usage error they raise.
+
+def _parse_range(ctx, param, text):
     """'7..12' or '9' -> inclusive integer range; A..B with B < A is an error."""
     try:
         if ".." in text:
@@ -30,15 +32,15 @@ def _parse_range(text):
     return list(range(lo, hi + 1))
 
 
-def _catalog_dims(text):
+def _catalog_dims(ctx, param, text):
     """The dimensions n >= 7 of a range; a range with none of them is an error."""
-    dims = [n for n in _parse_range(text) if n >= 7]
+    dims = [n for n in _parse_range(ctx, param, text) if n >= 7]
     if not dims:
         raise click.BadParameter(f"range {text!r} has no dimension of at least 7")
     return dims
 
 
-def _parse_alphas(text):
+def _parse_alphas(ctx, param, text):
     from .rational import parse_rat
 
     try:
@@ -72,13 +74,15 @@ def main():
 
 
 @main.command()
-@click.option("--dims", default="7..13", help="inclusive dimension range A..B")
-@click.option("--alpha", default="1,2,-1,1/2", help="comma-separated alpha samples")
+@click.option("--dims", default="7..13", callback=_catalog_dims,
+              help="inclusive dimension range A..B")
+@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas,
+              help="comma-separated alpha samples")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--file", "path", type=click.Path(exists=True), default=None,
               help="check a single algebra file instead of the catalog")
-def check(dims, alpha, seed, fmt, path):
+def check(dims, alphas, seed, fmt, path):
     """Jacobi, characteristic sequence and nonsplitness over the catalog."""
     seed = _seed(seed)
     if path:
@@ -88,44 +92,42 @@ def check(dims, alpha, seed, fmt, path):
             click.echo(f"Error: {path}: {exc}", err=True)
             sys.exit(2)
         _emit(verify.check_algebra_file(g, seed=seed), fmt)
-    _emit(verify.check_suite(_catalog_dims(dims), alphas=_parse_alphas(alpha), seed=seed), fmt)
+    _emit(verify.check_suite(dims, alphas=alphas, seed=seed), fmt)
 
 
 @main.command()
 @click.option("--id", "table_id", type=int, required=True, help="table number 1..9")
-@click.option("--m", "m_range", default="4..6", help="m values A..B")
-@click.option("--alpha", default="1,2,-1,1/2")
+@click.option("--m", "ms", default="4..6", callback=_parse_range, help="m values A..B")
+@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def tables(table_id, m_range, alpha, seed, fmt):
+def tables(table_id, ms, alphas, seed, fmt):
     """Recompute a printed table and diff it column by column."""
     if not 1 <= table_id <= 9:
-        raise click.BadParameter("table id must be in 1..9")
+        raise click.BadParameter("table id must be in 1..9", param_hint="'--id'")
     seed = _seed(seed)
-    ms = _parse_range(m_range)
     if table_id in (8, 9):
         _emit(verify.weight_rows_suite(table_id, ms, seed=seed), fmt)
     _emit(
-        verify.tables_structural_suite(table_id, ms, alphas=_parse_alphas(alpha), seed=seed),
+        verify.tables_structural_suite(table_id, ms, alphas=alphas, seed=seed),
         fmt,
     )
 
 
 @main.command()
-@click.option("--dims", default="7..9")
-@click.option("--alpha", default="1,2,-1,1/2")
+@click.option("--dims", default="7..9", callback=_catalog_dims)
+@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
 @click.option("--sums/--no-sums", default=False,
               help="also verify the nilindex-5 direct sums at n=14")
 @click.option("--certificates/--no-certificates", default=False,
               help="emit a per-instance certificate item (witness or transcript)")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def charnilp(dims, alpha, sums, certificates, seed, fmt):
+def charnilp(dims, alphas, sums, certificates, seed, fmt):
     """Characteristic nilpotency classification over the catalog."""
     seed = _seed(seed)
     report = verify.charnilp_suite(
-        _catalog_dims(dims), alphas=_parse_alphas(alpha),
-        seed=seed, certificates=certificates,
+        dims, alphas=alphas, seed=seed, certificates=certificates,
     )
     if sums:
         extra = verify.corollary_sums_suite(seed=seed)
@@ -142,24 +144,25 @@ def charnilp(dims, alpha, sums, certificates, seed, fmt):
 def dertower(family, dim, depth, seed, fmt):
     """Derivation tower of one catalog entry."""
     if family not in catalog.FAMILIES:
-        raise click.BadParameter(f"no family {family}")
+        raise click.BadParameter(f"no family {family}", param_hint="'--family'")
     fam = catalog.FAMILIES[family]
     m = dim // 2
     if fam.dimension(m) != dim or m < fam.m_min:
-        raise click.BadParameter(f"family {family} is not defined at dimension {dim}")
+        raise click.BadParameter(f"family {family} is not defined at dimension {dim}",
+                                 param_hint="'--dim'")
     _emit(verify.dertower_suite(family, dim, depth=depth, seed=_seed(seed)), fmt)
 
 
 @main.command()
 @click.option("--dim", "n", type=int, required=True)
-@click.option("--alpha", default="1,2")
+@click.option("--alpha", "alphas", default="1,2", callback=_parse_alphas)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def distinguish(n, alpha, seed, fmt):
+def distinguish(n, alphas, seed, fmt):
     """Fingerprint classes and unresolved pairs at one dimension."""
     if n < 7:
-        raise click.BadParameter("dimension must be at least 7")
-    _emit(verify.distinguish_suite(n, alphas=_parse_alphas(alpha), seed=_seed(seed)), fmt)
+        raise click.BadParameter("dimension must be at least 7", param_hint="'--dim'")
+    _emit(verify.distinguish_suite(n, alphas=alphas, seed=_seed(seed)), fmt)
 
 
 @main.group()
@@ -172,17 +175,18 @@ main.add_command(catalog_cmd, name="catalog")
 
 @catalog_cmd.command("export")
 @click.option("--dim", "n", type=int, required=True)
-@click.option("--alpha", default="1,2,-1,1/2")
+@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
 @click.option("--out", type=click.Path(file_okay=False), default=".")
-def catalog_export(n, alpha, out):
+def catalog_export(n, alphas, out):
     """Write every instance at a dimension as algebra JSON files."""
     if n < 7:
-        raise click.BadParameter("dimension must be at least 7")
+        raise click.BadParameter("dimension must be at least 7", param_hint="'--dim'")
     if n > serialize.MAX_DIM:
-        raise click.BadParameter(f"dimension must be at most {serialize.MAX_DIM}")
+        raise click.BadParameter(f"dimension must be at most {serialize.MAX_DIM}",
+                                 param_hint="'--dim'")
     os.makedirs(out, exist_ok=True)
     count = 0
-    for inst in catalog.enumerate_instances(n, alphas=_parse_alphas(alpha)):
+    for inst in catalog.enumerate_instances(n, alphas=alphas):
         path = os.path.join(out, inst.id + ".json")
         serialize.save(inst.algebra, path)
         count += 1

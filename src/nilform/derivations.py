@@ -285,20 +285,42 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
 
 
 def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
-    """Der(g) as a Lie algebra under the commutator, in the rref basis."""
+    """Der(g) as a Lie algebra under the commutator, in the rref basis.
+
+    Each basis derivation D_a = C_a / d_a is cleared to integer columns
+    once.  Column j of d_a d_b [D_a, D_b] is one `_combine` of the columns
+    of C_a and C_b, and its coordinates are its entries at the free
+    positions, divided by d_a d_b.  As in `DerivationSpace.coordinates_of`,
+    the commutator must equal the combination of the basis with those
+    coordinates; the check runs on integers, each basis matrix flattened
+    and scaled to the common denominator of the basis.
+    """
     space = derivation_space(g)
     r = space.dim
     n = g.dim
+    cleared = [_integer_columns(b) for b in space.basis]
+    den = lcm(*(d for d, _ in cleared))
+    flat = [
+        {i * n + j: (den // d) * v for j, col in enumerate(cols) for i, v in col.items()}
+        for d, cols in cleared
+    ]
     brackets = {}
     for a in range(r):
-        da = space.basis[a]
+        da, ca = cleared[a]
         for b in range(a + 1, r):
-            db = space.basis[b]
-            comm = (da * db) - (db * da)
-            coeffs = space.coordinates_of(comm)
-            comp = {k: c for k, c in enumerate(coeffs) if c}
-            if comp:
-                brackets[(a, b)] = comp
+            db, cb = cleared[b]
+            rows = ca + cb                  # column j: C_a C_b e_j - C_b C_a e_j
+            comm = {}
+            for j in range(n):
+                v = dict(cb[j])
+                v.update((n + k, -x) for k, x in ca[j].items())
+                for i, x in _combine(rows, v).items():
+                    comm[i * n + j] = x
+            coeffs = {t: comm[p] for t, p in enumerate(space.free_positions) if p in comm}
+            if _combine(flat, coeffs) != {p: den * x for p, x in comm.items()}:
+                raise DimensionMismatch("matrix is not in the derivation space")
+            if coeffs:
+                brackets[(a, b)] = {t: rat(x, da * db) for t, x in coeffs.items()}
     labels = tuple(f"Z{i + 1}" for i in range(r))
     name = g.meta.get("name", "g")
     return LieAlgebra(r, brackets, labels=labels, meta={"name": f"Der({name})"})

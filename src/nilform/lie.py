@@ -547,17 +547,19 @@ def from_bracket_list(dim, entries, labels=None, meta=None):
 
     Indices are 0-based, and i != j may come in either order: an entry
     (j, i, comp) with i < j adds -comp to the pair (i, j), and entries on
-    one pair add up.  `LieAlgebra` drops the zero coefficients and the
-    pairs that cancel.
+    one pair add up.  The first coefficient on a pair and index is stored
+    as it is (negated for a reversed pair); only a second one is added.
+    `LieAlgebra` drops the zero coefficients and the pairs that cancel.
     """
     brackets = {}
     for i, j, comp in entries:
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
+        negate = i > j
+        if negate:
+            i, j = j, i
         entry = brackets.setdefault((i, j), {})
         for k, c in comp.items():
-            entry[k] = entry.get(k, ZERO) + sign * rat(c)
+            c = -rat(c) if negate else rat(c)
+            entry[k] = entry[k] + c if k in entry else c
     return LieAlgebra(dim, brackets, labels=labels, meta=meta)
 
 

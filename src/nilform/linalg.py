@@ -23,9 +23,9 @@ forming powers, and `_block_sizes` turns the ranks into a nilpotent Jordan
 profile.  `rank_sequence` and `nilpotent_jordan_profile` clear the
 denominators of a rational matrix once and call them; the characteristic
 sequence calls them on the integer columns of ad(x).  Every product of a
-sparse integer operator and a vector, here and in the Lie, invariant and
-derivation layers, is one routine, `_combine`; `matmul` calls it on the
-cleared integer columns of its factors.
+sparse integer operator and a vector, here and in the Lie, invariant,
+derivation and template layers, is one routine, `_combine`; `matmul`
+calls it on the cleared integer columns of its factors.
 
 The reduced row echelon form is unique, so pivots, kernel vectors and
 subspace bases do not depend on the elimination order, and results are

@@ -4,7 +4,8 @@ Everything downstream computes over Q with no rounding anywhere.  The
 scalar type is fractions.Fraction, which stores values in lowest terms
 with a positive denominator.  The hot loops do not run on it: row
 reduction and the Lie layer work on integers (see `linalg` and `lie`), and
-rationals are built only for their results.
+rationals are built only for their results.  A Fraction is immutable, so
+`rat` hands one back as it is instead of building a copy.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ Rational = Fraction
 
 
 def rat(p=0, q=1):
-    """Build a rational from ints, a string like '3/4', or another rational."""
-    return Fraction(p, q) if q != 1 else Fraction(p)
+    """Build a rational from ints, a string like '3/4', or another rational.
+
+    A Fraction (exactly that type) with q == 1 is returned unchanged.
+    """
+    if q != 1:
+        return Fraction(p, q)
+    return p if type(p) is Fraction else Fraction(p)
 
 
 ZERO = rat(0)

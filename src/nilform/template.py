@@ -6,10 +6,14 @@ such a law by the parameter family (d_i, e_i, f_i, m^k, n6, o6, p^k, p6,
 a_ij); instantiate/template_match convert between the parameter form and
 explicit structure constants.
 
-The type I-IV changes move to another adapted basis.  Types I and II leave
-the chain images implicit: they are regenerated by the adjoint operator of
-the (new) X1, and the Y-images pick up determined corrections so that
-[X1', Yi'] = 0 again.  Types III and IV are plain substitutions.
+The type I-IV changes move to another adapted basis.  Types I, II and IV
+leave the chain images implicit: they are regenerated by the adjoint
+operator of the (new) X1, and the Y-images of type II pick up determined
+corrections so that [X1', Yi'] = 0 again.  Type III is a plain
+substitution.  X1' is cleared to integers once per change, and the chain
+and the corrections run on the integer columns of a positive multiple of
+ad(X1') (`LieAlgebra.ad_columns`); rationals are built only for the
+columns of the new basis.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import TemplateMismatch
 from .lie import BasisChange, LieAlgebra, basis_vec, from_bracket_list, zero_vec
-from .linalg import Matrix, solve
+from .linalg import Matrix, _combine, _echelon, _primitive, _rref_row, _scaled
 from .rational import ONE, ZERO, rat
 
 
@@ -190,31 +194,56 @@ def template_match(g: LieAlgebra):
 
 # -- adapted-basis changes ----------------------------------------------------
 
-def _chain_from(g: LieAlgebra, x1, x2):
-    """[x1-chain] X3'..X6' generated by the adjoint action of x1 on x2."""
-    cols = [x2]
-    cur = x2
+def _ad(g: LieAlgebra, x1):
+    """(s, A): A the integer columns of s ad(x1), s > 0, for a rational vector x1."""
+    d, v = _scaled(enumerate(x1))
+    return g._denominator() * d, g.ad_columns(v)
+
+
+def _chain_from(ad, x2):
+    """[X2', X3', X4', X5', X6'] = x2 and its images under ad(X1') = A / s.
+
+    With x2 = v / d cleared to integers, ad(X1')^k x2 is A^k v / (d s^k).
+    """
+    s, cols = ad
+    d, v = _scaled(enumerate(x2))
+    out = [x2]
     for _ in range(4):
-        cur = g.bracket(x1, cur)
-        cols.append(cur)
-    return cols  # [X2', X3', X4', X5', X6']
+        v = _combine(cols, v)
+        d *= s
+        out.append(_rref_row(v, d, len(x2)))
+    return out
 
 
-def _solve_correction(g, x1, base, slots):
-    """Correction sum(u_s * e_s) over slots with [x1, base + corr] = 0."""
-    n = g.dim
-    residual = g.bracket(x1, base)
-    cols = [g.bracket(x1, basis_vec(n, s)) for s in slots]
-    mat = Matrix.from_cols(cols)
-    u = solve(mat, [-r for r in residual])
-    if u is None:
+def _solve_correction(ad, base, slots):
+    """base + sum(u_t e_slot_t) with [X1', base + correction] = 0.
+
+    With base = b / d cleared to integers and A the integer columns of
+    s ad(X1'), the u_t are w_t / d for the solution w of
+    sum_t w_t A e_slot_t = -A b (s cancels).  The rref of [A e_slot | -A b]
+    is unique, so w is too, with its free coordinates set to 0, as
+    `linalg.solve` sets them.  The corrected vector is checked by one more
+    integer product, which must vanish.
+    """
+    _, cols = ad
+    m = len(slots)
+    d, b = _scaled(enumerate(base))
+    rows = {}
+    for t, slot in enumerate(slots):
+        for i, c in cols[slot].items():
+            rows.setdefault(i, {})[t] = c
+    for i, c in _combine(cols, b).items():
+        rows.setdefault(i, {})[m] = -c
+    pivots = _echelon(_primitive(row) for row in rows.values())
+    if m in pivots:
         raise TemplateMismatch(
             "basis change cannot be adapted: [X1', Yi'] = 0 is unsolvable"
         )
     corr = list(base)
-    for s, c in zip(slots, u):
-        corr[s] = corr[s] + c
-    if any(g.bracket(x1, corr)):
+    for t, row in pivots.items():
+        if m in row:
+            corr[slots[t]] += rat(row[m], row[t] * d)
+    if _combine(cols, _scaled(enumerate(corr))[1]):
         raise TemplateMismatch(
             "basis change cannot be adapted: correction left a residual"
         )
@@ -234,7 +263,7 @@ def type_i_change(g: LieAlgebra, a, b) -> BasisChange:
     if a2 == 0 or b1 == 0 or b4 == 0:
         raise TemplateMismatch("type I requires a2, b1, b4 nonzero")
     x2 = _vec(n, {1: a2, 2: a3, 3: a4, 4: a5, 5: a6, 6: a7, 7: a8})
-    cols = [basis_vec(n, 0)] + _chain_from(g, basis_vec(n, 0), x2)
+    cols = [basis_vec(n, 0)] + _chain_from(_ad(g, basis_vec(n, 0)), x2)
     y1 = _vec(n, {6: b1, 7: b2, 5: b3})
     y2 = _vec(n, {7: b4, 5: b5})
     ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
@@ -258,13 +287,13 @@ def type_ii_change(g: LieAlgebra, a, b2, b7, c2, b3=0, c3=0) -> BasisChange:
     x1 = _vec(n, {i: avals[i] for i in range(6)})
     x1[6] = avals[6]
     x1[7] = avals[7]
-    x2 = basis_vec(n, 1)
-    cols = [x1] + _chain_from(g, x1, x2)
-    y1 = _solve_correction(g, x1, _vec(n, {6: b2, 7: b7, 5: b3}), (2, 3, 4))
-    y2 = _solve_correction(g, x1, _vec(n, {7: c2, 5: c3}), (3, 4))
+    ad = _ad(g, x1)
+    cols = [x1] + _chain_from(ad, basis_vec(n, 1))
+    y1 = _solve_correction(ad, _vec(n, {6: b2, 7: b7, 5: b3}), (2, 3, 4))
+    y2 = _solve_correction(ad, _vec(n, {7: c2, 5: c3}), (3, 4))
     ys = [y1, y2]
     for k in range(2, n - 6):
-        ys.append(_solve_correction(g, x1, basis_vec(n, 6 + k), (4,)))
+        ys.append(_solve_correction(ad, basis_vec(n, 6 + k), (4,)))
     return BasisChange(Matrix.from_cols(cols + ys), kind="II")
 
 
@@ -294,7 +323,7 @@ def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:
     if n - 6 < 3:
         raise TemplateMismatch("type IV needs at least three Y's")
     x2 = _vec(n, {1: ONE, 8: rat(alpha)})
-    cols = [basis_vec(n, 0)] + _chain_from(g, basis_vec(n, 0), x2)
+    cols = [basis_vec(n, 0)] + _chain_from(_ad(g, basis_vec(n, 0)), x2)
     y1 = _vec(n, {6: ONE, 8: rat(beta)})
     y2 = _vec(n, {7: ONE, 8: rat(gamma)})
     ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]

@@ -7,6 +7,10 @@ per basis pair i < j and coordinate t, with its kernel taken by
 `sparse_kernel`.  Its kernel basis, one vector per free column of the
 rref in ascending order, is the canonical basis the new solver must return.
 
+`derivation_algebra` is the version used before each basis derivation was
+cleared to integers once: it forms the rational commutators `da * db -
+db * da` and reads them with `DerivationSpace.coordinates_of`.
+
 `is_characteristically_nilpotent` is the decision used before it ran on
 sparse integer powers: it computes the characteristic polynomial of every
 witness eagerly, forms all n dense integer powers of the generic
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from nilform.derivations import CHARNILP_SEED, DerivationSpace, diagonal_derivations
+from nilform.derivations import derivation_space as generator_space
 from nilform.lie import LieAlgebra
 from nilform.linalg import Matrix, char_poly, sparse_kernel
 from nilform.rational import ONE, ZERO, rat
@@ -172,3 +177,27 @@ def _int_matmul(a, b):
     return [
         [sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a
     ]
+
+
+def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
+    """Der(g) from rational commutators of the basis matrices.
+
+    The version used before each basis derivation was cleared to integers
+    once: every product `da * db` clears both factors again, and
+    `coordinates_of` checks each commutator with dense rational matrices.
+    """
+    space = generator_space(g)
+    r = space.dim
+    brackets = {}
+    for a in range(r):
+        da = space.basis[a]
+        for b in range(a + 1, r):
+            db = space.basis[b]
+            comm = (da * db) - (db * da)
+            coeffs = space.coordinates_of(comm)
+            comp = {k: c for k, c in enumerate(coeffs) if c}
+            if comp:
+                brackets[(a, b)] = comp
+    labels = tuple(f"Z{i + 1}" for i in range(r))
+    name = g.meta.get("name", "g")
+    return LieAlgebra(r, brackets, labels=labels, meta={"name": f"Der({name})"})

@@ -1,0 +1,92 @@
+"""Reference adapted-basis changes, for differential tests.
+
+This is the version nilform used before the type I, II and IV changes ran
+on the integer columns of ad(X1'): the chain X3'..X6' comes from repeated
+rational `LieAlgebra.bracket` calls, and each correction of type II solves
+its rational system with `linalg.solve` and checks the residual with one
+more rational bracket.  The new changes must return the same
+`BasisChange.matrix`, and raise `TemplateMismatch` with the same message.
+"""
+
+from nilform.errors import TemplateMismatch
+from nilform.lie import BasisChange, LieAlgebra, basis_vec
+from nilform.linalg import Matrix, solve
+from nilform.rational import ONE, rat
+from nilform.template import _vec
+
+
+def _chain_from(g: LieAlgebra, x1, x2):
+    """[x1-chain] X3'..X6' generated by the adjoint action of x1 on x2."""
+    cols = [x2]
+    cur = x2
+    for _ in range(4):
+        cur = g.bracket(x1, cur)
+        cols.append(cur)
+    return cols  # [X2', X3', X4', X5', X6']
+
+
+def _solve_correction(g, x1, base, slots):
+    """Correction sum(u_s * e_s) over slots with [x1, base + corr] = 0."""
+    n = g.dim
+    residual = g.bracket(x1, base)
+    cols = [g.bracket(x1, basis_vec(n, s)) for s in slots]
+    mat = Matrix.from_cols(cols)
+    u = solve(mat, [-r for r in residual])
+    if u is None:
+        raise TemplateMismatch(
+            "basis change cannot be adapted: [X1', Yi'] = 0 is unsolvable"
+        )
+    corr = list(base)
+    for s, c in zip(slots, u):
+        corr[s] = corr[s] + c
+    if any(g.bracket(x1, corr)):
+        raise TemplateMismatch(
+            "basis change cannot be adapted: correction left a residual"
+        )
+    return corr
+
+
+def type_i_change(g: LieAlgebra, a, b) -> BasisChange:
+    n = g.dim
+    a2, a3, a4, a5, a6, a7, a8 = (rat(x) for x in a)
+    b1, b2, b3, b4, b5 = (rat(x) for x in b)
+    if a2 == 0 or b1 == 0 or b4 == 0:
+        raise TemplateMismatch("type I requires a2, b1, b4 nonzero")
+    x2 = _vec(n, {1: a2, 2: a3, 3: a4, 4: a5, 5: a6, 6: a7, 7: a8})
+    cols = [basis_vec(n, 0)] + _chain_from(g, basis_vec(n, 0), x2)
+    y1 = _vec(n, {6: b1, 7: b2, 5: b3})
+    y2 = _vec(n, {7: b4, 5: b5})
+    ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
+    return BasisChange(Matrix.from_cols(cols + ys), kind="I")
+
+
+def type_ii_change(g: LieAlgebra, a, b2, b7, c2, b3=0, c3=0) -> BasisChange:
+    n = g.dim
+    avals = [rat(x) for x in a]
+    if len(avals) != 8 or avals[0] == 0:
+        raise TemplateMismatch("type II requires a = (a1..a8) with a1 != 0")
+    if rat(b2) == 0 or rat(c2) == 0:
+        raise TemplateMismatch("type II requires b2, c2 nonzero")
+    x1 = _vec(n, {i: avals[i] for i in range(6)})
+    x1[6] = avals[6]
+    x1[7] = avals[7]
+    x2 = basis_vec(n, 1)
+    cols = [x1] + _chain_from(g, x1, x2)
+    y1 = _solve_correction(g, x1, _vec(n, {6: b2, 7: b7, 5: b3}), (2, 3, 4))
+    y2 = _solve_correction(g, x1, _vec(n, {7: c2, 5: c3}), (3, 4))
+    ys = [y1, y2]
+    for k in range(2, n - 6):
+        ys.append(_solve_correction(g, x1, basis_vec(n, 6 + k), (4,)))
+    return BasisChange(Matrix.from_cols(cols + ys), kind="II")
+
+
+def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:
+    n = g.dim
+    if n - 6 < 3:
+        raise TemplateMismatch("type IV needs at least three Y's")
+    x2 = _vec(n, {1: ONE, 8: rat(alpha)})
+    cols = [basis_vec(n, 0)] + _chain_from(g, basis_vec(n, 0), x2)
+    y1 = _vec(n, {6: ONE, 8: rat(beta)})
+    y2 = _vec(n, {7: ONE, 8: rat(gamma)})
+    ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
+    return BasisChange(Matrix.from_cols(cols + ys), kind="IV")

@@ -50,6 +50,26 @@ def test_bad_flags_exit_2():
     assert invoke("dertower", "--family", "1", "--dim", "8", "--depth", "-1").exit_code == 2
 
 
+@pytest.mark.parametrize("args, option", [
+    (("check", "--dims", "3..5"), "--dims"),
+    (("check", "--dims", "oops"), "--dims"),
+    (("charnilp", "--dims", "9..7"), "--dims"),
+    (("tables", "--id", "1", "--m", "6..4"), "--m"),
+    (("check", "--dims", "7..7", "--alpha", "0"), "--alpha"),
+    (("distinguish", "--dim", "12", "--alpha", "x"), "--alpha"),
+    (("tables", "--id", "12"), "--id"),
+    (("distinguish", "--dim", "5"), "--dim"),
+    (("dertower", "--family", "200", "--dim", "8"), "--family"),
+    (("dertower", "--family", "1", "--dim", "9"), "--dim"),
+    (("catalog", "export", "--dim", "5"), "--dim"),
+])
+def test_usage_errors_name_their_option(args, option):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_tables_structural_pass():
     result = invoke("tables", "--id", "1", "--m", "4..4")
     assert result.exit_code == 0

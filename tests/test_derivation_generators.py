@@ -10,6 +10,10 @@ constants) at two seeds; the printed and computed derivation algebras of
 g7^81, g8^6 and g7^84; and small edge cases, four of them not nilpotent,
 where the generators must grow beyond a complement of C1.  One table that
 fails Jacobi pins what the solver returns outside its precondition.
+
+`derivation_algebra` forms the commutators of the basis on integers; it
+must give the same structure constants as the rational reference, and
+reject a commutator outside the space as the reference does.
 """
 
 import random
@@ -18,10 +22,18 @@ from functools import cache
 import pytest
 
 from nilform import catalog
-from nilform.derivations import derivation_algebra, derivation_space, is_derivation
+from nilform import derivations
+from nilform.derivations import (
+    DerivationSpace,
+    derivation_algebra,
+    derivation_space,
+    is_derivation,
+)
+from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra, Subspace, abelian, basis_vec, heisenberg
 from nilform.linalg import Matrix, rank
 from nilform.rational import rat
+import reference_derivations
 from reference_derivations import derivation_space as reference_space
 
 # Criterion-10 picks: (family, m, alpha).
@@ -103,3 +115,35 @@ def test_table_failing_jacobi_gives_a_larger_space():
         space.coordinates_of(d)             # raises if d is outside the space
     assert (space.dim, ref.dim) == (3, 2)
     assert not all(is_derivation(g, d) for d in space.basis)
+
+
+def _der_inputs():
+    yield catalog.build(81, 3)              # g7^81
+    yield catalog.build(6, 4)               # g8^6
+    yield heisenberg(1)
+    yield catalog.build(84, 3)              # g7^84
+    yield from (inst.algebra for inst in catalog.enumerate_instances(7))
+
+
+def test_derivation_algebra_matches_reference():
+    for g in _der_inputs():
+        der, ref = derivation_algebra(g), reference_derivations.derivation_algebra(g)
+        assert der == ref, g
+        assert (der.labels, der.meta) == (ref.labels, ref.meta)
+        # same coefficients, also in the same order within each bracket
+        assert [list(c.items()) for c in der.brackets.values()] == [
+            list(c.items()) for c in ref.brackets.values()
+        ]
+
+
+def test_derivation_algebra_rejects_a_commutator_outside_the_space(monkeypatch):
+    """span{E12, E21} is not closed: [E12, E21] = E11 - E22 has coordinates 0."""
+    g = abelian(2)
+    e12 = Matrix([[0, 1], [0, 0]])
+    e21 = Matrix([[0, 0], [1, 0]])
+    space = DerivationSpace(algebra=g, basis=[e12, e21], free_positions=[1, 2])
+    monkeypatch.setattr(derivations, "derivation_space", lambda _: space)
+    monkeypatch.setattr(reference_derivations, "generator_space", lambda _: space)
+    for algebra_of in (derivation_algebra, reference_derivations.derivation_algebra):
+        with pytest.raises(DimensionMismatch):
+            algebra_of(g)

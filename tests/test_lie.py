@@ -198,6 +198,11 @@ def test_from_bracket_list():
     # two entries on one pair add up; reversed pairs count negated
     g = from_bracket_list(3, [(0, 1, {2: rat(1, 2)}), (0, 1, {2: rat(1, 3)}), (1, 0, {2: 1})])
     assert g.brackets == {(0, 1): {2: rat(-1, 6)}}
+    # ... also when the reversed entry comes first
+    g = from_bracket_list(3, [(1, 0, {2: rat(1, 2), 0: "3/4"}), (0, 1, {2: 2})])
+    assert g.brackets == {(0, 1): {2: rat(3, 2), 0: rat(-3, 4)}}
+    g = from_bracket_list(3, [(2, 1, {0: rat(2, 3)}), (1, 2, {0: rat(2, 3)}), (0, 2, {1: -1})])
+    assert g.brackets == {(0, 2): {1: rat(-1)}}
     # entries that cancel leave no pair, zero coefficients are dropped
     entries = [(0, 1, {2: 1}), (1, 0, {2: 1}), (0, 2, {1: 0, 2: 0}), (1, 2, {0: 0, 1: 3})]
     g = from_bracket_list(3, entries)
