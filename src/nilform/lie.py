@@ -12,12 +12,13 @@ and L[x, y] has the ranks, images, spans and derivations of [x, y].  The
 bracket and ad(v) clear their rational arguments the same way and contract
 them with it; the center is the integer kernel of its rows; ad(x) for the
 characteristic sequence (`ad_columns`), the derived algebra, the lower
-central and derived series, the Jacobi check, the basis change and the
-derivation solver read it and eliminate with the integer core of `linalg`.
-Rationals are built only for what is returned, each integer divided by its
-known scale: the bracket, ad(v), the rref `Subspace`s (unique, so they do
-not depend on the scaling), the residual of a Jacobi failure and the new
-structure constants of a basis change.  The tensor is built on first use,
+central and derived series, the Jacobi check, the ideal test and the
+quotient, the basis change and the derivation solver read it and eliminate
+with the integer core of `linalg`.  Rationals are built only for what is
+returned, each integer divided by its known scale: the bracket, ad(v), the
+rref `Subspace`s (unique, so they do not depend on the scaling), the
+residual of a Jacobi failure and the new structure constants of a quotient
+or a basis change.  The tensor is built on first use,
 so algebras that are never queried pay nothing, and the forward echelon of
 C1 is kept beside it once built, so the characteristic sequence and the
 series share one elimination of C1.  Algebras are treated as
@@ -36,7 +37,9 @@ from .linalg import (
     _echelon,
     _integer_columns,
     _integer_kernel,
+    _integer_row,
     _inverse_echelon,
+    _kernel_coordinates,
     _primitive,
     _rref,
     _rref_row,
@@ -410,30 +413,53 @@ class LieAlgebra:
         meta = {k: v for k, v in self.meta.items() if k != "defining_basis"}
         return LieAlgebra(n, new, labels=self.labels, meta=meta)
 
+    def _quotient_map(self, s: Subspace):
+        """(scale, kcols) of the projection g -> g/s, or None when s is not an ideal.
+
+        The rref rows of s, cleared to primitive integer rows, are a reduced
+        integer echelon, and `_combine(kcols, w)` is scale times the
+        coordinates of w modulo s on the non-pivot coordinates of s (see
+        `linalg._kernel_coordinates`), empty iff w lies in s.  s is an ideal
+        iff every column of ad(v) lies in s for each basis vector v of s,
+        read from the integer tensor.
+        """
+        if s.ambient != self.dim:
+            raise DimensionMismatch("subspace ambient != dim")
+        echelon = {p: _integer_row(enumerate(v)) for p, v in zip(s.pivots, s.matrix.data)}
+        scale, kcols = _kernel_coordinates(echelon, self.dim)
+        for v in echelon.values():
+            if any(_combine(kcols, col) for col in self.ad_columns(v)):
+                return None
+        return scale, kcols
+
     def is_ideal(self, s: Subspace):
-        return all(
-            s.contains(self.bracket(basis_vec(self.dim, j), v))
-            for v in s.basis_vectors()
-            for j in range(self.dim)
-        )
+        return self._quotient_map(s) is not None
 
     def quotient(self, ideal: Subspace):
         """Quotient by an ideal, on the standard-vector complement basis.
 
         The complement takes the non-pivot coordinates of the ideal's rref
         basis in ascending order, which makes the construction deterministic.
+        Each bracket of two complement vectors is projected on the integer
+        tensor; a rational is built only for each structure constant.
         """
-        if not self.is_ideal(ideal):
+        qmap = self._quotient_map(ideal)
+        if qmap is None:
             raise NotAnIdeal("subspace is not an ideal")
+        scale, kcols = qmap
         pivot_set = set(ideal.pivots)
         comp = [i for i in range(self.dim) if i not in pivot_set]
         index_of = {c: t for t, c in enumerate(comp)}
+        br = self.integer_brackets()
+        denom = self._denominator() * scale
         new = {}
         for a in range(len(comp)):
+            row = br[comp[a]]
             for b in range(a + 1, len(comp)):
-                w = self.bracket_basis(comp[a], comp[b])
-                w = ideal.reduce([w.get(k, ZERO) for k in range(self.dim)])
-                new[(a, b)] = {index_of[k]: c for k, c in enumerate(w) if c}
+                w = row.get(comp[b])
+                if w:
+                    w = _combine(kcols, w)
+                    new[(a, b)] = {index_of[k]: rat(w[k], denom) for k in sorted(w)}
         labels = tuple(self.labels[c] for c in comp)
         return LieAlgebra(len(comp), new, labels=labels)
 

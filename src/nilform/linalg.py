@@ -15,7 +15,14 @@ built only at the end, one division by the pivot per output entry; `rank`
 runs the forward pass only and builds none.  Kernels and inverses each
 have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
 by the rational entry points here, by `LieAlgebra.center`, by
-`BasisChange` and by the derivation solver.
+`BasisChange` and by the derivation solver.  The kernel reader verifies
+dependent rows instead of cancelling them to zero: once a row has cancelled
+to zero against as many pivots as its echelon E has kernel vectors, a later
+row that vanishes on ker E is skipped.  That is exact, because
+(ker E)^perp = row E over Q, so the row adds nothing to the row space, and
+the reduced echelon of that row space is canonical.  The kernel is built in
+one place, `_kernel_coordinates`, which also gives `LieAlgebra.quotient`
+its projection.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
 operator as sparse integer columns and iterates integer images instead of
@@ -296,24 +303,73 @@ def _rref_row(row, d, ncols):
     return out
 
 
+def _kernel_coordinates(pivots, ncols):
+    """(scale, kcols): the kernel of a reduced integer echelon, by coordinate.
+
+    scale is the lcm of the pivot entries and kcols[u] = {f: entry u of
+    scale times the canonical kernel vector of free column f}.  That vector
+    is 1 at f, minus column f of the rref at the pivot coordinates, and zero
+    at every other free column, so kcols[f] = {f: scale} at a free column
+    and kcols[c] is minus the pivot row of c at its free columns, scaled to
+    scale / pivot entry.  `_combine(kcols, w)` is then scale times the
+    coordinates, on the free columns, of w modulo the row space.
+    """
+    scale = lcm(*(row[c] for c, row in pivots.items()))
+    kcols = [{u: scale} for u in range(ncols)]
+    for c, row in pivots.items():
+        q = -scale // row[c]
+        kcols[c] = {k: q * v for k, v in row.items() if k != c}
+    return scale, kcols
+
+
 def _integer_kernel(rows, ncols):
-    """Kernel of sparse integer rows, on the reduced integer echelon.
+    """Kernel of sparse integer rows, on the reduced integer echelon E.
 
     Returns (pivot columns ascending, scale, vectors): scale is the lcm of
     the pivot entries, and there is one integer vector {col: int} per free
     column, ascending, equal to scale times the canonical kernel vector of
-    that column: 1 there, minus that column of the rref at the pivot
-    coordinates, and zero at every other free column.
+    that column (see `_kernel_coordinates`).
+
+    Most rows of a Leibniz system are dependent, and cancelling one to zero
+    costs a `_cancel` per pivot it meets, with growing integers.  So once a
+    row cancels to zero after at least as many cancellations as E has
+    kernel vectors, E is reduced in place and its kernel kept by coordinate;
+    each later row is tested with one `_combine` against it first.  A row
+    that vanishes on ker E lies in (ker E)^perp = row E over Q and is
+    skipped; any other row is independent: the kernel is dropped and the
+    row folded, and the next such zero row builds it again.  At the end
+    the echelon is reduced and its kernel built, unless the kept kernel is
+    still that of E; the vectors are read from it.  The rows
+    skipped leave the row space unchanged, and the reduced echelon of
+    primitive rows with positive pivots is canonical, so the pivots, scale
+    and vectors do not depend on which rows were skipped.
     """
-    pivots = _echelon(rows)
-    scale = lcm(*(row[c] for c, row in pivots.items()))
-    kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
-    for c, row in pivots.items():
-        q = scale // row[c]
-        for k, v in row.items():
-            if k != c:
-                kernel[k][c] = -q * v
-    return sorted(pivots), scale, list(kernel.values())
+    pivots, kcols = {}, None
+    for row in rows:
+        if kcols is not None:
+            if not _combine(kcols, row):
+                continue
+            kcols = None
+        steps = 0                   # `_fold`, counting the cancellations
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
+                break
+            row = _cancel(row, prow, c)
+            steps += 1
+        else:
+            if steps >= ncols - len(pivots):
+                _reduce(pivots)
+                scale, kcols = _kernel_coordinates(pivots, ncols)
+    if kcols is None:               # no kernel yet, or rows were folded since
+        _reduce(pivots)
+        scale, kcols = _kernel_coordinates(pivots, ncols)
+    for c in pivots:                # kcols[f] = {f: scale} becomes vector f
+        for f, v in kcols[c].items():
+            kcols[f][c] = v
+    return sorted(pivots), scale, [kcols[f] for f in range(ncols) if f not in pivots]
 
 
 def _inverse_echelon(rows, n):
