@@ -68,31 +68,6 @@ class DerivationSpace:
     def dim(self):
         return len(self.basis)
 
-    def element(self, coeffs):
-        """Linear combination of the basis as a matrix."""
-        n = self.algebra.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for c, b in zip(coeffs, self.basis):
-            if not c:
-                continue
-            c = rat(c)
-            for i in range(n):
-                brow = b.data[i]
-                orow = out[i]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-        return Matrix(out, copy=False)
-
-    def coordinates_of(self, m: Matrix):
-        """Coefficients of a derivation in this basis (exact; asserts fit)."""
-        n = self.algebra.dim
-        flat = [m.data[p // n][p % n] for p in self.free_positions]
-        residual = self.element(flat) - m
-        if not residual.is_zero():
-            raise DimensionMismatch("matrix is not in the derivation space")
-        return flat
-
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
     """Exact Leibniz rule: D ad(e_i) - ad(e_i) D = ad(D e_i) for every i."""
@@ -290,10 +265,10 @@ def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
     Each basis derivation D_a = C_a / d_a is cleared to integer columns
     once.  Column j of d_a d_b [D_a, D_b] is one `_combine` of the columns
     of C_a and C_b, and its coordinates are its entries at the free
-    positions, divided by d_a d_b.  As in `DerivationSpace.coordinates_of`,
-    the commutator must equal the combination of the basis with those
-    coordinates; the check runs on integers, each basis matrix flattened
-    and scaled to the common denominator of the basis.
+    positions, divided by d_a d_b.  The commutator must equal the
+    combination of the basis with those coordinates; the check runs on
+    integers, each basis matrix flattened and scaled to the common
+    denominator of the basis.
     """
     space = derivation_space(g)
     r = space.dim

@@ -16,12 +16,13 @@ central and derived series, the Jacobi check, the ideal test and the
 quotient, the basis change and the derivation solver read it and eliminate
 with the integer core of `linalg`.  Rationals are built only for what is
 returned, each integer divided by its known scale: the bracket, ad(v), the
-rref `Subspace`s (unique, so they do not depend on the scaling), the
-residual of a Jacobi failure and the new structure constants of a quotient
-or a basis change.  The tensor is built on first use,
-so algebras that are never queried pay nothing, and the forward echelon of
-C1 is kept beside it once built, so the characteristic sequence and the
-series share one elimination of C1.  Algebras are treated as
+rref rows of a `Subspace` when they are read, the residual of a Jacobi
+failure and the new structure constants of a quotient or a basis change.
+A `Subspace` holds its reduced integer echelon, which is canonical, and
+compares, tests membership and projects on it.  The tensor is built on
+first use, so algebras that are never queried pay nothing, and the forward
+echelon of C1 is kept beside it once built, so the characteristic sequence
+and the series share one elimination of C1.  Algebras are treated as
 immutable after construction, so everything here is safe to share across
 threads: two threads that race on the first use build equal tensors.
 """
@@ -41,10 +42,10 @@ from .linalg import (
     _inverse_echelon,
     _kernel_coordinates,
     _primitive,
+    _reduce,
     _rref,
     _rref_row,
     _scaled,
-    row_reduce,
 )
 from .rational import ONE, ZERO, rat
 
@@ -59,71 +60,86 @@ def basis_vec(n, i):
 
 
 class Subspace:
-    """Subspace of Q^n held as a row-reduced basis matrix.
+    """Subspace of Q^n held as its reduced integer echelon.
 
-    The rref basis is canonical, so two Subspaces are equal iff their
-    matrices are equal.
+    `echelon` maps each pivot column to a primitive integer row with a
+    positive pivot entry and zeros at the other pivot columns: the rref row
+    of that column times the least positive integer that clears it.  It is
+    canonical, so two Subspaces are equal iff their echelons are equal, and
+    callers must not modify it.  Rationals are built only when the rref
+    rows are read (`matrix`, `basis_vectors`).
     """
 
-    __slots__ = ("ambient", "matrix", "pivots")
+    __slots__ = ("ambient", "echelon")
 
-    def __init__(self, ambient, matrix, pivots):
+    def __init__(self, ambient, echelon):
         self.ambient = ambient
-        self.matrix = matrix
-        self.pivots = pivots
+        self.echelon = echelon
 
     @staticmethod
     def span(ambient, vectors):
-        for v in vectors:
+        def row(v):
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient dimension")
-        pivots, basis = row_reduce(vectors, ambient)
-        return Subspace(ambient, Matrix(basis, copy=False), tuple(pivots))
+            return _integer_row(enumerate(v))
+
+        return Subspace._of_echelon(ambient, _echelon(map(row, vectors), reduced=False))
 
     @staticmethod
     def _of_echelon(ambient, pivots):
         """The span of a forward integer echelon {pivot column: row}, reduced in place."""
-        cols, basis = _rref(pivots, ambient)
-        return Subspace(ambient, Matrix(basis, copy=False), tuple(cols))
+        _reduce(pivots)
+        return Subspace(ambient, pivots)
 
     @staticmethod
     def full(ambient):
-        return Subspace.span(ambient, Matrix.identity(ambient).rows())
+        return Subspace(ambient, {j: {j: 1} for j in range(ambient)})
 
     @property
     def dim(self):
-        return self.matrix.nrows
+        return len(self.echelon)
+
+    @property
+    def pivots(self):
+        return tuple(sorted(self.echelon))
 
     def basis_vectors(self):
-        return self.matrix.rows()
+        """The rref rows, as dense rational lists."""
+        return _rref(self.echelon, self.ambient)
 
-    def reduce(self, v):
-        """Remainder of v after elimination against the rref basis."""
-        w = [rat(x) for x in v]
-        for row, p in zip(self.matrix.data, self.pivots):
-            f = w[p]
-            if f:
-                for k in range(p, self.ambient):    # rref rows vanish left of p
-                    y = row[k]
-                    if y:
-                        w[k] -= f * y
-        return w
+    @property
+    def matrix(self):
+        return Matrix(self.basis_vectors(), copy=False)
+
+    def _coordinates(self):
+        """kcols with `_combine(kcols, w)` empty iff the integer vector w lies in the subspace.
+
+        It is a positive multiple of the coordinates of w modulo the
+        subspace (see `linalg._kernel_coordinates`).
+        """
+        return _kernel_coordinates(self.echelon, self.ambient)[1]
 
     def contains(self, v):
-        return all(x == 0 for x in self.reduce(v))
+        if len(v) != self.ambient:
+            raise DimensionMismatch("vector length != ambient dimension")
+        return not _combine(self._coordinates(), _scaled(enumerate(v))[1])
 
     def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis_vectors())
+        if other.ambient != self.ambient:
+            raise DimensionMismatch("subspace ambient dimensions differ")
+        kcols = self._coordinates()
+        return not any(_combine(kcols, row) for row in other.echelon.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.matrix == other.matrix
+            and self.echelon == other.echelon
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.matrix))
+        rows = frozenset((c, frozenset(row.items())) for c, row in self.echelon.items())
+        return hash((self.ambient, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
@@ -358,13 +374,12 @@ class LieAlgebra:
         return not self.brackets
 
     def is_abelian_subspace(self, s: Subspace):
-        """True iff [s, s] = 0, checked on pairs of basis vectors of s."""
-        vecs = s.basis_vectors()
-        return all(
-            not any(self.bracket(u, v))
-            for t, u in enumerate(vecs)
-            for v in vecs[t + 1 :]
-        )
+        """True iff [s, s] = 0, checked on pairs of integer echelon rows of s."""
+        if s.ambient != self.dim:
+            raise DimensionMismatch("subspace ambient != dim")
+        br = self.integer_brackets()
+        rows = list(s.echelon.values())
+        return not any(_int_bracket(br, u, v) for t, u in enumerate(rows) for v in rows[t + 1 :])
 
     def has_abelian_direct_factor(self):
         """True iff some central vector lies outside the derived algebra.
@@ -416,18 +431,16 @@ class LieAlgebra:
     def _quotient_map(self, s: Subspace):
         """(scale, kcols) of the projection g -> g/s, or None when s is not an ideal.
 
-        The rref rows of s, cleared to primitive integer rows, are a reduced
-        integer echelon, and `_combine(kcols, w)` is scale times the
-        coordinates of w modulo s on the non-pivot coordinates of s (see
-        `linalg._kernel_coordinates`), empty iff w lies in s.  s is an ideal
-        iff every column of ad(v) lies in s for each basis vector v of s,
-        read from the integer tensor.
+        `_combine(kcols, w)` is scale times the coordinates of w modulo s
+        on the non-pivot coordinates of s (see
+        `linalg._kernel_coordinates`), empty iff w lies in s.  s is an
+        ideal iff every column of ad(v) lies in s for each echelon row v
+        of s, read from the integer tensor.
         """
         if s.ambient != self.dim:
             raise DimensionMismatch("subspace ambient != dim")
-        echelon = {p: _integer_row(enumerate(v)) for p, v in zip(s.pivots, s.matrix.data)}
-        scale, kcols = _kernel_coordinates(echelon, self.dim)
-        for v in echelon.values():
+        scale, kcols = _kernel_coordinates(s.echelon, self.dim)
+        for v in s.echelon.values():
             if any(_combine(kcols, col) for col in self.ad_columns(v)):
                 return None
         return scale, kcols
@@ -447,8 +460,7 @@ class LieAlgebra:
         if qmap is None:
             raise NotAnIdeal("subspace is not an ideal")
         scale, kcols = qmap
-        pivot_set = set(ideal.pivots)
-        comp = [i for i in range(self.dim) if i not in pivot_set]
+        comp = [i for i in range(self.dim) if i not in ideal.echelon]
         index_of = {c: t for t, c in enumerate(comp)}
         br = self.integer_brackets()
         denom = self._denominator() * scale

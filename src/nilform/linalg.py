@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are dense lists of rationals (see `rational`).  Every row
-reduction -- rank, rref, kernels, inverse, solve, subspace spans, the
-central series and ad(x) of the Lie layer, and the sparse Leibniz systems
+reduction -- rank, rref, kernels, inverse, the subspaces and central
+series of the Lie layer (held as reduced integer echelons, with no
+rational row), the template corrections, and the sparse Leibniz systems
 of the derivation layer -- runs on one integer core, `_echelon`:
 fraction-free Gaussian elimination on sparse {col: int} rows, after
 Bareiss (Math. Comp. 22, 1968, 565-578).  Rationals are cleared to
@@ -21,8 +22,8 @@ to zero against as many pivots as its echelon E has kernel vectors, a later
 row that vanishes on ker E is skipped.  That is exact, because
 (ker E)^perp = row E over Q, so the row adds nothing to the row space, and
 the reduced echelon of that row space is canonical.  The kernel is built in
-one place, `_kernel_coordinates`, which also gives `LieAlgebra.quotient`
-its projection.
+one place, `_kernel_coordinates`, which also gives `Subspace.contains` and
+`LieAlgebra.quotient` their projection.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
 operator as sparse integer columns and iterates integer images instead of
@@ -173,14 +174,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         for i, v in _combine(acols, bcol).items():
             out[i][j] = rat(v, d)
     return Matrix(out, copy=False)
-
-
-def matvec(a: Matrix, v):
-    if a.ncols != len(v):
-        raise DimensionMismatch("matvec shape mismatch")
-    return [
-        sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a.data
-    ]
 
 
 def _primitive(row):
@@ -386,15 +379,8 @@ def _inverse_echelon(rows, n):
 
 
 def _rref(pivots, ncols):
-    """Pivot columns and dense rational rref rows of a forward echelon (reduced in place)."""
-    _reduce(pivots)
-    cols = sorted(pivots)
-    return cols, [_rref_row(pivots[c], pivots[c][c], ncols) for c in cols]
-
-
-def row_reduce(rows, ncols):
-    """Pivot columns and nonzero rows of the rref of dense rational rows."""
-    return _rref(_echelon((_integer_row(enumerate(r)) for r in rows), reduced=False), ncols)
+    """Dense rational rref rows of a reduced integer echelon, by ascending pivot column."""
+    return [_rref_row(pivots[c], pivots[c][c], ncols) for c in sorted(pivots)]
 
 
 def rref(a: Matrix):
@@ -402,9 +388,10 @@ def rref(a: Matrix):
 
     Returns (R, rank, pivot_columns).
     """
-    cols, rows = row_reduce(a.data, a.ncols)
+    pivots = _echelon(_integer_row(enumerate(r)) for r in a.data)
+    rows = _rref(pivots, a.ncols)
     rows += [[ZERO] * a.ncols for _ in range(a.nrows - len(rows))]
-    return Matrix(rows, copy=False), len(cols), tuple(cols)
+    return Matrix(rows, copy=False), len(pivots), tuple(sorted(pivots))
 
 
 def rank(a: Matrix) -> int:
@@ -419,26 +406,6 @@ def kernel_basis(a: Matrix):
     """
     _, scale, kernel = _integer_kernel((_integer_row(enumerate(r)) for r in a.data), a.ncols)
     return [_rref_row(v, scale, a.ncols) for v in kernel]
-
-
-def solve(a: Matrix, b):
-    """Solve A x = b; returns None when inconsistent.
-
-    For underdetermined systems the free coordinates are set to zero.
-    """
-    if a.nrows != len(b):
-        raise DimensionMismatch("rhs length mismatch")
-    n = a.ncols
-    pivots = _echelon(
-        _integer_row(chain(enumerate(r), [(n, rat(x))])) for r, x in zip(a.data, b)
-    )
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for c, row in pivots.items():
-        if n in row:
-            x[c] = rat(row[n], row[c])
-    return x
 
 
 def inverse(a: Matrix) -> Matrix:

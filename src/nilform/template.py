@@ -221,9 +221,9 @@ def _solve_correction(ad, base, slots):
     With base = b / d cleared to integers and A the integer columns of
     s ad(X1'), the u_t are w_t / d for the solution w of
     sum_t w_t A e_slot_t = -A b (s cancels).  The rref of [A e_slot | -A b]
-    is unique, so w is too, with its free coordinates set to 0, as
-    `linalg.solve` sets them.  The corrected vector is checked by one more
-    integer product, which must vanish.
+    is unique, so w is too, with its free coordinates set to 0.  The
+    corrected vector is checked by one more integer product, which must
+    vanish.
     """
     _, cols = ad
     m = len(slots)

@@ -9,7 +9,13 @@ rref in ascending order, is the canonical basis the new solver must return.
 
 `derivation_algebra` is the version used before each basis derivation was
 cleared to integers once: it forms the rational commutators `da * db -
-db * da` and reads them with `DerivationSpace.coordinates_of`.
+db * da` and reads them with `coordinates_of`.
+
+`element` and `coordinates_of` are the dense rational readers of a
+derivation space that `DerivationSpace` carried before the derivation
+algebra read its commutators on integers: the combination of the basis
+with given coefficients, and the coefficients of a matrix, checked against
+that combination.
 
 `is_characteristically_nilpotent` is the decision used before it ran on
 sparse integer powers: it computes the characteristic polynomial of every
@@ -25,9 +31,37 @@ from math import lcm
 
 from nilform.derivations import CHARNILP_SEED, DerivationSpace, diagonal_derivations
 from nilform.derivations import derivation_space as generator_space
+from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra
 from nilform.linalg import Matrix, char_poly, sparse_kernel
 from nilform.rational import ONE, ZERO, rat
+
+
+def element(space, coeffs):
+    """Linear combination of the basis of a derivation space as a matrix."""
+    n = space.algebra.dim
+    out = [[ZERO] * n for _ in range(n)]
+    for c, b in zip(coeffs, space.basis):
+        if not c:
+            continue
+        c = rat(c)
+        for i in range(n):
+            brow = b.data[i]
+            orow = out[i]
+            for j in range(n):
+                if brow[j]:
+                    orow[j] += c * brow[j]
+    return Matrix(out, copy=False)
+
+
+def coordinates_of(space, m: Matrix):
+    """Coefficients of a derivation in the basis of a space (exact; asserts fit)."""
+    n = space.algebra.dim
+    flat = [m.data[p // n][p % n] for p in space.free_positions]
+    residual = element(space, flat) - m
+    if not residual.is_zero():
+        raise DimensionMismatch("matrix is not in the derivation space")
+    return flat
 
 
 def _var_index(l, k, n):
@@ -194,7 +228,7 @@ def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
         for b in range(a + 1, r):
             db = space.basis[b]
             comm = (da * db) - (db * da)
-            coeffs = space.coordinates_of(comm)
+            coeffs = coordinates_of(space, comm)
             comp = {k: c for k, c in enumerate(coeffs) if c}
             if comp:
                 brackets[(a, b)] = comp

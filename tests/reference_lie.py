@@ -21,16 +21,19 @@ accumulated in rationals through `bracket_basis`.
 `is_ideal`, `quotient` and `is_abelian_subspace` are the versions used
 before `bracket` read the integer structure tensor: they bracket through
 the rational `bracket` above, and the quotient brackets every pair of
-complement basis vectors before reducing it against the ideal.  The
-reference `change_basis` brackets through it too.
+complement basis vectors before reducing it against the ideal.  Membership
+and remainders come from `reference_invariants.contains` and `reduce`, the
+dense rational loop over the ideal's rref rows, not from the `Subspace`
+under test.  The reference `change_basis` brackets through it too.
 """
 
 from nilform.errors import DimensionMismatch, NotAnIdeal, SingularTransform
 from nilform.lie import BasisChange, JacobiFailure, LieAlgebra, Subspace, basis_vec, zero_vec
-from nilform.linalg import Matrix, inverse, matvec, rank
+from nilform.linalg import Matrix, inverse, rank
 from nilform.rational import ONE, ZERO
 
-from reference_linalg import kernel_basis
+import reference_invariants as ref_inv
+from reference_linalg import kernel_basis, matvec
 
 
 def _bracket_sparse(g, u, v):
@@ -217,7 +220,7 @@ def is_abelian_subspace(g, s: Subspace):
 
 def is_ideal(g, s: Subspace):
     return all(
-        s.contains(bracket(g, basis_vec(g.dim, j), v))
+        ref_inv.contains(s, bracket(g, basis_vec(g.dim, j), v))
         for v in s.basis_vectors()
         for j in range(g.dim)
     )
@@ -240,7 +243,7 @@ def quotient(g, ideal: Subspace):
             w = bracket(
                 g, basis_vec(g.dim, comp[a]), basis_vec(g.dim, comp[b])
             )
-            w = ideal.reduce(w)
+            w = ref_inv.reduce(ideal, w)
             compd = {}
             for k, c in enumerate(w):
                 if c:

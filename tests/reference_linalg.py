@@ -6,8 +6,10 @@ entry is a reduced rational.  It is slow but obviously correct, and the
 reduced row echelon form is unique, so the core must reproduce its pivots,
 rows and kernel vectors exactly.
 
-It also keeps the dense product that tests every entry pair of a row and a
-column, and the rank sequence and Jordan profile that form the powers of A
+It also keeps the dense products that test every entry pair of a row and a
+column (`matmul`, and `matvec`, which the library no longer has), `solve`,
+which reads a solution of A x = b off the rref of [A | b], and the rank
+sequence and Jordan profile that form the powers of A
 with that product and rank each one.
 """
 
@@ -90,6 +92,14 @@ def solve(a: Matrix, b):
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][a.ncols]
     return x
+
+
+def matvec(a: Matrix, v):
+    if a.ncols != len(v):
+        raise DimensionMismatch("matvec shape mismatch")
+    return [
+        sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a.data
+    ]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -3,16 +3,18 @@
 This is the version nilform used before the type I, II and IV changes ran
 on the integer columns of ad(X1'): the chain X3'..X6' comes from repeated
 rational `LieAlgebra.bracket` calls, and each correction of type II solves
-its rational system with `linalg.solve` and checks the residual with one
+its rational system with the reference field `solve` and checks the residual with one
 more rational bracket.  The new changes must return the same
 `BasisChange.matrix`, and raise `TemplateMismatch` with the same message.
 """
 
 from nilform.errors import TemplateMismatch
 from nilform.lie import BasisChange, LieAlgebra, basis_vec
-from nilform.linalg import Matrix, solve
+from nilform.linalg import Matrix
 from nilform.rational import ONE, rat
 from nilform.template import _vec
+
+from reference_linalg import solve
 
 
 def _chain_from(g: LieAlgebra, x1, x2):

@@ -156,14 +156,31 @@ SETS = ["catalog", "conjugates", "small"]
 
 @pytest.mark.parametrize("name", SETS)
 def test_subspace_reduce_matches_reference(name):
+    """Membership in C1 and Z agrees with the reference `reduce` to zero.
+
+    The vectors are random ones (mostly outside C1) and random integer
+    combinations of C1's basis (inside), so both verdicts occur.
+    """
     rng = random.Random(4)
+    verdicts = set()
     for g in _algebras(name):
-        c1 = g.derived_subalgebra()
+        c1, z = g.derived_subalgebra(), g.center()
+        basis = c1.basis_vectors()
+        vectors = [[_entry(rng) for _ in range(g.dim)] for _ in range(4)]
         for _ in range(4):
-            v = [_entry(rng) for _ in range(g.dim)]
-            assert c1.reduce(v) == ref_inv.reduce(c1, v)
-        for v in c1.basis_vectors():
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            vectors.append(
+                [sum((c * row[i] for c, row in zip(coeffs, basis)), ZERO) for i in range(g.dim)]
+            )
+        for v in vectors:
+            verdict = c1.contains(v)
+            assert verdict == ref_inv.contains(c1, v)
+            verdicts.add(verdict)
+        for v in basis:
             assert c1.contains(v) and ref_inv.contains(c1, v)
+        for a, b in ((c1, z), (z, c1)):
+            assert a.contains_subspace(b) == all(ref_inv.contains(a, v) for v in b.basis_vectors())
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("name", SETS)

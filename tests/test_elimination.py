@@ -3,7 +3,9 @@
 `reference_linalg` is plain Gaussian elimination over the rationals.  The
 reduced row echelon form is unique, so the fraction-free core in
 `nilform.linalg` must give exactly the same pivots, rref rows, kernel
-vectors, ranks, inverses and solutions.  The kernel reader skips the rows
+vectors, ranks and inverses, and `template._solve_correction`, which reads
+a solution off the reduced integer echelon of [A | b], must give the
+solution of the reference `solve`.  The kernel reader skips the rows
 that vanish on the kernel of the rows before them, so its tests take tall
 redundant systems, a system in which an independent row arrives after the
 kernel was built, Leibniz systems and the certificate systems of the
@@ -15,9 +17,9 @@ import random
 import pytest
 
 import reference_linalg as ref
-from nilform import catalog, derivations, invariants, linalg
+from nilform import catalog, derivations, invariants, linalg, template
 from nilform.derivations import derivation_space, is_characteristically_nilpotent
-from nilform.errors import SingularTransform
+from nilform.errors import SingularTransform, TemplateMismatch
 from nilform.lie import Subspace
 from nilform.linalg import (
     Matrix,
@@ -26,7 +28,6 @@ from nilform.linalg import (
     matmul,
     rank,
     rref,
-    solve,
     sparse_kernel,
 )
 from nilform.rational import ZERO, rat
@@ -97,9 +98,22 @@ def test_inverse_and_solve_match_reference(seed):
                     inverse(mat)
             else:
                 assert inverse(mat) == expected
-        for _ in range(3):
-            b = [_entry(rng) for _ in range(mat.nrows)]
-            assert solve(mat, b) == ref.solve(mat, b)
+        ad = linalg._integer_columns(mat)
+        for _ in range(3):                  # corrections b + u on slots with A (b + u) = 0
+            b = [_entry(rng) for _ in range(mat.ncols)]
+            slots = sorted(rng.sample(range(mat.ncols), rng.randint(1, mat.ncols)))
+            u = ref.solve(
+                Matrix([[row[s] for s in slots] for row in mat.data]),
+                [-x for x in ref.matvec(mat, b)],
+            )
+            if u is None:
+                with pytest.raises(TemplateMismatch):
+                    template._solve_correction(ad, b, slots)
+            else:
+                expected = list(b)
+                for s, x in zip(slots, u):
+                    expected[s] += x
+                assert template._solve_correction(ad, b, slots) == expected
 
 
 def _conjugate(g, rng):

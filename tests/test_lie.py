@@ -114,6 +114,42 @@ def test_is_abelian_subspace_on_derived_algebra():
     assert g24.is_abelian_subspace(g24.center())
 
 
+def test_subspace_equality_is_canonical():
+    """A Subspace is its reduced integer echelon, however its spanning vectors come.
+
+    C1 is respanned from a triangular recombination of its rescaled rref
+    rows, in shuffled order, so the forward echelon is not yet reduced.
+    """
+    rng = random.Random(5)
+    for g in (mu10_1(), catalog.build(24, 4), catalog.build(7, 4, rat(1, 2))):
+        c1 = g.derived_subalgebra()
+        rows = c1.basis_vectors()
+        mixed = []
+        for i, v in enumerate(rows):
+            s = rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            mixed.append([s * x + sum(w[k] for w in rows[i + 1 :]) for k, x in enumerate(v)])
+        rng.shuffle(mixed)
+        span = Subspace.span(g.dim, mixed)
+        assert span == c1 and hash(span) == hash(c1)
+        assert span.matrix == c1.matrix and span.pivots == c1.pivots
+    assert Subspace.full(6) == Subspace.span(6, Matrix.identity(6).rows())
+    assert hash(Subspace.full(6)) == hash(Subspace.span(6, Matrix.identity(6).rows()))
+    assert Subspace.span(2, [[1, 1]]) != Subspace.span(2, [[1, 2]])   # one pivot, two lines
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(3, [[1, 0, 0], [0, 1]])
+
+
+def test_contains_subspace_reads_every_row():
+    plane = Subspace.span(3, [basis_vec(3, 0), basis_vec(3, 1)])
+    assert not plane.contains_subspace(Subspace.full(3))          # only e3 is outside
+    assert Subspace.full(3).contains_subspace(plane)
+    assert plane.contains([rat(1, 2), 7, 0]) and not plane.contains([0, 0, rat(1, 3)])
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(4).contains_subspace(plane)
+    with pytest.raises(DimensionMismatch):
+        plane.contains([1, 0])
+
+
 def test_series_reach_zero():
     g = mu10_1()
     lcs = g.lower_central_series()

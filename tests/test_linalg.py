@@ -9,7 +9,6 @@ from nilform.linalg import (
     inverse,
     kernel_basis,
     matmul,
-    matvec,
     nilpotent_jordan_profile,
     rank,
     rank_sequence,
@@ -17,6 +16,7 @@ from nilform.linalg import (
     sparse_kernel,
 )
 from nilform.rational import ONE, ZERO, rat
+from reference_linalg import matvec
 
 
 def poly_eval_matrix(coeffs, a: Matrix) -> Matrix:
