@@ -197,7 +197,9 @@ def catalog_export(n, alphas, out):
 @click.option("--family", type=int, default=None)
 def catalog_errata(family):
     """Show documented deviations from the printed listing."""
-    targets = [family] if family else sorted(catalog.ERRATA)
+    if family is not None and family not in catalog.FAMILIES:
+        raise click.BadParameter(f"no family {family}", param_hint="'--family'")
+    targets = [family] if family is not None else sorted(catalog.ERRATA)
     for i in targets:
         notes = catalog.errata(i)
         if not notes:

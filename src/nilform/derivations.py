@@ -8,7 +8,9 @@ it does not.  The set of x with D[x,y] = [Dx,y] + [x,Dy] for every y is a
 subalgebra (by Jacobi), so imposing the rule on the pairs (generator, basis
 vector) is enough.  The integer kernel is lifted to the n^2 matrix entries
 and row-reduced once with the columns reversed, which gives exactly the
-canonical rref kernel basis of the full n^2 Leibniz system.
+canonical rref kernel basis of the full n^2 Leibniz system.  The space
+keeps that basis as integer columns; rationals are built only when its
+`basis` is read.
 
 Diagonal derivations come from the integer kernel of the weight system
 lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
@@ -44,7 +46,6 @@ from .linalg import (
     _combine,
     _echelon,
     _fold,
-    _integer_columns,
     _integer_kernel,
     _inverse_echelon,
     _primitive,
@@ -60,13 +61,25 @@ CHARNILP_SEED = 987654321
 
 @dataclass
 class DerivationSpace:
+    """Der(g) in its rref basis D_t; `basis`, the D_t as Matrices, is built when read.
+
+    cleared[t] is (p_t, the sparse integer columns {row: int} of p_t D_t),
+    p_t > 0 the least integer that clears D_t: its entry at free_positions[t].
+    """
     algebra: LieAlgebra
-    basis: list                  # list of n x n Matrix
+    cleared: list = field(repr=False)
     free_positions: list = field(repr=False)  # vectorized coords giving coefficients
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.cleared)
+
+    @cached_property
+    def basis(self):
+        n = self.algebra.dim
+        rows = ([[rat(c[l], p) if l in c else ZERO for c in cols] for l in range(n)]
+                for p, cols in self.cleared)
+        return [Matrix(data, copy=False) for data in rows]
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
@@ -217,11 +230,10 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
        columns of the forms, one {entry: coefficient} per unknown.
        Coordinate c is free in the n^2 system iff some derivation has its
        last nonzero entry at c, so one `_echelon` with the columns
-       reversed returns the free positions, and its rows, divided by their
-       pivots, are the rref kernel basis.
+       reversed returns the free positions, and each of its rows is an
+       rref basis derivation times its pivot, kept as integer columns.
     The structure constants are read as integers from
-    `LieAlgebra.integer_brackets`; rationals are built only for the
-    output rows.
+    `LieAlgebra.integer_brackets`, and no rational is built.
 
     g must satisfy Jacobi, which `LieAlgebra` does not check (see
     `jacobi_check`): on a table that fails it, steps 1 and 3 no longer
@@ -247,43 +259,41 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
             for u, c in f.items():
                 fcols[u][k] = c
     canon = _echelon(_primitive(_combine(fcols, x)) for x in kernel)
-    free_positions, basis = [], []
+    free_positions, cleared = [], []
     for c in sorted(canon, reverse=True):
         row = canon[c]
-        data = [[ZERO] * n for _ in range(n)]
+        cols = [{} for _ in range(n)]
         for k, v in row.items():
             l, b = divmod(last - k, n)
-            data[l][b] = rat(v, row[c])
+            cols[b][l] = v
         free_positions.append(last - c)
-        basis.append(Matrix(data, copy=False))
-    return DerivationSpace(algebra=g, basis=basis, free_positions=free_positions)
+        cleared.append((row[c], cols))
+    return DerivationSpace(algebra=g, cleared=cleared, free_positions=free_positions)
 
 
 def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
     """Der(g) as a Lie algebra under the commutator, in the rref basis.
 
-    Each basis derivation D_a = C_a / d_a is cleared to integer columns
-    once.  Column j of d_a d_b [D_a, D_b] is one `_combine` of the columns
-    of C_a and C_b, and its coordinates are its entries at the free
+    Each basis derivation is D_a = C_a / d_a, (d_a, C_a) as the space
+    keeps it.  Column j of d_a d_b [D_a, D_b] is one `_combine` of the
+    columns of C_a and C_b, and its coordinates are its entries at the free
     positions, divided by d_a d_b.  The commutator must equal the
     combination of the basis with those coordinates; the check runs on
-    integers, each basis matrix flattened and scaled to the common
-    denominator of the basis.
+    integers, each C_a flattened and scaled to den, the lcm of the d_a.
     """
     space = derivation_space(g)
     r = space.dim
     n = g.dim
-    cleared = [_integer_columns(b) for b in space.basis]
-    den = lcm(*(d for d, _ in cleared))
+    den = lcm(*(d for d, _ in space.cleared))
     flat = [
         {i * n + j: (den // d) * v for j, col in enumerate(cols) for i, v in col.items()}
-        for d, cols in cleared
+        for d, cols in space.cleared
     ]
     brackets = {}
     for a in range(r):
-        da, ca = cleared[a]
+        da, ca = space.cleared[a]
         for b in range(a + 1, r):
-            db, cb = cleared[b]
+            db, cb = space.cleared[b]
             rows = ca + cb                  # column j: C_a C_b e_j - C_b C_a e_j
             comm = {}
             for j in range(n):
@@ -472,7 +482,7 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
     witness = diagonal_witness(g)
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
-    basis_int = [_integer_columns(b)[1] for b in derivation_space(g).basis]
+    basis_int = [cols for _, cols in derivation_space(g).cleared]
     r = len(basis_int)
     if r == 0:
         return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})

@@ -4,7 +4,8 @@ Round-trips are bit exact because rationals serialize in canonical lowest
 terms and bracket pairs are emitted in sorted order.  Reading a file that
 is not JSON, or has a missing or invalid field, raises MalformedFile with
 a one-line message naming the field.  So does a `dim` above MAX_DIM,
-before anything of that size is built.
+before anything of that size is built, and a bracket pair or a coefficient
+index (say "3" and "03") listed twice.
 """
 
 from __future__ import annotations
@@ -70,11 +71,16 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
         j = _index(_get(item, "j", f"{at}.j"), dim, f"{at}.j")
         if i >= j:
             raise MalformedFile(f"{at}: pair ({i + 1}, {j + 1}) needs i < j")
+        if (i, j) in brackets:
+            raise MalformedFile(f"{at}: pair ({i + 1}, {j + 1}) listed twice")
         coeffs = _parse(_get(item, "coeffs", f"{at}.coeffs"), dict, f"{at}.coeffs")
         comp = {}
         for k, v in coeffs.items():
             name = f"{at}.coeffs[{k!r}]"
-            comp[_index(k, dim, name)] = _parse(v, parse_rat, name)
+            index = _index(k, dim, name)
+            if index in comp:
+                raise MalformedFile(f"{name}: index {index + 1} listed twice")
+            comp[index] = _parse(v, parse_rat, name)
         brackets[(i, j)] = comp
     return LieAlgebra(dim, brackets, labels=tuple(labels) if labels else None)
 

@@ -15,7 +15,9 @@ db * da` and reads them with `coordinates_of`.
 derivation space that `DerivationSpace` carried before the derivation
 algebra read its commutators on integers: the combination of the basis
 with given coefficients, and the coefficients of a matrix, checked against
-that combination.
+that combination.  They read any object with `algebra`, `basis` and
+`free_positions`; the reference solver returns its own such record,
+`ReferenceSpace`, so that it does not depend on the library class.
 
 `is_characteristically_nilpotent` is the decision used before it ran on
 sparse integer powers: it computes the characteristic polynomial of every
@@ -29,12 +31,25 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from nilform.derivations import CHARNILP_SEED, DerivationSpace, diagonal_derivations
+from nilform.derivations import CHARNILP_SEED, diagonal_derivations
 from nilform.derivations import derivation_space as generator_space
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra
 from nilform.linalg import Matrix, char_poly, sparse_kernel
 from nilform.rational import ONE, ZERO, rat
+
+
+@dataclass
+class ReferenceSpace:
+    """A derivation space: its rref basis as rational Matrices and its free positions."""
+
+    algebra: LieAlgebra
+    basis: list
+    free_positions: list
+
+    @property
+    def dim(self):
+        return len(self.basis)
 
 
 def element(space, coeffs):
@@ -96,7 +111,7 @@ def _leibniz_rows(g: LieAlgebra):
     return rows
 
 
-def derivation_space(g: LieAlgebra) -> DerivationSpace:
+def derivation_space(g: LieAlgebra) -> ReferenceSpace:
     """Exact kernel of the Leibniz constraint system, basis in rref order."""
     n = g.dim
     rows = _leibniz_rows(g)
@@ -107,7 +122,7 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
         Matrix([v[i * n : (i + 1) * n] for i in range(n)], copy=False)
         for v in kernel
     ]
-    return DerivationSpace(algebra=g, basis=basis, free_positions=free_positions)
+    return ReferenceSpace(algebra=g, basis=basis, free_positions=free_positions)
 
 
 def diagonal_witness(g: LieAlgebra):
@@ -153,7 +168,7 @@ def _integer_scaled(mat: Matrix):
 
 
 def is_characteristically_nilpotent(
-    g: LieAlgebra, seed=CHARNILP_SEED, space: DerivationSpace = None
+    g: LieAlgebra, seed=CHARNILP_SEED, space: ReferenceSpace = None
 ) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 

@@ -62,6 +62,8 @@ def test_bad_flags_exit_2():
     (("dertower", "--family", "200", "--dim", "8"), "--family"),
     (("dertower", "--family", "1", "--dim", "9"), "--dim"),
     (("catalog", "export", "--dim", "5"), "--dim"),
+    (("catalog", "errata", "--family", "999"), "--family"),
+    (("catalog", "errata", "--family", "0"), "--family"),
 ])
 def test_usage_errors_name_their_option(args, option):
     result = invoke(*args)
@@ -197,6 +199,11 @@ ALGEBRA_FILES = [
      2, "not valid JSON: nested too deeply"),
     (_heisenberg_file(dim=serialize.MAX_DIM + 1, labels=None, brackets=None),
      2, f"dim: {serialize.MAX_DIM + 1} exceeds the limit {serialize.MAX_DIM}"),
+    (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"3": "1"}},
+                                {"i": 1, "j": 2, "coeffs": {"3": "2"}}]),
+     2, "brackets[1]: pair (1, 2) listed twice"),
+    (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "2"}}]),
+     2, "brackets[0].coeffs['03']: index 3 listed twice"),
     # [e1, e2] = e1: Jacobi holds, but the algebra is not nilpotent
     (_heisenberg_file(dim=2, labels=None,
                       brackets=[{"i": 1, "j": 2, "coeffs": {"1": "1"}}]),
@@ -207,7 +214,8 @@ ALGEBRA_FILES = [
 @pytest.mark.parametrize("content,code,fragment", ALGEBRA_FILES, ids=[
     "zero-denominator", "decimal", "no-dim", "negative-dim", "truncated",
     "target-out-of-range",
-    "label-count", "deeply-nested", "dim-over-limit", "not-nilpotent",
+    "label-count", "deeply-nested", "dim-over-limit", "duplicate-pair",
+    "duplicate-index", "not-nilpotent",
 ])
 def test_check_file_malformed_or_not_nilpotent(tmp_path, content, code, fragment):
     path = tmp_path / "algebra.json"

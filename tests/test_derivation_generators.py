@@ -14,6 +14,11 @@ fails Jacobi pins what the solver returns outside its precondition.
 `derivation_algebra` forms the commutators of the basis on integers; it
 must give the same structure constants as the rational reference, and
 reject a commutator outside the space as the reference does.
+
+A `DerivationSpace` keeps each basis derivation as (scale, integer
+columns) and builds the rational `basis` only when it is read: the kept
+form must be what `linalg._integer_columns` gives for that matrix, and
+the library's own readers must never read `basis`.
 """
 
 import random
@@ -22,19 +27,20 @@ from functools import cache
 import pytest
 
 from nilform import catalog
-from nilform import derivations
+from nilform import derivations, invariants
 from nilform.derivations import (
     DerivationSpace,
     derivation_algebra,
     derivation_space,
+    is_characteristically_nilpotent,
     is_derivation,
 )
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra, Subspace, abelian, basis_vec, heisenberg
-from nilform.linalg import Matrix, rank
+from nilform.linalg import Matrix, _integer_columns, rank
 from nilform.rational import rat
 import reference_derivations
-from reference_derivations import coordinates_of, derivation_space as reference_space
+from reference_derivations import ReferenceSpace, coordinates_of, derivation_space as reference_space
 
 # Criterion-10 picks: (family, m, alpha).
 PICKS = [(65, 3, None), (66, 3, rat(2)), (81, 3, None), (84, 3, None),
@@ -137,13 +143,52 @@ def test_derivation_algebra_matches_reference():
 
 
 def test_derivation_algebra_rejects_a_commutator_outside_the_space(monkeypatch):
-    """span{E12, E21} is not closed: [E12, E21] = E11 - E22 has coordinates 0."""
+    """span{E12, E21} is not closed: [E12, E21] = E11 - E22 has coordinates 0.
+
+    The library space holds each basis matrix as (1, its integer columns);
+    the reference reads the same span as rational matrices.
+    """
     g = abelian(2)
     e12 = Matrix([[0, 1], [0, 0]])
     e21 = Matrix([[0, 0], [1, 0]])
-    space = DerivationSpace(algebra=g, basis=[e12, e21], free_positions=[1, 2])
+    space = DerivationSpace(algebra=g, cleared=[(1, [{}, {0: 1}]), (1, [{1: 1}, {}])],
+                            free_positions=[1, 2])
+    ref = ReferenceSpace(algebra=g, basis=[e12, e21], free_positions=[1, 2])
+    assert space.basis == ref.basis
     monkeypatch.setattr(derivations, "derivation_space", lambda _: space)
-    monkeypatch.setattr(reference_derivations, "generator_space", lambda _: space)
+    monkeypatch.setattr(reference_derivations, "generator_space", lambda _: ref)
     for algebra_of in (derivation_algebra, reference_derivations.derivation_algebra):
         with pytest.raises(DimensionMismatch):
             algebra_of(g)
+
+
+def _integer_form_inputs():
+    yield from (inst.algebra for n in (7, 8) for inst in catalog.enumerate_instances(n))
+    yield from _algebras("conjugates")[:3]
+
+
+def test_kept_columns_are_the_cleared_basis():
+    for g in _integer_form_inputs():
+        space = derivation_space(g)
+        assert len(space.basis) == len(space.cleared) == space.dim, g
+        for (scale, cols), d in zip(space.cleared, space.basis):
+            assert (scale, cols) == _integer_columns(d), g
+
+
+def test_library_readers_never_build_the_rational_basis(monkeypatch):
+    inputs = list(_integer_form_inputs())
+    expected = [
+        (invariants.fingerprint(g), is_characteristically_nilpotent(g), derivation_algebra(g))
+        for g in inputs
+    ]
+
+    def unread(space):
+        raise AssertionError("DerivationSpace.basis was read")
+
+    monkeypatch.setattr(DerivationSpace, "basis", property(unread))
+    with pytest.raises(AssertionError):
+        derivation_space(inputs[0]).basis
+    for g, (fp, charnilp, der) in zip(inputs, expected):
+        assert invariants.fingerprint(g) == fp, g
+        assert is_characteristically_nilpotent(g) == charnilp, g
+        assert derivation_algebra(g) == der, g
