@@ -16,20 +16,22 @@ central and derived series, the Jacobi check, the ideal test and the
 quotient, the basis change and the derivation solver read it and eliminate
 with the integer core of `linalg`.  Rationals are built only for what is
 returned, each integer divided by its known scale: the bracket, ad(v), the
-rref rows of a `Subspace` when they are read, the residual of a Jacobi
-failure and the new structure constants of a quotient or a basis change.
-A `Subspace` holds its reduced integer echelon, which is canonical, and
-compares, tests membership and projects on it.  The tensor is built on
-first use, so algebras that are never queried pay nothing, and the forward
-echelon of C1 is kept beside it once built, so the characteristic sequence
-and the series share one elimination of C1.  Algebras are treated as
-immutable after construction, so everything here is safe to share across
-threads: two threads that race on the first use build equal tensors.
+rref rows of a `Subspace` and the matrix of a `BasisChange` when read, the
+residual of a Jacobi failure and the new constants of a quotient or a basis
+change.  A `Subspace` holds its reduced integer echelon, which is
+canonical, and compares, tests membership and projects on it.  The tensor
+is built on first use, so algebras that are never queried pay nothing, and
+the forward echelon of C1 is kept beside it once built, so the
+characteristic sequence and the series share one elimination of C1.
+Algebras are treated as immutable after construction, so everything here
+is safe to share across threads: two threads that race on the first use
+build equal tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch, NotAnIdeal
 from .linalg import (
@@ -552,32 +554,40 @@ class LieAlgebra:
 
 
 class BasisChange:
-    """Invertible transition matrix, optionally tagged with its kind.
+    """Invertible transition matrix T, optionally tagged with its kind.
 
-    T is cleared to integers and eliminated once, here: with d the common
-    denominator of T, it keeps d and the integer columns of d T, and
-    `change_basis` reads (d T)^-1 from the kept integer echelon of
-    [d T | I].  A singular T raises SingularTransform.
+    T comes as a `Matrix` or as (d, columns): d the least common denominator
+    of T and the sparse integer columns {row: int} of d T, the form it is
+    kept in.  `change_basis` reads (d T)^-1 from the kept integer echelon of
+    [d T | I]; the rational `matrix` is built when first read.  A singular T
+    raises SingularTransform.
     """
 
     KINDS = ("I", "II", "III", "IV", "general")
 
-    def __init__(self, matrix: Matrix, kind="general"):
+    def __init__(self, matrix, kind="general"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown basis-change kind {kind!r}")
-        if matrix.nrows != matrix.ncols:
-            raise DimensionMismatch("basis change must be square")
-        self._scale, self._columns = _integer_columns(matrix)
-        rows = [[] for _ in range(matrix.nrows)]
+        if isinstance(matrix, Matrix):
+            if matrix.nrows != matrix.ncols:
+                raise DimensionMismatch("basis change must be square")
+            matrix = _integer_columns(matrix)
+        self._scale, self._columns = matrix
+        n = len(self._columns)
+        rows = [[] for _ in range(n)]
         for j, col in enumerate(self._columns):
             for i, v in col.items():
                 rows[i].append((j, v))
-        self._inverse = _inverse_echelon(rows, matrix.nrows)
-        self.matrix = matrix
+        self._inverse = _inverse_echelon(rows, n)
         self.kind = kind
 
+    @cached_property
+    def matrix(self):
+        n = len(self._columns)
+        return Matrix.from_cols([_rref_row(col, self._scale, n) for col in self._columns])
+
     def __repr__(self):
-        return f"BasisChange(kind {self.kind}, n={self.matrix.nrows})"
+        return f"BasisChange(kind {self.kind}, n={len(self._columns)})"
 
 
 def from_bracket_list(dim, entries, labels=None, meta=None):

@@ -4,8 +4,9 @@ Round-trips are bit exact because rationals serialize in canonical lowest
 terms and bracket pairs are emitted in sorted order.  Reading a file that
 is not JSON, or has a missing or invalid field, raises MalformedFile with
 a one-line message naming the field.  So does a `dim` above MAX_DIM,
-before anything of that size is built, and a bracket pair or a coefficient
-index (say "3" and "03") listed twice.
+before anything of that size is built, a bracket pair or a coefficient
+index (say "3" and "03") listed twice, a key repeated in one JSON object,
+and a JSON number with a fraction or a boolean for `dim`, `i` or `j`.
 """
 
 from __future__ import annotations
@@ -44,16 +45,23 @@ def _parse(value, parse, name):
         raise MalformedFile(f"{name}: bad value {value!r}") from None
 
 
+def _int(value, name):
+    """An int or a numeral string as an int; a JSON float or boolean is refused."""
+    if isinstance(value, (bool, float)):
+        raise MalformedFile(f"{name}: bad value {value!r}")
+    return _parse(value, int, name)
+
+
 def _index(value, dim, name):
     """A 1-based index in 1..dim, returned 0-based."""
-    i = _parse(value, int, name)
+    i = _int(value, name)
     if not 1 <= i <= dim:
         raise MalformedFile(f"{name}: index {i} outside 1..{dim}")
     return i - 1
 
 
 def algebra_from_dict(d: dict) -> LieAlgebra:
-    dim = _parse(_get(d, "dim", "dim"), int, "dim")
+    dim = _int(_get(d, "dim", "dim"), "dim")
     if dim < 0:
         raise MalformedFile(f"dim: bad value {dim}")
     if dim > MAX_DIM:
@@ -89,9 +97,19 @@ def dumps(g: LieAlgebra) -> str:
     return json.dumps(algebra_to_dict(g), indent=1, sort_keys=False)
 
 
+def _unique_keys(pairs):
+    """The JSON object of (key, value) pairs, refusing a key that comes twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedFile(f"key {key!r}: listed twice in one object")
+        obj[key] = value
+    return obj
+
+
 def loads(text: str) -> LieAlgebra:
     try:
-        d = json.loads(text)
+        d = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -7,30 +7,24 @@ a_ij); instantiate/template_match convert between the parameter form and
 explicit structure constants.
 
 The type I-IV changes move to another adapted basis.  Types I, II and IV
-leave the chain images implicit: they are regenerated by the adjoint
-operator of the (new) X1, and the Y-images of type II pick up determined
-corrections so that [X1', Yi'] = 0 again.  Type III is a plain
-substitution.  X1' is cleared to integers once per change, and the chain
-and the corrections run on the integer columns of a positive multiple of
-ad(X1') (`LieAlgebra.ad_columns`); rationals are built only for the
-columns of the new basis.
+regenerate the chain images with the adjoint operator of the (new) X1,
+and the Y-images of type II pick up determined corrections so that
+[X1', Yi'] = 0 again; type III is a plain substitution.  Each change is
+built from integer columns (d, v), the vector v / d: the parameters are
+cleared once, the chain and the corrections run on the integer columns of
+a positive multiple of ad(X1') (`LieAlgebra.ad_columns`), and no rational
+is built.  The `BasisChange` keeps the columns over their common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .errors import TemplateMismatch
-from .lie import BasisChange, LieAlgebra, basis_vec, from_bracket_list, zero_vec
-from .linalg import Matrix, _combine, _echelon, _primitive, _rref_row, _scaled
+from .lie import BasisChange, LieAlgebra, from_bracket_list
+from .linalg import _combine, _echelon, _primitive, _scaled
 from .rational import ONE, ZERO, rat
-
-
-def _vec(n, entries):
-    v = zero_vec(n)
-    for k, c in entries.items():
-        v[k] = rat(c)
-    return v
 
 
 @dataclass(frozen=True)
@@ -195,39 +189,38 @@ def template_match(g: LieAlgebra):
 # -- adapted-basis changes ----------------------------------------------------
 
 def _ad(g: LieAlgebra, x1):
-    """(s, A): A the integer columns of s ad(x1), s > 0, for a rational vector x1."""
-    d, v = _scaled(enumerate(x1))
-    return g._denominator() * d, g.ad_columns(v)
+    """(s, A): A the integer columns of s ad(x1), s > 0, for a column x1."""
+    return g._denominator() * x1[0], g.ad_columns(x1[1])
 
 
 def _chain_from(ad, x2):
     """[X2', X3', X4', X5', X6'] = x2 and its images under ad(X1') = A / s.
 
-    With x2 = v / d cleared to integers, ad(X1')^k x2 is A^k v / (d s^k).
+    With x2 the column (d, v), ad(X1')^k x2 is the column (d s^k, A^k v).
     """
     s, cols = ad
-    d, v = _scaled(enumerate(x2))
+    d, v = x2
     out = [x2]
     for _ in range(4):
         v = _combine(cols, v)
         d *= s
-        out.append(_rref_row(v, d, len(x2)))
+        out.append((d, v))
     return out
 
 
 def _solve_correction(ad, base, slots):
-    """base + sum(u_t e_slot_t) with [X1', base + correction] = 0.
+    """The column base + sum(u_t e_slot_t) with [X1', base + correction] = 0.
 
-    With base = b / d cleared to integers and A the integer columns of
-    s ad(X1'), the u_t are w_t / d for the solution w of
-    sum_t w_t A e_slot_t = -A b (s cancels).  The rref of [A e_slot | -A b]
-    is unique, so w is too, with its free coordinates set to 0.  The
-    corrected vector is checked by one more integer product, which must
-    vanish.
+    With base = (d, b) and A the integer columns of s ad(X1'), u = w / d for
+    the solution w of sum_t w_t A e_slot_t = -A b (s cancels), unique with
+    its free coordinates set to 0: w_t = row[m] / row[t] for pivot row t of
+    the reduced integer echelon of [A e_slot | -A b].  With q the lcm of
+    the pivots row[t], the column is (q d, q b + sum (q / row[t]) row[m] e_slot_t),
+    and its product with A must vanish.
     """
     _, cols = ad
     m = len(slots)
-    d, b = _scaled(enumerate(base))
+    d, b = base
     rows = {}
     for t, slot in enumerate(slots):
         for i, c in cols[slot].items():
@@ -236,18 +229,27 @@ def _solve_correction(ad, base, slots):
         rows.setdefault(i, {})[m] = -c
     pivots = _echelon(_primitive(row) for row in rows.values())
     if m in pivots:
-        raise TemplateMismatch(
-            "basis change cannot be adapted: [X1', Yi'] = 0 is unsolvable"
-        )
-    corr = list(base)
+        raise TemplateMismatch("basis change cannot be adapted: [X1', Yi'] = 0 is unsolvable")
+    q = lcm(*(row[t] for t, row in pivots.items()))
+    v = {i: q * x for i, x in b.items()}
     for t, row in pivots.items():
-        if m in row:
-            corr[slots[t]] += rat(row[m], row[t] * d)
-    if _combine(cols, _scaled(enumerate(corr))[1]):
-        raise TemplateMismatch(
-            "basis change cannot be adapted: correction left a residual"
-        )
-    return corr
+        v[slots[t]] = v.get(slots[t], 0) + q // row[t] * row.get(m, 0)
+    if _combine(cols, v):
+        raise TemplateMismatch("basis change cannot be adapted: correction left a residual")
+    return q * d, v
+
+
+def _change(cols, kind):
+    """The `BasisChange` of columns (d, v) over their least common denominator.
+
+    Each column is put in lowest terms (zeros dropped), so the lcm of the d is that of T.
+    """
+    low = []
+    for d, v in cols:
+        c = gcd(d, *v.values())
+        low.append((d // c, {i: x // c for i, x in v.items() if x}))
+    scale = lcm(*(d for d, _ in low))
+    return BasisChange((scale, [{i: scale // d * x for i, x in v.items()} for d, v in low]), kind)
 
 
 def type_i_change(g: LieAlgebra, a, b) -> BasisChange:
@@ -258,16 +260,16 @@ def type_i_change(g: LieAlgebra, a, b) -> BasisChange:
     The chain X3'..X6' is regenerated by ad(X1).
     """
     n = g.dim
+    if n < 8 or len(a) != 7 or len(b) != 5:
+        raise TemplateMismatch("type I needs two Y's, a = (a2..a8) and b = (b1..b5)")
     a2, a3, a4, a5, a6, a7, a8 = (rat(x) for x in a)
     b1, b2, b3, b4, b5 = (rat(x) for x in b)
     if a2 == 0 or b1 == 0 or b4 == 0:
         raise TemplateMismatch("type I requires a2, b1, b4 nonzero")
-    x2 = _vec(n, {1: a2, 2: a3, 3: a4, 4: a5, 5: a6, 6: a7, 7: a8})
-    cols = [basis_vec(n, 0)] + _chain_from(_ad(g, basis_vec(n, 0)), x2)
-    y1 = _vec(n, {6: b1, 7: b2, 5: b3})
-    y2 = _vec(n, {7: b4, 5: b5})
-    ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
-    return BasisChange(Matrix.from_cols(cols + ys), kind="I")
+    e = [(1, {i: 1}) for i in range(n)]
+    x2 = _scaled({1: a2, 2: a3, 3: a4, 4: a5, 5: a6, 6: a7, 7: a8}.items())
+    ys = [_scaled({6: b1, 7: b2, 5: b3}.items()), _scaled({7: b4, 5: b5}.items())]
+    return _change([e[0]] + _chain_from(_ad(g, e[0]), x2) + ys + e[8:], "I")
 
 
 def type_ii_change(g: LieAlgebra, a, b2, b7, c2, b3=0, c3=0) -> BasisChange:
@@ -279,42 +281,32 @@ def type_ii_change(g: LieAlgebra, a, b2, b7, c2, b3=0, c3=0) -> BasisChange:
     Y's) that restore [X1', Yi'] = 0.
     """
     n = g.dim
+    if n < 8:
+        raise TemplateMismatch("type II needs at least two Y's")
     avals = [rat(x) for x in a]
     if len(avals) != 8 or avals[0] == 0:
         raise TemplateMismatch("type II requires a = (a1..a8) with a1 != 0")
-    if rat(b2) == 0 or rat(c2) == 0:
+    b2, b7, c2, b3, c3 = (rat(x) for x in (b2, b7, c2, b3, c3))
+    if b2 == 0 or c2 == 0:
         raise TemplateMismatch("type II requires b2, c2 nonzero")
-    x1 = _vec(n, {i: avals[i] for i in range(6)})
-    x1[6] = avals[6]
-    x1[7] = avals[7]
+    e = [(1, {i: 1}) for i in range(n)]
+    x1 = _scaled(enumerate(avals))
     ad = _ad(g, x1)
-    cols = [x1] + _chain_from(ad, basis_vec(n, 1))
-    y1 = _solve_correction(ad, _vec(n, {6: b2, 7: b7, 5: b3}), (2, 3, 4))
-    y2 = _solve_correction(ad, _vec(n, {7: c2, 5: c3}), (3, 4))
-    ys = [y1, y2]
-    for k in range(2, n - 6):
-        ys.append(_solve_correction(ad, basis_vec(n, 6 + k), (4,)))
-    return BasisChange(Matrix.from_cols(cols + ys), kind="II")
+    y1 = _solve_correction(ad, _scaled({6: b2, 7: b7, 5: b3}.items()), (2, 3, 4))
+    y2 = _solve_correction(ad, _scaled({7: c2, 5: c3}.items()), (3, 4))
+    ys = [y1, y2] + [_solve_correction(ad, y, (4,)) for y in e[8:]]
+    return _change([x1] + _chain_from(ad, e[1]) + ys, "II")
 
 
 def type_iii_change(g: LieAlgebra, alphas) -> BasisChange:
     """Y1..Y4 shifted by multiples of Y4, Y5; everything else fixed."""
     n = g.dim
-    if n - 6 < 5:
-        raise TemplateMismatch("type III needs at least five Y's")
+    if n - 6 < 5 or len(alphas) != 7:
+        raise TemplateMismatch("type III needs at least five Y's and alphas = (a1..a7)")
     a1, a2, a3, a4, a5, a6, a7 = (rat(x) for x in alphas)
-    t = Matrix.identity(n).rows()
-    # columns express new basis vectors; adjust Y columns.
-    cols = [list(col) for col in zip(*t)]
-    y = lambda k: 5 + k
-    cols[y(1)][y(4)] = a1
-    cols[y(1)][y(5)] = a2
-    cols[y(2)][y(4)] = a3
-    cols[y(2)][y(5)] = a4
-    cols[y(3)][y(4)] = a5
-    cols[y(3)][y(5)] = a6
-    cols[y(4)][y(5)] = a7
-    return BasisChange(Matrix.from_cols(cols), kind="III")
+    ys = [{6: 1, 9: a1, 10: a2}, {7: 1, 9: a3, 10: a4}, {8: 1, 9: a5, 10: a6}, {9: 1, 10: a7}]
+    e = [(1, {i: 1}) for i in range(n)]
+    return _change(e[:6] + [_scaled(y.items()) for y in ys] + e[10:], "III")
 
 
 def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:
@@ -322,12 +314,10 @@ def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:
     n = g.dim
     if n - 6 < 3:
         raise TemplateMismatch("type IV needs at least three Y's")
-    x2 = _vec(n, {1: ONE, 8: rat(alpha)})
-    cols = [basis_vec(n, 0)] + _chain_from(_ad(g, basis_vec(n, 0)), x2)
-    y1 = _vec(n, {6: ONE, 8: rat(beta)})
-    y2 = _vec(n, {7: ONE, 8: rat(gamma)})
-    ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
-    return BasisChange(Matrix.from_cols(cols + ys), kind="IV")
+    e = [(1, {i: 1}) for i in range(n)]
+    x2 = _scaled({1: 1, 8: rat(alpha)}.items())
+    ys = [_scaled({6: 1, 8: rat(beta)}.items()), _scaled({7: 1, 8: rat(gamma)}.items())]
+    return _change([e[0]] + _chain_from(_ad(g, e[0]), x2) + ys + e[8:], "IV")
 
 
 # -- closed-form transformed constants ----------------------------------------

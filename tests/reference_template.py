@@ -1,20 +1,28 @@
 """Reference adapted-basis changes, for differential tests.
 
-This is the version nilform used before the type I, II and IV changes ran
-on the integer columns of ad(X1'): the chain X3'..X6' comes from repeated
-rational `LieAlgebra.bracket` calls, and each correction of type II solves
-its rational system with the reference field `solve` and checks the residual with one
-more rational bracket.  The new changes must return the same
-`BasisChange.matrix`, and raise `TemplateMismatch` with the same message.
+This is the version nilform used before the type I-IV changes ran on
+integer columns: every column is a dense rational list, the chain X3'..X6'
+comes from repeated rational `LieAlgebra.bracket` calls, each correction of
+type II solves its rational system with the reference field `solve` and
+checks the residual with one more rational bracket, and type III edits the
+columns of a rational identity matrix.  The new changes must return the
+same `BasisChange.matrix`, and raise `TemplateMismatch` with the same
+message.
 """
 
 from nilform.errors import TemplateMismatch
-from nilform.lie import BasisChange, LieAlgebra, basis_vec
+from nilform.lie import BasisChange, LieAlgebra, basis_vec, zero_vec
 from nilform.linalg import Matrix
 from nilform.rational import ONE, rat
-from nilform.template import _vec
 
 from reference_linalg import solve
+
+
+def _vec(n, entries):
+    v = zero_vec(n)
+    for k, c in entries.items():
+        v[k] = rat(c)
+    return v
 
 
 def _chain_from(g: LieAlgebra, x1, x2):
@@ -80,6 +88,25 @@ def type_ii_change(g: LieAlgebra, a, b2, b7, c2, b3=0, c3=0) -> BasisChange:
     for k in range(2, n - 6):
         ys.append(_solve_correction(g, x1, basis_vec(n, 6 + k), (4,)))
     return BasisChange(Matrix.from_cols(cols + ys), kind="II")
+
+
+def type_iii_change(g: LieAlgebra, alphas) -> BasisChange:
+    n = g.dim
+    if n - 6 < 5:
+        raise TemplateMismatch("type III needs at least five Y's")
+    a1, a2, a3, a4, a5, a6, a7 = (rat(x) for x in alphas)
+    t = Matrix.identity(n).rows()
+    # columns express new basis vectors; adjust Y columns.
+    cols = [list(col) for col in zip(*t)]
+    y = lambda k: 5 + k
+    cols[y(1)][y(4)] = a1
+    cols[y(1)][y(5)] = a2
+    cols[y(2)][y(4)] = a3
+    cols[y(2)][y(5)] = a4
+    cols[y(3)][y(4)] = a5
+    cols[y(3)][y(5)] = a6
+    cols[y(4)][y(5)] = a7
+    return BasisChange(Matrix.from_cols(cols), kind="III")
 
 
 def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:

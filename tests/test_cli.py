@@ -204,6 +204,15 @@ ALGEBRA_FILES = [
      2, "brackets[1]: pair (1, 2) listed twice"),
     (_heisenberg_file(brackets=[{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "2"}}]),
      2, "brackets[0].coeffs['03']: index 3 listed twice"),
+    ('{"dim": 3, "dim": 4}', 2, "key 'dim': listed twice in one object"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "3": "2"}}]}',
+     2, "key '3': listed twice in one object"),
+    ('{"dim": 3.7}', 2, "dim: bad value 3.7"),
+    ('{"dim": true}', 2, "dim: bad value True"),
+    ('{"dim": 3, "brackets": [{"i": 1.9, "j": 2, "coeffs": {"3": "1"}}]}',
+     2, "brackets[0].i: bad value 1.9"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": true, "coeffs": {"3": "1"}}]}',
+     2, "brackets[0].j: bad value True"),
     # [e1, e2] = e1: Jacobi holds, but the algebra is not nilpotent
     (_heisenberg_file(dim=2, labels=None,
                       brackets=[{"i": 1, "j": 2, "coeffs": {"1": "1"}}]),
@@ -215,7 +224,8 @@ ALGEBRA_FILES = [
     "zero-denominator", "decimal", "no-dim", "negative-dim", "truncated",
     "target-out-of-range",
     "label-count", "deeply-nested", "dim-over-limit", "duplicate-pair",
-    "duplicate-index", "not-nilpotent",
+    "duplicate-index", "repeated-key", "repeated-coeff-key", "float-dim", "bool-dim",
+    "float-index", "bool-index", "not-nilpotent",
 ])
 def test_check_file_malformed_or_not_nilpotent(tmp_path, content, code, fragment):
     path = tmp_path / "algebra.json"

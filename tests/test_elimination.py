@@ -106,14 +106,16 @@ def test_inverse_and_solve_match_reference(seed):
                 Matrix([[row[s] for s in slots] for row in mat.data]),
                 [-x for x in ref.matvec(mat, b)],
             )
+            base = linalg._scaled(enumerate(b))     # the column (d, v) of b
             if u is None:
                 with pytest.raises(TemplateMismatch):
-                    template._solve_correction(ad, b, slots)
+                    template._solve_correction(ad, base, slots)
             else:
                 expected = list(b)
                 for s, x in zip(slots, u):
                     expected[s] += x
-                assert template._solve_correction(ad, b, slots) == expected
+                d, v = template._solve_correction(ad, base, slots)
+                assert linalg._rref_row(v, d, mat.ncols) == expected
 
 
 def _conjugate(g, rng):

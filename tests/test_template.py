@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from nilform import catalog
+from nilform import catalog, linalg
 from nilform.errors import TemplateMismatch
-from nilform.lie import abelian
+from nilform.lie import BasisChange, abelian
 from nilform.rational import rat
 from nilform.template import (
     GenericN5Law,
@@ -144,3 +144,53 @@ def test_type_parameter_validation():
         type_ii_change(g, [0] * 8, 1, 0, 1)
     with pytest.raises(TemplateMismatch):
         type_iii_change(abelian(8), [0] * 7)
+    # too few Y's for an index-7 entry, or too few parameters: each names its type
+    g7 = instantiate(GenericN5Law.zero(7))
+    with pytest.raises(TemplateMismatch, match="type I "):
+        type_i_change(g7, [1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0])
+    with pytest.raises(TemplateMismatch, match="type II "):
+        type_ii_change(g7, [1] + [0] * 7, 1, 0, 1)
+    with pytest.raises(TemplateMismatch, match="type I "):
+        type_i_change(g, [1, 0, 0], [1, 0, 0, 1, 0])
+    with pytest.raises(TemplateMismatch, match="type I "):
+        type_i_change(g, [1, 0, 0, 0, 0, 0, 0], [1, 0, 0])
+    with pytest.raises(TemplateMismatch, match="type III "):
+        type_iii_change(instantiate(GenericN5Law.zero(11)), [1, 2])
+
+
+def _seeded_changes(n, rng):
+    """(algebra, change) for seeded type I, II, III (n >= 11) and IV (n >= 9) changes."""
+    out = []
+    for _ in range(5):
+        g = instantiate(sample_transform_stratum(n, rng))
+        a = [_q(rng, True)] + [_q(rng) for _ in range(6)]
+        b = [_q(rng, True), _q(rng), _q(rng), _q(rng, True), _q(rng)]
+        out.append((g, type_i_change(g, a, b)))
+        a = [_q(rng, True)] + [_q(rng) for _ in range(7)]
+        b2, b7, c2, b3, c3 = _q(rng, True), _q(rng), _q(rng, True), _q(rng), _q(rng)
+        out.append((g, type_ii_change(g, a, b2, b7, c2, b3=b3, c3=c3)))
+        if n >= 11:
+            out.append((g, type_iii_change(g, [_q(rng) for _ in range(7)])))
+        if n >= 9:
+            out.append((g, type_iv_change(g, _q(rng), _q(rng), _q(rng))))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_changes_keep_integer_columns(n, monkeypatch):
+    """A change keeps d and the integer columns of d T, and conjugates without its matrix."""
+    changes = _seeded_changes(n, random.Random(RNG_SEED + n))
+    kinds = {"I", "II"} | ({"III"} if n >= 11 else set()) | ({"IV"} if n >= 9 else set())
+    assert {c.kind for _, c in changes} == kinds
+    want = [template_match(g.change_basis(c)) for g, c in changes]
+    for _, c in changes:
+        assert (c._scale, c._columns) == linalg._integer_columns(c.matrix)
+
+    def unbuilt(self):
+        raise AssertionError("BasisChange.matrix was read")
+
+    monkeypatch.setattr(BasisChange, "matrix", property(unbuilt))
+    changes = _seeded_changes(n, random.Random(RNG_SEED + n))     # built under the patch
+    got = [template_match(g.change_basis(c)) for g, c in changes]
+    assert got == want
+    assert None not in got

@@ -1,4 +1,4 @@
-"""The integer type I, II and IV changes against the rational reference."""
+"""The integer type I-IV changes against the rational reference."""
 
 import random
 
@@ -22,7 +22,7 @@ def _q(rng, nonzero=False):
 
 @pytest.mark.parametrize("n", range(8, 13))
 def test_changes_match_reference(n):
-    rng = random.Random(SEED + n)
+    rng, rng3 = random.Random(SEED + n), random.Random(SEED - n)
     for _ in range(20):
         g = template.instantiate(template.sample_transform_stratum(n, rng))
         a = [_q(rng, True)] + [_q(rng) for _ in range(6)]
@@ -37,6 +37,12 @@ def test_changes_match_reference(n):
         if n >= 9:
             abc = _q(rng), _q(rng), _q(rng)
             assert template.type_iv_change(g, *abc).matrix == ref.type_iv_change(g, *abc).matrix
+        if n >= 11:                 # its own stream, so the draws above stay as they were
+            alphas = [_q(rng3) for _ in range(7)]
+            assert (
+                template.type_iii_change(g, alphas).matrix
+                == ref.type_iii_change(g, alphas).matrix
+            )
 
 
 def test_unsolvable_correction_matches_reference():
