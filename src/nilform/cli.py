@@ -45,7 +45,7 @@ def _parse_alphas(ctx, param, text):
 
     try:
         alphas = tuple(parse_rat(part) for part in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):     # 'x', or a zero denominator as in '1/0'
         raise click.BadParameter(f"expected comma-separated rationals, got {text!r}")
     if any(a == 0 for a in alphas):
         raise click.BadParameter("alpha samples must be nonzero")

@@ -165,10 +165,10 @@ def _generator_forms(g, br):
         dws.append(dw)
         todo.extend((p, len(ws) - 1) for p in range(len(gens)))
 
-    wrows = [[] for _ in range(n)]          # W has the columns w_t
+    wrows = [{} for _ in range(n)]          # W has the columns w_t
     for t, w in enumerate(ws):
         for i, x in w.items():
-            wrows[i].append((t, x))
+            wrows[i][t] = x
     inv = _inverse_echelon(wrows, n)
     d = lcm(*(inv[t][t] for t in range(n)))
     forms = [[{} for _ in range(n)] for _ in range(n)]

@@ -143,7 +143,7 @@ def _ad_kernel_maps(g: LieAlgebra):
     zero = {key for r in rows if len(r) == 1 for key in r}
     rows = ({key: c for key, c in r.items() if key not in zero} for r in rows)
     maps = []
-    for m in _integer_kernel((_primitive(r) for r in rows if r), n * n)[2]:
+    for m in _integer_kernel([_primitive(r) for r in rows if r], n * n)[2]:
         if zero.isdisjoint(m):
             cols = [{} for _ in range(n)]
             for key, c in m.items():

@@ -334,7 +334,7 @@ class LieAlgebra:
             for j, comp in brs.items():
                 for k, c in comp.items():
                     rows.setdefault((a, k), {})[j] = c
-        _, _, kernel = _integer_kernel((_primitive(r) for r in rows.values()), self.dim)
+        _, _, kernel = _integer_kernel([_primitive(r) for r in rows.values()], self.dim)
         return Subspace._of_echelon(self.dim, _echelon(map(_primitive, kernel), reduced=False))
 
     def _series(self, images):
@@ -574,10 +574,10 @@ class BasisChange:
             matrix = _integer_columns(matrix)
         self._scale, self._columns = matrix
         n = len(self._columns)
-        rows = [[] for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for j, col in enumerate(self._columns):
             for i, v in col.items():
-                rows[i].append((j, v))
+                rows[i][j] = v
         self._inverse = _inverse_echelon(rows, n)
         self.kind = kind
 

@@ -16,13 +16,18 @@ built only at the end, one division by the pivot per output entry; `rank`
 runs the forward pass only and builds none.  Kernels and inverses each
 have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
 by the rational entry points here, by `LieAlgebra.center`, by
-`BasisChange` and by the derivation solver.  The kernel reader verifies
-dependent rows instead of cancelling them to zero: once a row has cancelled
-to zero against as many pivots as its echelon E has kernel vectors, a later
-row that vanishes on ker E is skipped.  That is exact, because
-(ker E)^perp = row E over Q, so the row adds nothing to the row space, and
-the reduced echelon of that row space is canonical.  The kernel is built in
-one place, `_kernel_coordinates`, which also gives `Subspace.contains` and
+`BasisChange` and by the derivation solver; `_inverse_echelon` takes
+integer rows, and `inverse` clears its matrix once to give it them.  The
+kernel reader verifies dependent rows instead of cancelling them to zero:
+once its echelon E has a kept kernel, a row that vanishes on ker E is
+skipped.  That is exact, because (ker E)^perp = row E over Q, so the row
+adds nothing to the row space, and the reduced echelon of that row space
+is canonical.  The kernel is kept when it pays: it costs about p k entries
+to build, for p pivots and k kernel vectors, and at most k of the rows
+left can be independent, so a row that cancels to zero builds it when
+(rows left - k) times the cancellations spent on zero rows since the last
+build is at least p k.  The kernel is built in one place,
+`_kernel_coordinates`, which also gives `Subspace.contains` and
 `LieAlgebra.quotient` their projection.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
@@ -43,7 +48,7 @@ Berkowitz scheme, which is division-free.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotNilpotent, SingularTransform
@@ -316,7 +321,7 @@ def _kernel_coordinates(pivots, ncols):
 
 
 def _integer_kernel(rows, ncols):
-    """Kernel of sparse integer rows, on the reduced integer echelon E.
+    """Kernel of a sequence of sparse integer rows, on the reduced integer echelon E.
 
     Returns (pivot columns ascending, scale, vectors): scale is the lcm of
     the pivot entries, and there is one integer vector {col: int} per free
@@ -324,21 +329,27 @@ def _integer_kernel(rows, ncols):
     that column (see `_kernel_coordinates`).
 
     Most rows of a Leibniz system are dependent, and cancelling one to zero
-    costs a `_cancel` per pivot it meets, with growing integers.  So once a
-    row cancels to zero after at least as many cancellations as E has
-    kernel vectors, E is reduced in place and its kernel kept by coordinate;
-    each later row is tested with one `_combine` against it first.  A row
-    that vanishes on ker E lies in (ker E)^perp = row E over Q and is
-    skipped; any other row is independent: the kernel is dropped and the
-    row folded, and the next such zero row builds it again.  At the end
-    the echelon is reduced and its kernel built, unless the kept kernel is
-    still that of E; the vectors are read from it.  The rows
-    skipped leave the row space unchanged, and the reduced echelon of
-    primitive rows with positive pivots is canonical, so the pivots, scale
-    and vectors do not depend on which rows were skipped.
+    costs a `_cancel` per pivot it meets, with growing integers.  Keeping
+    the kernel of E instead costs about p k entries, one `_reduce` and one
+    `_kernel_coordinates`, with p the pivots of E and k = ncols - p its
+    kernel vectors; each later row is then tested with one `_combine`
+    against it.  Of the rows still to come at most k are independent, so
+    at least (rows left - k) of them are dependent.  With spent the
+    `_cancel` calls that rows cancelled to zero have cost since the last
+    build, a row that cancels to zero builds the kernel when
+    (rows left - k) spent >= p k: the rows still to come will save at least
+    the cost of the build.  A row that vanishes on ker E lies in
+    (ker E)^perp = row E over Q and is skipped; any other row is
+    independent: the kernel is dropped and the row folded, and a later
+    zero row may build it again.  At the end the echelon is reduced and its
+    kernel built, unless the kept kernel is still that of E; the vectors
+    are read from it.  The rows skipped leave the row space unchanged, and
+    the reduced echelon of primitive rows with positive pivots is
+    canonical, so the pivots, scale and vectors do not depend on which rows
+    were skipped.
     """
-    pivots, kcols = {}, None
-    for row in rows:
+    pivots, kcols, spent = {}, None, 0
+    for i, row in enumerate(rows):
         if kcols is not None:
             if not _combine(kcols, row):
                 continue
@@ -353,9 +364,13 @@ def _integer_kernel(rows, ncols):
             row = _cancel(row, prow, c)
             steps += 1
         else:
-            if steps >= ncols - len(pivots):
+            spent += steps
+            k = ncols - len(pivots)
+            # a zero input row cancels nothing: it builds no kernel while spent = 0
+            if spent and (len(rows) - i - 1 - k) * spent >= len(pivots) * k:
                 _reduce(pivots)
                 scale, kcols = _kernel_coordinates(pivots, ncols)
+                spent = 0
     if kcols is None:               # no kernel yet, or rows were folded since
         _reduce(pivots)
         scale, kcols = _kernel_coordinates(pivots, ncols)
@@ -366,13 +381,14 @@ def _integer_kernel(rows, ncols):
 
 
 def _inverse_echelon(rows, n):
-    """Reduced integer echelon of [M | I] for an n x n matrix M.
+    """Reduced integer echelon of [M | I] for an n x n integer matrix M.
 
-    rows holds the rows of M as (col, value) pairs, values ints or
-    rationals.  Returns {i: row} for i < n, where row i is p_i (e_i | row i
-    of M^-1) with p_i > 0.  Raises SingularTransform when M is singular.
+    rows holds the rows of M as sparse {col: int} dicts; the identity entry
+    is appended here, and it makes each row of [M | I] primitive.  Returns
+    {i: row} for i < n, where row i is p_i (e_i | row i of M^-1) with
+    p_i > 0.  Raises SingularTransform when M is singular.
     """
-    pivots = _echelon(_integer_row(chain(r, [(n + i, 1)])) for i, r in enumerate(rows))
+    pivots = _echelon({**r, n + i: 1} for i, r in enumerate(rows))
     if any(c not in pivots for c in range(n)):
         raise SingularTransform("matrix is singular")
     return pivots
@@ -404,7 +420,7 @@ def kernel_basis(a: Matrix):
     Each returned vector has a 1 in its free coordinate and zeros at the
     other free coordinates, so the basis is canonical.
     """
-    _, scale, kernel = _integer_kernel((_integer_row(enumerate(r)) for r in a.data), a.ncols)
+    _, scale, kernel = _integer_kernel([_integer_row(enumerate(r)) for r in a.data], a.ncols)
     return [_rref_row(v, scale, a.ncols) for v in kernel]
 
 
@@ -412,8 +428,14 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square:
         raise DimensionMismatch("inverse of non-square matrix")
     n = a.nrows
-    inv = _inverse_echelon((enumerate(r) for r in a.data), n)
-    return Matrix([_rref_row(inv[i], inv[i][i], 2 * n)[n:] for i in range(n)], copy=False)
+    # A^-1 = d (d A)^-1, with d the common denominator of A
+    d, entries = _scaled(((i, j), x) for i, row in enumerate(a.data) for j, x in enumerate(row))
+    rows = [{} for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    inv = _inverse_echelon(rows, n)
+    inv_d = (_rref_row(inv[i], inv[i][i], 2 * n)[n:] for i in range(n))     # rows of (d A)^-1
+    return Matrix([[d * x for x in row] for row in inv_d], copy=False)
 
 
 def char_poly(a: Matrix):
@@ -536,5 +558,5 @@ def sparse_kernel(rows, ncols):
     row echelon form, ascending, and one dense kernel vector per free
     column, ascending.
     """
-    cols, scale, kernel = _integer_kernel((_integer_row(raw.items()) for raw in rows), ncols)
+    cols, scale, kernel = _integer_kernel([_integer_row(raw.items()) for raw in rows], ncols)
     return cols, [_rref_row(v, scale, ncols) for v in kernel]

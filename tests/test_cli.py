@@ -64,6 +64,11 @@ def test_bad_flags_exit_2():
     (("catalog", "export", "--dim", "5"), "--dim"),
     (("catalog", "errata", "--family", "999"), "--family"),
     (("catalog", "errata", "--family", "0"), "--family"),
+    (("check", "--dims", "7..7", "--alpha", "1/0"), "--alpha"),
+    (("tables", "--id", "1", "--alpha", "1,1/0"), "--alpha"),
+    (("charnilp", "--dims", "7..7", "--alpha", "1/0"), "--alpha"),
+    (("distinguish", "--dim", "8", "--alpha", "1/0"), "--alpha"),
+    (("catalog", "export", "--dim", "7", "--alpha", "1/0"), "--alpha"),
 ])
 def test_usage_errors_name_their_option(args, option):
     result = invoke(*args)

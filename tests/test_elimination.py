@@ -6,10 +6,11 @@ reduced row echelon form is unique, so the fraction-free core in
 vectors, ranks and inverses, and `template._solve_correction`, which reads
 a solution off the reduced integer echelon of [A | b], must give the
 solution of the reference `solve`.  The kernel reader skips the rows
-that vanish on the kernel of the rows before them, so its tests take tall
-redundant systems, a system in which an independent row arrives after the
-kernel was built, Leibniz systems and the certificate systems of the
-characteristic sequence.
+that vanish on the kernel of the rows before them, and builds that kernel
+only when the rows left can repay it, so its tests take tall redundant
+systems, systems in which an independent row arrives after the kernel was
+built, systems too short to build before the end, Leibniz systems and the
+certificate systems of the characteristic sequence.
 """
 
 import random
@@ -199,28 +200,52 @@ def _count_kernel_builds(monkeypatch):
     return builds
 
 
+def _sum(*terms):
+    """The sparse integer row sum of c * row over the (c, row) terms."""
+    out = {}
+    for c, row in terms:
+        for k, v in row.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+# In 5 columns: three rows with pivots 0, 1, 2, then a fourth, r0 + 2 r1,
+# that cancels to zero against two of them; a fifth independent row r4,
+# with its pivot at column 3, where the reduced rows before it have entries.
+_R = [{0: 2, 1: 1, 3: 5}, {1: 3, 2: 1, 4: -4}, {2: 5, 3: 1, 4: 7}]
+_R.append(_sum((1, _R[0]), (2, _R[1])))
+_R.append({3: 3, 4: 2})
+
+
 def test_independent_row_after_the_kernel(monkeypatch):
     """A row outside the row space arrives once the kernel is kept: it is folded, not skipped.
 
-    In 5 columns, the first three rows have pivots 0, 1, 2 and a kernel of
-    two vectors; the fourth cancels to zero against two of them, which
-    builds the kernel.  The fifth is independent, with its pivot at column
-    3, where the reduced rows before it have entries, so the echelon must
-    be reduced again.  The sixth lies in the new row space but not in the
-    old one and builds the kernel again, and the seventh is skipped.  Cut
-    after the fifth row, the system ends on a dropped kernel.
+    The fourth row cancels to zero in two `_cancel` calls, with p = 3
+    pivots and k = 2 kernel vectors, so it builds the kernel when at least
+    5 rows are left: (5 - 2) * 2 >= 3 * 2.  The fifth row is independent,
+    so the kernel is dropped and the echelon must be reduced again.  The
+    sixth, r2 + r4, lies in the new row space but not in the old one; it
+    cancels to zero in two calls, and with p = 4 and k = 1 it builds the
+    kernel again when at least 3 rows are left.  The last three are skipped.
+    In the second system the fourth row is followed by four rows of the old
+    row space, which are skipped, and by the independent row, so the system
+    ends on a dropped kernel.
     """
     builds = _count_kernel_builds(monkeypatch)
-    rows = [
-        {0: 2, 1: 1, 3: 5},
-        {1: 3, 2: 1, 4: -4},
-        {2: 5, 3: 1, 4: 7},
-        {0: 2, 1: 7, 2: 2, 3: 5, 4: -8},
-        {3: 3, 4: 2},
-        {2: 5, 3: 4, 4: 9},
-        {0: 2, 1: 1, 3: 8, 4: 2},
+    rows = _R + [
+        _sum((1, _R[2]), (1, _R[4])),
+        _sum((1, _R[0]), (1, _R[4])),
+        _sum((1, _R[1]), (-1, _R[4])),
+        _sum((2, _R[2]), (-1, _R[0])),
     ]
-    for system in (rows, rows[:5]):
+    old_space = [
+        _sum((1, _R[0]), (1, _R[1])),
+        _sum((1, _R[1]), (-1, _R[2])),
+        _sum((1, _R[0]), (1, _R[2])),
+        _sum((2, _R[0]), (-1, _R[1])),
+    ]
+    for system in (rows, _R[:4] + old_space + _R[4:]):
+        assert len(system) == 9
         del builds[:]
         assert sparse_kernel(system, 5) == ref.sparse_kernel(system, 5)
         assert builds == [3, 4]
@@ -229,17 +254,38 @@ def test_independent_row_after_the_kernel(monkeypatch):
             assert kernel_basis(mat) == ref.kernel_basis(mat)
 
 
-def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
-    """In `derivation_space`, most dependent rows are skipped by the kernel check.
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_kernel_before_the_end_when_few_rows_are_left(monkeypatch, seed):
+    """A system with no more rows left than its kernel has vectors builds one kernel, at the end.
 
-    The rows that `_cancel` takes to zero inside the kernel reader are
-    counted.  Before the first kernel is built, rows are folded as in plain
-    elimination; after it, a row is folded only when it is independent of
-    the kept rows, and a row is cancelled to zero only on the way to the
-    next build.  Plain elimination cancels every dependent row to zero
-    (149 of the 168 rows here).
+    Then at least as many of the rows left may be independent as the kernel
+    has vectors, so no build is sure to pay for itself.  The five rows
+    above: the fourth cancels to zero with one row left and a kernel of
+    two vectors, and the fifth is independent.  And seeded systems of rank
+    r in n columns with at most n - r + 1 rows, where every row has at most
+    n - r rows after it.
     """
-    h = _conjugate(catalog.build(39, 4), random.Random(39))
+    builds = _count_kernel_builds(monkeypatch)
+    assert sparse_kernel(_R, 5) == ref.sparse_kernel(_R, 5)
+    assert builds == [4]
+    rng = random.Random(seed)
+    for _ in range(12):
+        rank_ = rng.randint(2, 5)
+        ncols = rng.randint(2 * rank_ + 1, 16)
+        rows = _redundant_rows(rng, rng.randint(rank_ + 1, ncols - rank_ + 1), rank_, ncols)
+        del builds[:]
+        assert sparse_kernel(rows, ncols) == ref.sparse_kernel(rows, ncols)
+        assert builds == [rank_]
+
+
+def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
+    """In `derivation_space`, dependent rows are skipped by the kernel check, not cancelled.
+
+    Conjugates of g7^39 and of g8^6.  The rows that `_cancel` takes to zero
+    inside the kernel reader are counted: no more of them than the kernel
+    builds, so about one zero row per build.  Plain elimination cancels
+    every dependent row to zero (149 of the 168 rows of the first system).
+    """
     zero_folds, systems, inside = [], [], []
     builds = _count_kernel_builds(monkeypatch)
     cancel, kernel = linalg._cancel, derivations._integer_kernel
@@ -251,21 +297,23 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
         return out
 
     def recording_kernel(rows, ncols):
-        rows = list(rows)
         inside.append(True)
-        out = kernel(iter(rows), ncols)
+        out = kernel(rows, ncols)
         inside.pop()
         systems.append((len(rows), len(out[0])))
         return out
 
     monkeypatch.setattr(linalg, "_cancel", counting_cancel)
     monkeypatch.setattr(derivations, "_integer_kernel", recording_kernel)
-    derivation_space(h)
-    (nrows, npivots), = systems
-    dependent = nrows - npivots
-    assert dependent > 60
-    assert builds and sum(1 for b in zero_folds if b) <= len(builds)
-    assert len(zero_folds) < dependent - len(zero_folds)
+    for fam, m, seed in ((39, 4, 39), (6, 4, 2030)):
+        h = _conjugate(catalog.build(fam, m), random.Random(seed))
+        del zero_folds[:], systems[:], builds[:]
+        derivation_space(h)
+        (nrows, npivots), = systems
+        dependent = nrows - npivots
+        assert dependent > 60
+        assert builds and len(zero_folds) <= len(builds)
+        assert len(zero_folds) < dependent - len(zero_folds)
 
 
 def test_ad_kernel_maps_systems_match_reference(monkeypatch):
@@ -274,9 +322,8 @@ def test_ad_kernel_maps_systems_match_reference(monkeypatch):
     kernel = invariants._integer_kernel
 
     def recording_kernel(rows, ncols):
-        rows = list(rows)
         systems.append(([dict(r) for r in rows], ncols))
-        return kernel(iter(rows), ncols)
+        return kernel(rows, ncols)
 
     monkeypatch.setattr(invariants, "_integer_kernel", recording_kernel)
     for inst in catalog.enumerate_instances(12):
