@@ -15,26 +15,42 @@ used for pruning and the Jordan profile come from the same columns
 (`linalg._image_ranks`).  Only the witness is a rational vector, built
 from its candidate on return.
 
+Each rank rank(ad(X)^k) prunes: the ranks r_1..r_k bound the profile of
+ad(X) by the largest profile that shares them (`_profile_upper_bound`),
+and the candidate is dropped, without its further ranks, as soon as that
+bound is no better than the best profile so far.  For a nilpotent algebra
+every ad(X) is nilpotent, so a dropped candidate could not have become
+the witness.  A repeated nonzero rank is never pruned: it reaches
+`linalg._block_sizes`, which raises NotNilpotent.  On an algebra that is
+not nilpotent, a candidate dropped before its ranks repeat is not tried
+further, so the error comes from the first candidate that no prune drops.
+
 ad(X) maps g into C1, so no profile exceeds (dim C1 + 1, 1, ..., 1).
 Sampling stops as soon as a profile reaches that ceiling: the value is then
 exact, not only a lower bound, and the candidates after the witness are
 never tried.
 
 It also stops at a best profile (r + 1, 1, ..., 1), where r = rank ad(w)
-of its witness w, once a degree-1 kernel certificate shows that the
-generic rank of ad(X) is at most r.  The certificate is the space of n x n
-matrices M with [X, M X] = 0 identically in X, one integer kernel of a
-linear system in the n^2 entries of M.  Each M X lies in ker ad(X), so if
-the vectors M w have rank s, ad(X) has rank at most n - s for all X.  When
-n - s <= r, no later candidate can beat (r + 1, 1, ..., 1), the rank-1
-prune would reject each of them, and stopping leaves the sequence and the
-witness unchanged.  The system is solved at most once per call, on first
-need, and only when the integer tensor stores fewer than n^2 nonzero
-constants: sparse bases (the catalog's hold at most 0.45 n^2) certify
-cheaply, while on dense bases (random conjugates hold at least 5 n^2) the
-solve costs more than the sampling it would save.  Otherwise every
-candidate is tried, and the result is cross-checked against the expected
-value for every catalog entry in the test suite.
+of its witness w, once a degree-1 certificate shows that the generic rank
+of ad(X) is at most r.  There are two, each one integer kernel of a
+linear system in the n^2 entries of an n x n matrix:
+- the cokernel certificate, the matrices N with (N X)^T [X, Y] = 0
+  identically: each N X is orthogonal to the image of ad(X);
+- the kernel certificate, the matrices M with [X, M X] = 0 identically:
+  each M X lies in ker ad(X).
+If the vectors N w (or M w) have rank s, ad(X) has rank at most n - s for
+all X.  When n - s <= r, no later candidate can beat (r + 1, 1, ..., 1),
+the prune on its first rank would reject each of them, and stopping
+leaves the sequence and the witness unchanged.  The cokernel is solved
+first, on first need, and the kernel only when the cokernel bound exceeds
+r; each is solved at most once per call.  Of the 149 catalog instances
+at n = 7..13 that stop this way, the cokernel certifies 145 and the
+kernel the other 4.  The systems are solved only when the integer tensor stores
+fewer than n^2 nonzero constants: sparse bases (the catalog's hold at most
+0.45 n^2) certify cheaply, while on dense bases (random conjugates hold at
+least 5 n^2) the solves cost more than the sampling they would save.
+Otherwise every candidate is tried, and the result is cross-checked
+against the expected value for every catalog entry in the test suite.
 """
 
 from __future__ import annotations
@@ -95,12 +111,26 @@ def char_sequence_of_vector(g: LieAlgebra, x) -> CharSequence:
     return CharSequence(_block_sizes(g.dim, _image_ranks(g.ad_columns(row))))
 
 
-def _profile_upper_bound(n, rank1):
-    """Lexicographically largest profile an operator of rank rank1 can have."""
-    blocks = n - rank1
-    if blocks <= 0:
-        return (n + 1,)  # unreachable sentinel: treat as possibly huge
-    return (n - blocks + 1,) + (1,) * (blocks - 1)
+def _profile_upper_bound(n, ranks):
+    """Largest profile, lexicographically, of a nilpotent A with rank(A^j) = ranks[j - 1].
+
+    `ranks` is a prefix r_1..r_k of the rank sequence, ending at its first
+    zero if it has one.  With r_0 = n, the number of blocks of size >= j
+    is d_j = r_(j-1) - r_j, so the blocks of each size j < k are fixed
+    (d_j - d_(j+1) of them), while the d_k blocks of size >= k have total
+    size r_(k-1) + (k - 1) d_k: largest first, one block of size k + r_k
+    and d_k - 1 blocks of size k.  A repeated rank (d_k = 0), nonzero as
+    the prefix ends at its first zero, belongs to no nilpotent matrix; it
+    gives (n + 1,), above every profile, so it is never pruned and reaches
+    `linalg._block_sizes`, which raises NotNilpotent.
+    """
+    k = len(ranks)
+    seq = [n, *ranks]
+    d = [seq[j] - seq[j + 1] for j in range(k)]              # d[j] = d_(j+1)
+    if not d[-1]:
+        return (n + 1,)
+    fixed = (j for j in range(k - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
+    return (k + ranks[-1],) + (k,) * (d[-1] - 1) + tuple(fixed)
 
 
 @lru_cache(maxsize=32)
@@ -117,17 +147,53 @@ def _candidates(n, seed, samples):
     return tuple((x, _integer_row(enumerate(x))) for x in vectors)
 
 
+def _solve_maps(rows, n):
+    """The integer n x n matrices whose n^2 entries solve `rows`, as (free, maps).
+
+    Entry (k, j) is unknown k * n + j, and the rows are nonempty
+    {unknown: int} dicts with no zero value.  An entry that no row
+    mentions is free: its unit matrix, which maps x to x_j e_k, is a
+    solution, and `free` holds these as {k: {j, ...}}.  Most rows have one entry and say
+    that entry is 0; they are substituted into the others, and the integer
+    kernel of what is left, in the entries it still mentions, gives the
+    other solutions.  Each is returned in `maps` as its sparse columns
+    {k: entry (k, j)}, so `linalg._combine` gives its product with a
+    vector.  The unit matrices and `maps` together span the solutions.
+    """
+    mentioned, zero, longer = set(), set(), []
+    for r in rows:
+        mentioned.update(r)
+        if len(r) == 1:
+            zero.update(r)
+        else:
+            longer.append(r)
+    free = {}
+    for key in range(n * n):
+        if key not in mentioned:
+            k, j = divmod(key, n)
+            free.setdefault(k, set()).add(j)
+    rows = [r for r in ({key: c for key, c in r.items() if key not in zero} for r in longer) if r]
+    keys = sorted({key for r in rows for key in r})
+    index = {key: i for i, key in enumerate(keys)}
+    maps = []
+    for v in _integer_kernel([_primitive({index[key]: c for key, c in r.items()}) for r in rows],
+                             len(keys))[2]:
+        cols = [{} for _ in range(n)]
+        for i, c in v.items():
+            k, j = divmod(keys[i], n)
+            cols[j][k] = c
+        maps.append(cols)
+    return free, maps
+
+
 def _ad_kernel_maps(g: LieAlgebra):
-    """Integer n x n matrices M spanning {M : [x, M x] = 0 for every x}.
+    """The integer n x n matrices M with [x, M x] = 0 for every x, by `_solve_maps`.
 
     The coefficient of x_i x_j in [x, M x] is [e_i, M e_j] + [e_j, M e_i]
     for i < j and [e_i, M e_i] for i = j; with M e_j = sum_k M_kj e_k, its
     component l is linear in the entries of M, read from the integer
-    tensor.  Entry M_kj is unknown k * n + j of the integer kernel of these
-    rows.  Most rows have one entry and say that entry of M is 0; they are
-    substituted into the others before the elimination, and the kernel
-    vectors they leave free are dropped.  Each M is returned as its sparse
-    integer columns {k: M_kj}, so `linalg._combine` gives M x.
+    tensor.  The two terms hold entries of columns j and i of M, so no
+    entry of a row is written twice.  Each M x lies in ker ad(x).
     """
     n = g.dim
     br = g.integer_brackets()
@@ -137,29 +203,62 @@ def _ad_kernel_maps(g: LieAlgebra):
             for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
                 for k, comp in br[a].items():             # [e_a, M_kb e_k]
                     for l, c in comp.items():
-                        row = rows.setdefault((i, j, l), {})
-                        row[k * n + b] = row.get(k * n + b, 0) + c
-    rows = [r for r in ({key: c for key, c in r.items() if c} for r in rows.values()) if r]
-    zero = {key for r in rows if len(r) == 1 for key in r}
-    rows = ({key: c for key, c in r.items() if key not in zero} for r in rows)
-    maps = []
-    for m in _integer_kernel([_primitive(r) for r in rows if r], n * n)[2]:
-        if zero.isdisjoint(m):
-            cols = [{} for _ in range(n)]
-            for key, c in m.items():
-                k, j = divmod(key, n)
-                cols[j][k] = c
-            maps.append(cols)
-    return maps
+                        rows.setdefault((i, j, l), {})[k * n + b] = c
+    return _solve_maps(rows.values(), n)
 
 
-def _generic_rank_bound(maps, n, x):
-    """n - rank{M x : M in maps}, which bounds rank ad(y) for every y.
+def _ad_cokernel_maps(g: LieAlgebra):
+    """The integer n x n matrices N with (N x)^T [x, y] = 0 for every x, y, by `_solve_maps`.
 
-    Over Q(y) the vectors M y lie in ker ad(y) and have rank at least their
-    rank at the integer vector x = {i: int}.
+    The coefficient of x_i x_m y_j in (N x)^T [x, y] is
+    sum_l (N_lm c_ij^l + N_li c_mj^l) for i < m and sum_l N_li c_ij^l for
+    i = m, read from the integer tensor; the two terms hold entries of
+    columns m and i of N, so no entry of a row is written twice.  Each
+    N x is orthogonal to the image of ad(x), so it bounds the rank of
+    ad(x) from the left, as M x of `_ad_kernel_maps` bounds it from the
+    right.
     """
-    return n - len(_echelon((_primitive(_combine(m, x)) for m in maps), reduced=False))
+    n = g.dim
+    br = g.integer_brackets()
+    rows = {}
+    for i in range(n):
+        for m in range(i, n):
+            for a, b in ((i, m), (m, i)) if i != m else ((i, i),):
+                for j, comp in br[a].items():             # c_aj^l N_lb
+                    row = rows.setdefault((i, m, j), {})
+                    for l, c in comp.items():
+                        row[l * n + b] = c
+    return _solve_maps(rows.values(), n)
+
+
+def _generic_rank_bound(certificate, n, x):
+    """n - rank{A x : A solves the certificate}, which bounds rank ad(y) for every y.
+
+    `certificate` is (free, maps) from `_solve_maps`: the free unit
+    matrices give the unit vectors e_k with x_j != 0 for some j in
+    free[k].  For either certificate, over Q(y) the vectors A y lie in
+    ker ad(y), or are orthogonal to its image, and have rank at least
+    their rank at the integer vector x = {i: int}.
+    """
+    free, maps = certificate
+    images = [{k: 1} for k, js in free.items() if not js.isdisjoint(x)]
+    images += (_primitive(_combine(m, x)) for m in maps)
+    return n - len(_echelon(images, reduced=False))
+
+
+def _certified(g: LieAlgebra, solved, x, r):
+    """True when a certificate bounds the generic rank of ad(y) by r at x.
+
+    The cokernel and then the kernel certificate are solved, each on first
+    need, into the list `solved`, which keeps them for later calls: the
+    kernel is solved only when the cokernel bound at x exceeds r.
+    """
+    for k, solve in enumerate((_ad_cokernel_maps, _ad_kernel_maps)):
+        if k == len(solved):
+            solved.append(solve(g))
+        if _generic_rank_bound(solved[k], g.dim, x) <= r:
+            return True
+    return False
 
 
 def _is_sparse(g: LieAlgebra):
@@ -173,39 +272,40 @@ def char_sequence_with_witness(
     """(CharSequence, witness vector) via exact sampled maximisation.
 
     The witness is the first candidate whose profile is the maximum found.
-    Sampling stops once that maximum is the C1 ceiling, which no later
-    candidate can exceed, or once it is (r + 1, 1, ..., 1) with r the rank
-    of ad(witness) and the kernel certificate bounds the generic rank of
-    ad(x) by r: every later candidate then has rank at most r, so the
-    rank-1 prune would reject it.  The certificate `_ad_kernel_maps` is
-    solved on first need and only for a sparse tensor (`_is_sparse`), and
-    re-evaluated at each later best witness.
+    A candidate is dropped once a prefix of its rank sequence bounds its
+    profile by the best so far.  Sampling stops once that maximum is the
+    C1 ceiling, which no later candidate can exceed, or once it is
+    (r + 1, 1, ..., 1) with r the rank of ad(witness) and a certificate
+    bounds the generic rank of ad(x) by r: every later candidate then has
+    rank at most r, so the prune on its first rank would reject it.  The
+    certificates (`_certified`) are solved only for a sparse tensor
+    (`_is_sparse`), and re-evaluated at each later best witness.
     """
     n = g.dim
     if n == 0:
         return CharSequence(()), []
     c1 = g.derived_echelon()
-    ceiling = _profile_upper_bound(n, len(c1))
+    ceiling = _profile_upper_bound(n, [len(c1)])
     best = None
     witness = None
-    maps = None
+    solved = [] if _is_sparse(g) else None
     for x, row in _candidates(n, seed, samples):
         if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
-        ranks = _image_ranks(g.ad_columns(row))
-        rank1 = next(ranks)
-        if best is not None and _profile_upper_bound(n, rank1) <= best:
-            continue
-        profile = _block_sizes(n, [rank1, *ranks])
-        if best is None or profile > best:
-            best = profile
-            witness = x
-            if best == ceiling:
+        ranks = []
+        for r in _image_ranks(g.ad_columns(row)):
+            ranks.append(r)
+            if best is not None and _profile_upper_bound(n, ranks) <= best:
                 break
-            if best == _profile_upper_bound(n, rank1):
-                if maps is None:
-                    maps = _ad_kernel_maps(g) if _is_sparse(g) else ()
-                if maps and _generic_rank_bound(maps, n, row) <= rank1:
+        else:
+            profile = _block_sizes(n, ranks)
+            if best is None or profile > best:
+                best = profile
+                witness = x
+                if best == ceiling:
+                    break
+                if (solved is not None and best == _profile_upper_bound(n, ranks[:1])
+                        and _certified(g, solved, row, ranks[0])):
                     break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")

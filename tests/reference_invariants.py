@@ -14,7 +14,6 @@ from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
     DEFAULT_SEED,
     CharSequence,
-    _profile_upper_bound,
 )
 from nilform.lie import basis_vec
 from nilform.rational import rat
@@ -37,6 +36,14 @@ def contains(s, v):
     return all(x == 0 for x in reduce(s, v))
 
 
+def rank1_bound(n, r):
+    """Largest Jordan profile of a nilpotent n x n matrix of rank r, (r + 1, 1, ..., 1).
+
+    A matrix of full rank is not nilpotent: (n + 1,) exceeds every profile.
+    """
+    return (n + 1,) if r == n else (r + 1,) + (1,) * (n - r - 1)
+
+
 def candidates(n, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPLES):
     rng = random.Random(seed)
     out = [basis_vec(n, 0)]
@@ -57,7 +64,7 @@ def char_sequence_with_witness(g, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPL
         if all(v == 0 for v in x) or contains(c1, x):
             continue
         ad = g.ad(x)
-        if best is not None and _profile_upper_bound(n, rank(ad)) <= best:
+        if best is not None and rank1_bound(n, rank(ad)) <= best:
             continue
         profile = nilpotent_jordan_profile(ad)
         if best is None or profile > best:

@@ -1,14 +1,17 @@
 """Differential tests: characteristic-sequence sampling against the reference.
 
-`reference_invariants` tries every candidate and `reference_linalg` forms
-the powers of ad(x) to rank them.  The sampling in `nilform.invariants`
-stops at the C1 ceiling or at a witness whose rank the degree-1 kernel
-certificate shows to be generic, and `rank_sequence` ranks integer images
-instead of powers; both must give exactly the same rank sequences,
-sequences and witnesses.  The sets are every catalog instance at
-n = 7..13, seeded random conjugates (dense structure constants), and
-abelian(4), heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
-The certificate itself is checked against the rational reference bracket.
+`reference_invariants` tries every candidate, pruning only on the rank of
+ad(x), and `reference_linalg` forms the powers of ad(x) to rank them.  The
+sampling in `nilform.invariants` drops a candidate on any prefix of its
+rank sequence, and stops at the C1 ceiling or at a witness whose rank the
+degree-1 cokernel or kernel certificate shows to be generic; and
+`rank_sequence` ranks integer images instead of powers.  Both must give
+exactly the same rank sequences, sequences and witnesses.  The sets are
+every catalog instance at n = 7..13, seeded random conjugates (dense
+structure constants), and abelian(4), heisenberg(2), g7^65 + abelian(1)
+and g8^7 with alpha = 1/2.  The certificates themselves are checked
+against the rational reference bracket, and the prefix bound against
+every partition of n <= 10.
 """
 
 import random
@@ -24,6 +27,7 @@ from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
     DEFAULT_SEED,
+    _ad_cokernel_maps,
     _ad_kernel_maps,
     _candidates,
     _generic_rank_bound,
@@ -40,6 +44,7 @@ from nilform.linalg import (
     _primitive,
     _remainder,
     inverse,
+    kernel_basis,
     matmul,
     rank,
     rank_sequence,
@@ -196,21 +201,25 @@ def test_char_sequence_matches_reference_across_seeds(seed, samples):
                 == ref_inv.char_sequence_with_witness(g, seed=seed, samples=samples))
 
 
+CERTIFICATES = {"cokernel": _ad_cokernel_maps, "kernel": _ad_kernel_maps}
+
+
 def _outcome(g, seq, witness):
     """How the sampling may stop: "ceiling", "certified" or "exhausted".
 
     "certified" when seq = (r + 1, 1, ..., 1) for r = rank ad(witness)
-    = n - len(seq), the tensor passes the density gate and the kernel
-    certificate at the witness bounds the generic rank by r.
+    = n - len(seq), the tensor passes the density gate and the cokernel or
+    the kernel certificate at the witness bounds the generic rank by r.
     """
     n = g.dim
-    if tuple(seq) == _profile_upper_bound(n, g.derived_subalgebra().dim):
+    if tuple(seq) == _profile_upper_bound(n, [g.derived_subalgebra().dim]):
         return "ceiling"
     r = n - len(seq)
+    w = _integer_row(enumerate(witness))
     if (
-        tuple(seq) == _profile_upper_bound(n, r)
+        tuple(seq) == _profile_upper_bound(n, [r])
         and _is_sparse(g)
-        and _generic_rank_bound(_ad_kernel_maps(g), n, _integer_row(enumerate(witness))) <= r
+        and any(_generic_rank_bound(solve(g), n, w) <= r for solve in CERTIFICATES.values())
     ):
         return "certified"
     return "exhausted"
@@ -223,9 +232,9 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
     the 64 random ones, minus those in C1.  The sampling builds ad(x) as
     integer columns, through `LieAlgebra.ad_columns` on the primitive
     integer row of x.  On the catalog at n = 7..13, 171 sequences reach
-    the C1 ceiling, 114 stop at a certified witness and 59 try every
-    candidate; the dense conjugates fail the density gate and never
-    certify.
+    the C1 ceiling, 149 stop at a certified witness and 24, the off-shape
+    (5, 2, 1, ...) instances, try every candidate; the dense conjugates
+    fail the density gate and never certify.
     """
     seen = []
     ad_columns = LieAlgebra.ad_columns
@@ -251,7 +260,7 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
                 )
             else:
                 assert calls[-1] == _integer_row(enumerate(witness))
-    assert counts["catalog"] == {"ceiling": 171, "certified": 114, "exhausted": 59}
+    assert counts["catalog"] == {"ceiling": 171, "certified": 149, "exhausted": 24}
     assert counts["conjugates"]["certified"] == 0
 
 
@@ -270,7 +279,7 @@ def _basis_brackets(g):
     return table
 
 
-def _row_identities_hold(n, table, m):
+def _kernel_identities_hold(n, table, m):
     """[e_i, M e_j] + [e_j, M e_i] = 0 for i < j and [e_i, M e_i] = 0, in rationals.
 
     M is given by its sparse integer columns {k: M_kj}, and table holds the
@@ -290,36 +299,123 @@ def _row_identities_hold(n, table, m):
     return True
 
 
-@pytest.mark.parametrize("name", ["catalog", "conjugates"])
-def test_kernel_certificate_is_sound(name):
-    """Each kernel map satisfies the row identities, and the bound holds at every candidate.
+def _cokernel_identities_hold(n, table, m):
+    """(N e_k)^T [e_i, e_j] + (N e_i)^T [e_k, e_j] = 0 for i < k and (N e_i)^T [e_i, e_j] = 0.
 
-    The bound at any candidate w bounds the generic rank of ad(x), so the
-    least bound over the candidates must be at least the largest rank of
-    ad(x) over them.  The conjugates call the certificate past the density
-    gate.
+    In rationals, for every j; N is given by its sparse integer columns
+    {l: N_lk}, and table holds the brackets of basis vectors.
+    """
+    terms = {}                                  # terms[t] = (i, j, y) with [e_i, e_j]_t = y
+    for i in range(n):
+        for j in range(n):
+            for t, y in table[i][j]:
+                terms.setdefault(t, []).append((i, j, y))
+    value = {}                                  # value[(k, i, j)] = (N e_k)^T [e_i, e_j], sparse
+    for k, col in enumerate(m):
+        for t, c in col.items():
+            for i, j, y in terms.get(t, ()):
+                value[k, i, j] = value.get((k, i, j), ZERO) + c * y
+    return not any(
+        v + value.get((i, k, j), ZERO) if i != k else v for (k, i, j), v in value.items()
+    )
+
+
+def _matrices(certificate, n):
+    """Every solution a certificate (free, maps) lists, as sparse integer columns."""
+    free, maps = certificate
+    units = []
+    for k, js in free.items():
+        for j in js:
+            cols = [{} for _ in range(n)]
+            cols[j][k] = 1
+            units.append(cols)
+    return units + maps
+
+
+def _known_maps(g, certificate):
+    """Solutions every algebra has, flattened: M = I, and N = u e_b^T for u orthogonal to C1."""
+    n = g.dim
+    if certificate == "kernel":
+        return [{k * n + k: 1 for k in range(n)}]
+    perp = [_integer_row(enumerate(u)) for u in kernel_basis(g.derived_subalgebra().matrix)]
+    return [{l * n + b: c for l, c in u.items()} for u in perp for b in range(n)]
+
+
+IDENTITIES = {"cokernel": _cokernel_identities_hold, "kernel": _kernel_identities_hold}
+
+
+@pytest.mark.parametrize("certificate", list(CERTIFICATES))
+@pytest.mark.parametrize("name", ["catalog", "conjugates"])
+def test_certificate_is_sound(name, certificate):
+    """Each map satisfies its identities, and the bound holds at every candidate.
+
+    The kernel maps M have [x, M x] = 0 and the cokernel maps N have
+    (N x)^T [x, y] = 0, both checked against the rational reference
+    bracket.  The bound at any candidate w bounds the generic rank of
+    ad(x), so the least bound over the candidates must be at least the
+    largest rank of ad(x) over them.  The conjugates call the
+    certificates past the density gate.
     """
     for g in _algebras(name):
         n = g.dim
-        maps = _ad_kernel_maps(g)
+        cert = CERTIFICATES[certificate](g)
+        maps = _matrices(cert, n)
         flat = ({k * n + j: c for j, col in enumerate(m) for k, c in col.items()} for m in maps)
         span = _echelon(map(_primitive, flat), reduced=False)
-        assert not _remainder(span, {k * n + k: 1 for k in range(n)})   # M = I solves it
+        assert not any(_remainder(span, known) for known in _known_maps(g, certificate))
         table = _basis_brackets(g)
-        assert all(_row_identities_hold(n, table, m) for m in maps)
+        assert all(IDENTITIES[certificate](n, table, m) for m in maps)
         rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
-        bound = min(_generic_rank_bound(maps, n, row) for row in rows)
+        bound = min(_generic_rank_bound(cert, n, row) for row in rows)
         top = max(next(_image_ranks(g.ad_columns(row))) for row in rows)
         assert bound >= top
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as descending tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _ranks(partition):
+    """rank(A^k), k = 1, 2, ... until 0, for a nilpotent A with these Jordan blocks."""
+    out = []
+    while not out or out[-1]:
+        out.append(sum(max(0, s - len(out) - 1) for s in partition))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_profile_upper_bound_is_the_largest_consistent_profile(n):
+    """For every prefix of every rank sequence, the lexicographic maximum sharing it."""
+    by_ranks = {p: _ranks(p) for p in _partitions(n)}
+    for ranks in by_ranks.values():
+        for k in range(1, len(ranks) + 1):
+            prefix = ranks[:k]
+            share = [p for p, r in by_ranks.items() if r[:k] == prefix]
+            assert _profile_upper_bound(n, prefix) == max(share)
+    assert _profile_upper_bound(n, [n]) == (n + 1,)         # invertible: never pruned
+    if n > 2:
+        assert _profile_upper_bound(n, [2, 1, 1]) == (n + 1,)   # a repeated nonzero rank
 
 
 NOT_NILPOTENT = [
     LieAlgebra(2, {(0, 1): {0: ONE}}),                      # [e1, e2] = e1
     LieAlgebra(2, {(0, 1): {0: ONE}}).direct_sum(heisenberg(1)),
+    # ad(e1) is nilpotent and sets the best profile (2, 1, 1, 1); ad(e5),
+    # with ranks 1, 1, is pruned on its rank, but the first random x has
+    # ranks 2, 1, 1, and a repeated nonzero rank is never pruned
+    heisenberg(1).direct_sum(LieAlgebra(2, {(0, 1): {0: ONE}})),
 ]
 
 
-@pytest.mark.parametrize("g", NOT_NILPOTENT, ids=["affine", "affine+heisenberg"])
+@pytest.mark.parametrize(
+    "g", NOT_NILPOTENT, ids=["affine", "affine+heisenberg", "heisenberg+affine"]
+)
 def test_not_nilpotent_raises_in_both(g):
     with pytest.raises(NotNilpotent):
         char_sequence_with_witness(g)

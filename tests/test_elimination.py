@@ -317,7 +317,7 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
 
 
 def test_ad_kernel_maps_systems_match_reference(monkeypatch):
-    """The certificate systems of the characteristic sequence at n = 12."""
+    """The kernel and cokernel certificate systems of the characteristic sequence at n = 12."""
     systems = []
     kernel = invariants._integer_kernel
 
@@ -328,6 +328,7 @@ def test_ad_kernel_maps_systems_match_reference(monkeypatch):
     monkeypatch.setattr(invariants, "_integer_kernel", recording_kernel)
     for inst in catalog.enumerate_instances(12):
         invariants._ad_kernel_maps(inst.algebra)
-    assert len(systems) > 20
+        invariants._ad_cokernel_maps(inst.algebra)
+    assert len(systems) > 40
     for rows, ncols in systems:
         assert sparse_kernel(rows, ncols) == ref.sparse_kernel(rows, ncols)
