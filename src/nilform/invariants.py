@@ -30,22 +30,31 @@ Sampling stops as soon as a profile reaches that ceiling: the value is then
 exact, not only a lower bound, and the candidates after the witness are
 never tried.
 
-It also stops at a best profile (r + 1, 1, ..., 1), where r = rank ad(w)
-of its witness w, once a degree-1 certificate shows that the generic rank
-of ad(X) is at most r.  There are two, each one integer kernel of a
-linear system in the n^2 entries of an n x n matrix:
-- the cokernel certificate, the matrices N with (N X)^T [X, Y] = 0
-  identically: each N X is orthogonal to the image of ad(X);
-- the kernel certificate, the matrices M with [X, M X] = 0 identically:
-  each M X lies in ker ad(X).
-If the vectors N w (or M w) have rank s, ad(X) has rank at most n - s for
-all X.  When n - s <= r, no later candidate can beat (r + 1, 1, ..., 1),
-the prune on its first rank would reject each of them, and stopping
-leaves the sequence and the witness unchanged.  The cokernel is solved
-first, on first need, and the kernel only when the cokernel bound exceeds
-r; each is solved at most once per call.  Of the 149 catalog instances
-at n = 7..13 that stop this way, the cokernel certifies 145 and the
-kernel the other 4.  The systems are solved only when the integer tensor stores
+It also stops at a best profile P once certificates show that no later
+candidate can beat it.  With r_1, r_2, ... the ranks of the powers of
+ad(w) for its witness w, and k the least length whose prefix already gives
+P = `_profile_upper_bound(n, r_1..r_k)`, it stops when, for every j <= k,
+a power-j certificate shows that the generic rank of ad(X)^j is at most
+r_j.  Every later candidate then has rank ad(X)^j <= r_j for j <= k, and
+some prefix of its ranks is bounded by P, so the prune would reject it:
+stopping leaves the sequence and the witness unchanged.  There are two
+certificates for each power j, each one integer kernel of a linear system
+in the n^2 entries of an n x n matrix, built from the integer tensor by
+one row builder (`_power_maps`):
+- the cokernel certificate, the matrices N with (N X)^T ad(X)^j Y = 0
+  identically: each N X is orthogonal to the image of ad(X)^j;
+- the kernel certificate, the matrices M with ad(X)^j M X = 0
+  identically: each M X lies in ker ad(X)^j.
+If the vectors N w (or M w) have rank s, ad(X)^j has rank at most n - s
+for all X.  For each power in turn, the cokernel is solved first, on first
+need, and the kernel only when the cokernel bound exceeds r_j; each is
+solved at most once per call.  With k = 1 this is the stop at a best
+profile (r_1 + 1, 1, ..., 1) on the rank of ad(X) alone.  Of the 344
+catalog instances at n = 7..13, 171 stop at the ceiling and the other 173
+at a certified witness: 149 with k = 1 (the cokernel certifies 145 and
+the kernel the other 4) and the 24 off-shape (5, 2, 1, ...) instances
+with k = 2 (at j = 2 the cokernel certifies 11 and the kernel 13).  The
+systems are solved only when the integer tensor stores
 fewer than n^2 nonzero constants: sparse bases (the catalog's hold at most
 0.45 n^2) certify cheaply, while on dense bases (random conjugates hold at
 least 5 n^2) the solves cost more than the sampling they would save.
@@ -186,49 +195,81 @@ def _solve_maps(rows, n):
     return free, maps
 
 
-def _ad_kernel_maps(g: LieAlgebra):
-    """The integer n x n matrices M with [x, M x] = 0 for every x, by `_solve_maps`.
+def _power_maps(g: LieAlgebra, power, transpose):
+    """The maps of the power-j kernel or cokernel certificate, by `_solve_maps`.
 
-    The coefficient of x_i x_j in [x, M x] is [e_i, M e_j] + [e_j, M e_i]
-    for i < j and [e_i, M e_i] for i = j; with M e_j = sum_k M_kj e_k, its
-    component l is linear in the entries of M, read from the integer
-    tensor.  The two terms hold entries of columns j and i of M, so no
-    entry of a row is written twice.  Each M x lies in ker ad(x).
+    With j = `power`, the kernel certificate is the integer n x n matrices
+    M with ad(x)^j M x = 0 for every x, and the cokernel certificate
+    (`transpose`) the matrices N with (N x)^T ad(x)^j y = 0 for every x, y.
+    Each M x lies in ker ad(x)^j and each N x is orthogonal to the image of
+    ad(x)^j, so either bounds the rank of ad(x)^j.
+
+    Both identities are linear in the n^2 entries, with one row per
+    monomial x^S of degree j + 1 and component.  For a multiset A of j
+    indices, Q_A = sum of ad(e_a1) ... ad(e_aj) over the distinct orderings
+    of A, built from the integer tensor as Q_A = sum over the distinct a
+    in A of ad(e_a) Q_(A - a), with its zeros dropped; Q_(a) is the tensor
+    row br[a] itself.  The coefficient of x^S in ad(x)^j M x, component l,
+    is the sum over the distinct b in S, with A = S - b, of
+    sum_k Q_A[k]_l M_kb; that of (N x)^T ad(x)^j e_k is
+    sum_l Q_A[k]_l N_lb.  Each b gives other entries (column b of the
+    matrix), so no entry of a row is written twice.  The rows are formed
+    in the order of (S, -b), which at j = 1 is the order of the loops over
+    i <= j of the degree-1 systems.
     """
     n = g.dim
     br = g.integer_brackets()
+    qs = {(a,): row for a, row in enumerate(br) if row}     # Q_A, A a sorted tuple
+    for _ in range(power - 1):
+        sums = {}
+        for seq, q in qs.items():
+            for a, row in enumerate(br):
+                if not row:
+                    continue
+                acc = sums.setdefault(tuple(sorted(seq + (a,))), {})
+                for k, v in q.items():                      # ad(e_a) Q_A e_k
+                    col = acc.setdefault(k, {})
+                    for m, c in v.items():
+                        comp = row.get(m)
+                        if comp:
+                            for l, d in comp.items():
+                                col[l] = col.get(l, 0) + c * d
+        qs = {}
+        for seq, acc in sums.items():
+            q = {k: col for k, col in (
+                (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
+            if q:
+                qs[seq] = q
+    # x^S is keyed by -sum over a in S of (j + 2)^(n - 1 - a), whose digits
+    # count the indices in S, so the keys ascend as the sorted S do
+    digit = [-(power + 2) ** (n - 1 - a) for a in range(n)]
+    terms = sorted(
+        (code + digit[b], -b, q)
+        for code, q in ((sum(digit[a] for a in seq), q) for seq, q in qs.items())
+        for b in range(n)
+    )
     rows = {}
-    for i in range(n):
-        for j in range(i, n):
-            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-                for k, comp in br[a].items():             # [e_a, M_kb e_k]
-                    for l, c in comp.items():
-                        rows.setdefault((i, j, l), {})[k * n + b] = c
+    for mono, b, q in terms:
+        b = -b
+        for k, comp in q.items():
+            if transpose:                                   # Q_A[k]_l N_lb
+                row = rows.setdefault((mono, k), {})
+                for l, c in comp.items():
+                    row[l * n + b] = c
+            else:                                           # Q_A[k]_l M_kb
+                for l, c in comp.items():
+                    rows.setdefault((mono, l), {})[k * n + b] = c
     return _solve_maps(rows.values(), n)
+
+
+def _ad_kernel_maps(g: LieAlgebra):
+    """The integer n x n matrices M with [x, M x] = 0 for every x: `_power_maps` at j = 1."""
+    return _power_maps(g, 1, False)
 
 
 def _ad_cokernel_maps(g: LieAlgebra):
-    """The integer n x n matrices N with (N x)^T [x, y] = 0 for every x, y, by `_solve_maps`.
-
-    The coefficient of x_i x_m y_j in (N x)^T [x, y] is
-    sum_l (N_lm c_ij^l + N_li c_mj^l) for i < m and sum_l N_li c_ij^l for
-    i = m, read from the integer tensor; the two terms hold entries of
-    columns m and i of N, so no entry of a row is written twice.  Each
-    N x is orthogonal to the image of ad(x), so it bounds the rank of
-    ad(x) from the left, as M x of `_ad_kernel_maps` bounds it from the
-    right.
-    """
-    n = g.dim
-    br = g.integer_brackets()
-    rows = {}
-    for i in range(n):
-        for m in range(i, n):
-            for a, b in ((i, m), (m, i)) if i != m else ((i, i),):
-                for j, comp in br[a].items():             # c_aj^l N_lb
-                    row = rows.setdefault((i, m, j), {})
-                    for l, c in comp.items():
-                        row[l * n + b] = c
-    return _solve_maps(rows.values(), n)
+    """The integer n x n matrices N with (N x)^T [x, y] = 0 for every x, y: `_power_maps` at j = 1."""
+    return _power_maps(g, 1, True)
 
 
 def _generic_rank_bound(certificate, n, x):
@@ -246,19 +287,24 @@ def _generic_rank_bound(certificate, n, x):
     return n - len(_echelon(images, reduced=False))
 
 
-def _certified(g: LieAlgebra, solved, x, r):
-    """True when a certificate bounds the generic rank of ad(y) by r at x.
+def _certified(g: LieAlgebra, solved, x, ranks):
+    """True when certificates bound the generic rank of ad(y)^j by ranks[j - 1] at x, for every j.
 
-    The cokernel and then the kernel certificate are solved, each on first
-    need, into the list `solved`, which keeps them for later calls: the
-    kernel is solved only when the cokernel bound at x exceeds r.
+    For each power j in turn, the cokernel and then the kernel certificate
+    are solved, each on first need, into the dict `solved`, which keeps
+    them for later calls under (j, transpose): the kernel is solved only
+    when the cokernel bound at x exceeds r_j, and a power is solved only
+    when every lower power has been certified.
     """
-    for k, solve in enumerate((_ad_cokernel_maps, _ad_kernel_maps)):
-        if k == len(solved):
-            solved.append(solve(g))
-        if _generic_rank_bound(solved[k], g.dim, x) <= r:
-            return True
-    return False
+    for j, r in enumerate(ranks, 1):
+        for transpose in (True, False):
+            if (j, transpose) not in solved:
+                solved[j, transpose] = _power_maps(g, j, transpose)
+            if _generic_rank_bound(solved[j, transpose], g.dim, x) <= r:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_sparse(g: LieAlgebra):
@@ -274,12 +320,13 @@ def char_sequence_with_witness(
     The witness is the first candidate whose profile is the maximum found.
     A candidate is dropped once a prefix of its rank sequence bounds its
     profile by the best so far.  Sampling stops once that maximum is the
-    C1 ceiling, which no later candidate can exceed, or once it is
-    (r + 1, 1, ..., 1) with r the rank of ad(witness) and a certificate
-    bounds the generic rank of ad(x) by r: every later candidate then has
-    rank at most r, so the prune on its first rank would reject it.  The
-    certificates (`_certified`) are solved only for a sparse tensor
-    (`_is_sparse`), and re-evaluated at each later best witness.
+    C1 ceiling, which no later candidate can exceed, or once certificates
+    bound the generic rank of ad(x)^j by r_j = rank ad(witness)^j for
+    every j <= k, k the least length whose rank prefix bounds the best
+    profile by itself: some prefix of every later candidate's ranks would
+    then reject it.  The certificates (`_certified`) are solved only for a
+    sparse tensor (`_is_sparse`), and re-evaluated at each later best
+    witness.
     """
     n = g.dim
     if n == 0:
@@ -288,7 +335,7 @@ def char_sequence_with_witness(
     ceiling = _profile_upper_bound(n, [len(c1)])
     best = None
     witness = None
-    solved = [] if _is_sparse(g) else None
+    solved = {} if _is_sparse(g) else None
     for x, row in _candidates(n, seed, samples):
         if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
@@ -304,9 +351,11 @@ def char_sequence_with_witness(
                 witness = x
                 if best == ceiling:
                     break
-                if (solved is not None and best == _profile_upper_bound(n, ranks[:1])
-                        and _certified(g, solved, row, ranks[0])):
-                    break
+                if solved is not None:
+                    k = next(k for k in range(1, len(ranks) + 1)
+                             if best == _profile_upper_bound(n, ranks[:k]))
+                    if _certified(g, solved, row, ranks[:k]):
+                        break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")
     return CharSequence(best), [rat(v) for v in witness]

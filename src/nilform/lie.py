@@ -283,30 +283,42 @@ class LieAlgebra:
     def jacobi_check(self):
         """None when the Jacobi identity holds, else the first failure.
 
-        Scans basis triples i < j < k in lexicographic order and reports the
-        residual of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
-        It is accumulated on the integer tensor, scaled by L^2, and divided
-        by L^2 only for the failure returned.
+        The first failure is the least basis triple i < j < k, in
+        lexicographic order, whose residual
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is nonzero,
+        reported with that residual.  Only nonzero double brackets are
+        visited: for each stored pair p < q, each a in [e_p, e_q] and each
+        nonzero [e_a, e_r] with r not p or q, the term [[e_p,e_q],e_r] goes
+        to the sorted triple of p, q, r, with sign + when (p, q, r) is in
+        cyclic order and - otherwise (it is then -[[e_q,e_p],e_r]).  The
+        residuals are accumulated on the integer tensor, scaled by L^2,
+        and divided by L^2 only for the failure returned.
         """
-        n = self.dim
         br = self.integer_brackets()
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = br[i].get(j)
-                for k in range(j + 1, n):
-                    acc = {}
-                    for comp, b in ((cij, k), (br[j].get(k), i), (br[k].get(i), j)):
-                        if comp:                # acc += [comp, e_b]
-                            for a, c in comp.items():
-                                for t, d in br[a].get(b, {}).items():
-                                    acc[t] = acc.get(t, 0) + c * d
-                    if any(acc.values()):
-                        scale = self._denominator() ** 2
-                        res = zero_vec(n)
-                        for t, c in acc.items():
-                            res[t] = rat(c, scale)
-                        return JacobiFailure((i, j, k), res)
-        return None
+        acc = {}
+        for p, q in self.brackets:
+            for a, c in br[p][q].items():
+                for r, comp in br[a].items():
+                    if r == p or r == q:
+                        continue
+                    if r > q:
+                        triple, sign = (p, q, r), c
+                    elif r < p:
+                        triple, sign = (r, p, q), c
+                    else:
+                        triple, sign = (p, r, q), -c
+                    res = acc.setdefault(triple, {})
+                    for t, d in comp.items():
+                        res[t] = res.get(t, 0) + sign * d
+        failed = [triple for triple, res in acc.items() if any(res.values())]
+        if not failed:
+            return None
+        triple = min(failed)
+        scale = self._denominator() ** 2
+        res = zero_vec(self.dim)
+        for t, c in acc[triple].items():
+            res[t] = rat(c, scale)
+        return JacobiFailure(triple, res)
 
     # -- derived structure ---------------------------------------------------
 

@@ -4,7 +4,9 @@ This is the sampling nilform used before it stopped at the C1 ceiling:
 every candidate is built up front (the basis vectors, then 64 random
 vectors from one seeded generator) and every one outside C1 is tried.
 Membership in C1 subtracts whole dense basis rows, and Jordan profiles come
-from the reference rank sequence, which forms the powers of ad(x).
+from the reference rank sequence, which forms the powers of ad(x).  It also
+keeps the degree-1 kernel and cokernel certificate systems as they were
+built before one builder served every power of ad(x).
 """
 
 import random
@@ -42,6 +44,43 @@ def rank1_bound(n, r):
     A matrix of full rank is not nilpotent: (n + 1,) exceeds every profile.
     """
     return (n + 1,) if r == n else (r + 1,) + (1,) * (n - r - 1)
+
+
+def ad_kernel_rows(g):
+    """The rows of [x, M x] = 0 in the n^2 entries of M, as the degree-1 builder formed them.
+
+    Row (i, j, l) is the coefficient of x_i x_j, i <= j, in component l:
+    [e_i, M e_j] + [e_j, M e_i] for i < j and [e_i, M e_i] for i = j.
+    """
+    n = g.dim
+    br = g.integer_brackets()
+    rows = {}
+    for i in range(n):
+        for j in range(i, n):
+            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
+                for k, comp in br[a].items():             # [e_a, M_kb e_k]
+                    for l, c in comp.items():
+                        rows.setdefault((i, j, l), {})[k * n + b] = c
+    return list(rows.values())
+
+
+def ad_cokernel_rows(g):
+    """The rows of (N x)^T [x, y] = 0 in the n^2 entries of N, as the degree-1 builder formed them.
+
+    Row (i, m, j) is the coefficient of x_i x_m y_j, i <= m:
+    sum_l (N_lm c_ij^l + N_li c_mj^l) for i < m and sum_l N_li c_ij^l for i = m.
+    """
+    n = g.dim
+    br = g.integer_brackets()
+    rows = {}
+    for i in range(n):
+        for m in range(i, n):
+            for a, b in ((i, m), (m, i)) if i != m else ((i, i),):
+                for j, comp in br[a].items():             # c_aj^l N_lb
+                    row = rows.setdefault((i, m, j), {})
+                    for l, c in comp.items():
+                        row[l * n + b] = c
+    return list(rows.values())
 
 
 def candidates(n, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPLES):

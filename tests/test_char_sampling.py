@@ -3,15 +3,17 @@
 `reference_invariants` tries every candidate, pruning only on the rank of
 ad(x), and `reference_linalg` forms the powers of ad(x) to rank them.  The
 sampling in `nilform.invariants` drops a candidate on any prefix of its
-rank sequence, and stops at the C1 ceiling or at a witness whose rank the
-degree-1 cokernel or kernel certificate shows to be generic; and
-`rank_sequence` ranks integer images instead of powers.  Both must give
-exactly the same rank sequences, sequences and witnesses.  The sets are
-every catalog instance at n = 7..13, seeded random conjugates (dense
-structure constants), and abelian(4), heisenberg(2), g7^65 + abelian(1)
-and g8^7 with alpha = 1/2.  The certificates themselves are checked
-against the rational reference bracket, and the prefix bound against
-every partition of n <= 10.
+rank sequence, and stops at the C1 ceiling or at a witness whose ranks of
+ad(x)^j, for the powers j its profile needs, the cokernel or kernel
+certificates show to be generic; and `rank_sequence` ranks integer images
+instead of powers.  Both must give exactly the same rank sequences,
+sequences and witnesses.  The sets are every catalog instance at
+n = 7..13, seeded random conjugates (dense structure constants), and
+abelian(4), heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
+The certificates of ad(x) and ad(x)^2 are checked against the rational
+reference bracket, the degree-1 systems against the reference builders,
+and the prefix bound and the stop rule against every partition of
+n <= 10.
 """
 
 import random
@@ -22,16 +24,15 @@ import pytest
 import reference_invariants as ref_inv
 import reference_lie as ref_lie
 import reference_linalg as ref
-from nilform import catalog
+from nilform import catalog, invariants
 from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
     DEFAULT_SEED,
-    _ad_cokernel_maps,
-    _ad_kernel_maps,
     _candidates,
     _generic_rank_bound,
     _is_sparse,
+    _power_maps,
     _profile_upper_bound,
     char_sequence_with_witness,
 )
@@ -201,40 +202,48 @@ def test_char_sequence_matches_reference_across_seeds(seed, samples):
                 == ref_inv.char_sequence_with_witness(g, seed=seed, samples=samples))
 
 
-CERTIFICATES = {"cokernel": _ad_cokernel_maps, "kernel": _ad_kernel_maps}
+CERTIFICATES = {"cokernel": True, "kernel": False}        # name: transpose
+
+
+def _stop_power(n, seq):
+    """The least k whose rank prefix r_1..r_k already bounds the profile seq by itself."""
+    ranks = _ranks(seq)
+    return next(k for k in range(1, len(ranks) + 1) if _profile_upper_bound(n, ranks[:k]) == seq)
 
 
 def _outcome(g, seq, witness):
     """How the sampling may stop: "ceiling", "certified" or "exhausted".
 
-    "certified" when seq = (r + 1, 1, ..., 1) for r = rank ad(witness)
-    = n - len(seq), the tensor passes the density gate and the cokernel or
-    the kernel certificate at the witness bounds the generic rank by r.
+    "certified" when the tensor passes the density gate and, with
+    r_1, r_2, ... the ranks of the powers of ad(witness) and k the least
+    length whose prefix bounds seq by itself (`_stop_power`), the
+    cokernel or the kernel certificate of each power j <= k bounds the
+    generic rank of ad(x)^j by r_j at the witness.
     """
     n = g.dim
-    if tuple(seq) == _profile_upper_bound(n, [g.derived_subalgebra().dim]):
+    seq = tuple(seq)
+    if seq == _profile_upper_bound(n, [g.derived_subalgebra().dim]):
         return "ceiling"
-    r = n - len(seq)
     w = _integer_row(enumerate(witness))
-    if (
-        tuple(seq) == _profile_upper_bound(n, [r])
-        and _is_sparse(g)
-        and any(_generic_rank_bound(solve(g), n, w) <= r for solve in CERTIFICATES.values())
+    if _is_sparse(g) and all(
+        any(_generic_rank_bound(_power_maps(g, j, t), n, w) <= r for t in CERTIFICATES.values())
+        for j, r in enumerate(_ranks(seq)[:_stop_power(n, seq)], 1)
     ):
         return "certified"
     return "exhausted"
 
 
 def test_char_sequence_stops_at_the_ceiling(monkeypatch):
-    """ad(x) is built up to the witness after a ceiling or a certified stop, else for all.
+    """ad(x) is built for the candidates up to the witness after a ceiling or a certified stop, else for all.
 
     Every candidate outside C1 is otherwise tried: the n basis vectors and
     the 64 random ones, minus those in C1.  The sampling builds ad(x) as
     integer columns, through `LieAlgebra.ad_columns` on the primitive
     integer row of x.  On the catalog at n = 7..13, 171 sequences reach
-    the C1 ceiling, 149 stop at a certified witness and 24, the off-shape
-    (5, 2, 1, ...) instances, try every candidate; the dense conjugates
-    fail the density gate and never certify.
+    the C1 ceiling and 173 stop at a certified witness, none tries every
+    candidate: 149 stop on the rank of ad(x) and the 24 off-shape
+    (5, 2, 1, ...) instances on the ranks of ad(x) and ad(x)^2.  The dense
+    conjugates fail the density gate and never certify.
     """
     seen = []
     ad_columns = LieAlgebra.ad_columns
@@ -245,6 +254,7 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "ad_columns", recording_ad_columns)
     counts = {}
+    powers = []
     for name in ("catalog", "conjugates"):
         counts[name] = {"ceiling": 0, "certified": 0, "exhausted": 0}
         for g in _algebras(name):
@@ -253,14 +263,20 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
             calls = list(seen)
             outcome = _outcome(g, seq, witness)
             counts[name][outcome] += 1
+            c1 = g.derived_subalgebra()
+            tried = [_integer_row(enumerate(x))
+                     for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)]
             if outcome == "exhausted":
-                c1 = g.derived_subalgebra()
-                assert len(calls) == sum(
-                    1 for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)
-                )
+                assert calls == tried
             else:
+                assert calls == tried[:len(calls)]
                 assert calls[-1] == _integer_row(enumerate(witness))
-    assert counts["catalog"] == {"ceiling": 171, "certified": 149, "exhausted": 24}
+            if outcome == "certified":
+                powers.append(_stop_power(g.dim, tuple(seq)))
+                if powers[-1] == 2:
+                    assert tuple(seq)[:2] == (5, 2)
+    assert counts["catalog"] == {"ceiling": 171, "certified": 173, "exhausted": 0}
+    assert sorted(powers) == [1] * 149 + [2] * 24
     assert counts["conjugates"]["certified"] == 0
 
 
@@ -279,45 +295,59 @@ def _basis_brackets(g):
     return table
 
 
-def _kernel_identities_hold(n, table, m):
-    """[e_i, M e_j] + [e_j, M e_i] = 0 for i < j and [e_i, M e_i] = 0, in rationals.
+def _chains(n, table, power):
+    """chains[k] = the (seq, w) with w = [e_a1, [e_a2, ... [e_aj, e_k]]] != 0, seq = (a1, ..., aj).
 
-    M is given by its sparse integer columns {k: M_kj}, and table holds the
-    brackets of basis vectors (`_basis_brackets`).
+    Over every ordered seq of length j = `power`, in rationals {t: c}, from
+    the brackets of basis vectors (`_basis_brackets`).
     """
-    image = {}                                  # image[(i, j)] = [e_i, M e_j], sparse
-    for j, col in enumerate(m):
-        for k, c in col.items():
-            for i in range(n):
-                for t, y in table[i][k]:
-                    acc = image.setdefault((i, j), {})
-                    acc[t] = acc.get(t, ZERO) + c * y
-    for (i, j), acc in image.items():
-        other = image.get((j, i), {}) if i != j else {}
-        if any(acc.get(t, ZERO) + other.get(t, ZERO) for t in acc.keys() | other.keys()):
-            return False
-    return True
+    chains = [[((), {k: ONE})] for k in range(n)]
+    for _ in range(power):
+        longer = []
+        for level in chains:
+            out = []
+            for seq, w in level:
+                for a in range(n):
+                    acc = {}
+                    for m, c in w.items():
+                        for t, y in table[a][m]:
+                            acc[t] = acc.get(t, ZERO) + c * y
+                    acc = {t: c for t, c in acc.items() if c}
+                    if acc:
+                        out.append(((a,) + seq, acc))
+            longer.append(out)
+        chains = longer
+    return chains
 
 
-def _cokernel_identities_hold(n, table, m):
-    """(N e_k)^T [e_i, e_j] + (N e_i)^T [e_k, e_j] = 0 for i < k and (N e_i)^T [e_i, e_j] = 0.
+def _identity_terms(n, chains, transpose):
+    """terms[i] = the (seq, component, y) through which entry (i, b) of a map enters its identity.
 
-    In rationals, for every j; N is given by its sparse integer columns
-    {l: N_lk}, and table holds the brackets of basis vectors.
+    Kernel (ad(x)^j M x = 0): M_kb adds y = (ad(e_seq) e_k)_t to the
+    coefficient of x^seq x_b, component t.  Cokernel
+    ((N x)^T ad(x)^j y = 0): N_lb adds y = (ad(e_seq) e_k)_l to the
+    coefficient of x^seq x_b y_k.
     """
-    terms = {}                                  # terms[t] = (i, j, y) with [e_i, e_j]_t = y
-    for i in range(n):
-        for j in range(n):
-            for t, y in table[i][j]:
-                terms.setdefault(t, []).append((i, j, y))
-    value = {}                                  # value[(k, i, j)] = (N e_k)^T [e_i, e_j], sparse
-    for k, col in enumerate(m):
-        for t, c in col.items():
-            for i, j, y in terms.get(t, ()):
-                value[k, i, j] = value.get((k, i, j), ZERO) + c * y
-    return not any(
-        v + value.get((i, k, j), ZERO) if i != k else v for (k, i, j), v in value.items()
-    )
+    terms = [[] for _ in range(n)]
+    for k, level in enumerate(chains):
+        for seq, w in level:
+            for t, y in w.items():
+                if transpose:
+                    terms[t].append((seq, k, y))
+                else:
+                    terms[k].append((seq, t, y))
+    return terms
+
+
+def _identities_hold(terms, m):
+    """Every coefficient of the identity is 0 for the map m, given by sparse integer columns."""
+    value = {}
+    for b, col in enumerate(m):
+        for i, c in col.items():
+            for seq, comp, y in terms[i]:
+                key = (tuple(sorted(seq + (b,))), comp)
+                value[key] = value.get(key, ZERO) + c * y
+    return not any(value.values())
 
 
 def _matrices(certificate, n):
@@ -332,43 +362,68 @@ def _matrices(certificate, n):
     return units + maps
 
 
-def _known_maps(g, certificate):
-    """Solutions every algebra has, flattened: M = I, and N = u e_b^T for u orthogonal to C1."""
+def _known_maps(g, certificate, power):
+    """Solutions every algebra has, flattened: M = I, and N = u e_b^T for u orthogonal to C^j.
+
+    ad(x)^j maps g into C^j, the j-th term of the lower central series.
+    """
     n = g.dim
     if certificate == "kernel":
         return [{k * n + k: 1 for k in range(n)}]
-    perp = [_integer_row(enumerate(u)) for u in kernel_basis(g.derived_subalgebra().matrix)]
+    term = g.lower_central_series()[power]
+    perp = [_integer_row(enumerate(u)) for u in kernel_basis(term.matrix)]
     return [{l * n + b: c for l, c in u.items()} for u in perp for b in range(n)]
 
 
-IDENTITIES = {"cokernel": _cokernel_identities_hold, "kernel": _kernel_identities_hold}
+SOUNDNESS = [
+    pytest.param(name, certificate, power,
+                 id=f"{name}-{certificate}" + (f"-power{power}" if power > 1 else ""))
+    for power in (1, 2) for certificate in CERTIFICATES for name in ("catalog", "conjugates")
+]
 
 
-@pytest.mark.parametrize("certificate", list(CERTIFICATES))
-@pytest.mark.parametrize("name", ["catalog", "conjugates"])
-def test_certificate_is_sound(name, certificate):
+@pytest.mark.parametrize("name,certificate,power", SOUNDNESS)
+def test_certificate_is_sound(name, certificate, power):
     """Each map satisfies its identities, and the bound holds at every candidate.
 
-    The kernel maps M have [x, M x] = 0 and the cokernel maps N have
-    (N x)^T [x, y] = 0, both checked against the rational reference
-    bracket.  The bound at any candidate w bounds the generic rank of
-    ad(x), so the least bound over the candidates must be at least the
-    largest rank of ad(x) over them.  The conjugates call the
-    certificates past the density gate.
+    With j = `power`, the kernel maps M have ad(x)^j M x = 0 and the
+    cokernel maps N have (N x)^T ad(x)^j y = 0, every coefficient checked
+    against the rational reference bracket.  The bound at any candidate w
+    bounds the generic rank of ad(x)^j, so the least bound over the
+    candidates must be at least the largest rank of ad(x)^j over them.
+    The conjugates call the certificates past the density gate.
     """
     for g in _algebras(name):
         n = g.dim
-        cert = CERTIFICATES[certificate](g)
+        cert = _power_maps(g, power, CERTIFICATES[certificate])
         maps = _matrices(cert, n)
         flat = ({k * n + j: c for j, col in enumerate(m) for k, c in col.items()} for m in maps)
         span = _echelon(map(_primitive, flat), reduced=False)
-        assert not any(_remainder(span, known) for known in _known_maps(g, certificate))
-        table = _basis_brackets(g)
-        assert all(IDENTITIES[certificate](n, table, m) for m in maps)
+        assert not any(_remainder(span, known) for known in _known_maps(g, certificate, power))
+        terms = _identity_terms(n, _chains(n, _basis_brackets(g), power), CERTIFICATES[certificate])
+        assert all(_identities_hold(terms, m) for m in maps)
         rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
         bound = min(_generic_rank_bound(cert, n, row) for row in rows)
-        top = max(next(_image_ranks(g.ad_columns(row))) for row in rows)
+        top = max((list(_image_ranks(g.ad_columns(row))) + [0] * power)[power - 1] for row in rows)
         assert bound >= top
+
+
+def test_power_one_systems_match_reference(monkeypatch):
+    """At j = 1 the builder hands `_solve_maps` the degree-1 systems row for row, in order."""
+    systems = []
+    solve = invariants._solve_maps
+
+    def recording_solve(rows, n):
+        rows = list(rows)
+        systems.append([list(r.items()) for r in rows])
+        return solve(rows, n)
+
+    monkeypatch.setattr(invariants, "_solve_maps", recording_solve)
+    for g in _algebras("catalog") + _algebras("small"):
+        for transpose, reference in ((False, ref_inv.ad_kernel_rows), (True, ref_inv.ad_cokernel_rows)):
+            systems.clear()
+            _power_maps(g, 1, transpose)
+            assert systems == [[list(r.items()) for r in reference(g)]]
 
 
 def _partitions(n, largest=None):
@@ -401,6 +456,31 @@ def test_profile_upper_bound_is_the_largest_consistent_profile(n):
     assert _profile_upper_bound(n, [n]) == (n + 1,)         # invertible: never pruned
     if n > 2:
         assert _profile_upper_bound(n, [2, 1, 1]) == (n + 1,)   # a repeated nonzero rank
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certified_stop_leaves_nothing_to_try(n):
+    """Every profile that a stop at best P lets through is pruned on a prefix of its ranks.
+
+    With r_1, r_2, ... the ranks of P and k the least length whose prefix
+    bounds P by itself, the sampling stops once certificates show
+    rank ad(x)^j <= r_j for all j <= k and all x.  Every partition Q of n
+    whose ranks satisfy those bounds must then have a prefix of its rank
+    sequence whose bound is at most P, so no later candidate is tried in
+    full, let alone beats P.
+    """
+    by_ranks = {p: _ranks(p) for p in _partitions(n)}
+    cases = 0
+    for best, ranks in by_ranks.items():
+        k = _stop_power(n, best)
+        for q, q_ranks in by_ranks.items():
+            padded = q_ranks + [0] * k
+            if all(padded[j] <= ranks[j] for j in range(k)):
+                cases += 1
+                assert any(
+                    _profile_upper_bound(n, q_ranks[:i]) <= best for i in range(1, len(q_ranks) + 1)
+                ), (best, q)
+    assert cases >= len(by_ranks)
 
 
 NOT_NILPOTENT = [

@@ -317,7 +317,7 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
 
 
 def test_ad_kernel_maps_systems_match_reference(monkeypatch):
-    """The kernel and cokernel certificate systems of the characteristic sequence at n = 12."""
+    """The kernel and cokernel certificate systems of ad(x) and ad(x)^2 at n = 12."""
     systems = []
     kernel = invariants._integer_kernel
 
@@ -329,6 +329,8 @@ def test_ad_kernel_maps_systems_match_reference(monkeypatch):
     for inst in catalog.enumerate_instances(12):
         invariants._ad_kernel_maps(inst.algebra)
         invariants._ad_cokernel_maps(inst.algebra)
-    assert len(systems) > 40
+        for transpose in (False, True):
+            invariants._power_maps(inst.algebra, 2, transpose)
+    assert len(systems) > 80
     for rows, ncols in systems:
         assert sparse_kernel(rows, ncols) == ref.sparse_kernel(rows, ncols)

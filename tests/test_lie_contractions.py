@@ -16,8 +16,9 @@ series must give the same Subspaces as the rational reference; `is_ideal`,
 `is_abelian_subspace` and `quotient` the same verdicts and quotient
 algebras; the integer `change_basis` the same structure constants as the
 rational one under seeded integer and non-integer transforms; and the
-integer `jacobi_check` the same verdict, and on perturbed tables the same
-first failing triple and residual.
+integer `jacobi_check` the same verdict, and on perturbed tables and on
+seeded random tables that fail Jacobi the same first failing triple and
+residual.
 """
 
 import random
@@ -204,24 +205,62 @@ def test_change_basis_singular_matches_reference():
             change_basis(t)
 
 
-@pytest.mark.parametrize("name", SETS + ["rational"])
+def _tables_failing_jacobi(seed, count=200):
+    """Seeded random bracket tables of dim 3..7 that fail the Jacobi identity.
+
+    Each stored pair gets one to three rational constants, with a pair
+    density drawn per table, and a table is kept when the reference scan
+    finds a failure.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 7)
+        density = rng.choice((0.2, 0.4, 0.7))
+        brackets = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    brackets[(i, j)] = {
+                        k: rat(rng.randint(-3, 3), rng.randint(1, 2))
+                        for k in rng.sample(range(n), rng.randint(1, 3))
+                    }
+        g = LieAlgebra(n, brackets)
+        if ref.jacobi_check(g) is not None:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("name", SETS + ["rational", "random"])
 def test_jacobi_check_matches_reference(name):
-    """None on every algebra; on perturbed tables the same first failure."""
-    rng = random.Random(6)
+    """None on every algebra; on perturbed and random tables the same first failure.
+
+    "random" holds seeded random tables of dim 3..7 that all fail Jacobi
+    (`_tables_failing_jacobi`); the others perturb one constant of each
+    algebra of their set.
+    """
+    if name == "random":
+        tables = _tables_failing_jacobi(7)
+    else:
+        rng = random.Random(6)
+        tables = []
+        for g in _algebras(name):
+            assert g.jacobi_check() is None and ref.jacobi_check(g) is None
+            if not g.brackets:
+                continue
+            brackets = {pair: dict(comp) for pair, comp in g.brackets.items()}
+            pair = rng.choice(sorted(brackets))
+            k = rng.randrange(g.dim)
+            shift = rat(rng.randint(1, 5), rng.randint(1, 3))
+            brackets[pair][k] = brackets[pair].get(k, ZERO) + shift
+            tables.append(LieAlgebra(g.dim, brackets))
     failures = 0
-    for g in _algebras(name):
-        assert g.jacobi_check() is None and ref.jacobi_check(g) is None
-        if not g.brackets:
-            continue
-        brackets = {pair: dict(comp) for pair, comp in g.brackets.items()}
-        pair = rng.choice(sorted(brackets))
-        k = rng.randrange(g.dim)
-        shift = rat(rng.randint(1, 5), rng.randint(1, 3))
-        brackets[pair][k] = brackets[pair].get(k, ZERO) + shift
-        bad = LieAlgebra(g.dim, brackets)
+    for bad in tables:
         failure, want = bad.jacobi_check(), ref.jacobi_check(bad)
-        assert failure == want, g
+        assert failure == want, bad
         if failure is not None:
             failures += 1
             assert str(failure) == str(want)
     assert failures
+    if name == "random":
+        assert failures == len(tables)
