@@ -5,6 +5,14 @@ ad(X1)), then Y1..Y_{n-6}.  Even-dimensional families have index 1..53
 (n = 2m), odd-dimensional ones 54..103 (n = 2m+1).  Families 7 and 66
 carry a continuous parameter alpha != 0.
 
+The families are one table, `_BLOCKS`: each row gives a range of families,
+their minimal m, the first Y of their Heisenberg tail (s0) and the fixed
+bracket list of their common block.  `build` writes every law once, as the
+filiform chain [X1, Xj] = X_{j+1}, the block, the tail [Y_a, Y_{a+1}] = X6
+for a = s0, s0+2, ..., n-7, and the family's bullet.  The tail is the only
+part that depends on m: going from m to m+1 adds the two basis vectors
+Y_{n-5}, Y_{n-4} and the one bracket [Y_{n-5}, Y_{n-4}] = X6.
+
 A handful of entries required typographical repair; every such repair is
 recorded in ERRATA and reported by errata(i).  Family 61 is a full
 reconstruction (no bullet is printed for it) and is flagged so dependent
@@ -29,8 +37,7 @@ def _idx(label):
     return num - 1 if kind == "X" else 5 + num
 
 
-def _chain():
-    return [("X1", f"X{j}", [(f"X{j + 1}", 1)]) for j in (2, 3, 4, 5)]
+_CHAIN = [("X1", f"X{j}", [(f"X{j + 1}", 1)]) for j in (2, 3, 4, 5)]
 
 
 def _ypairs(s0, s1):
@@ -38,205 +45,80 @@ def _ypairs(s0, s1):
     return [(f"Y{a}", f"Y{a + 1}", [("X6", 1)]) for a in range(s0, s1 + 1, 2)]
 
 
-# -- common bracket blocks (functions of m) ---------------------------------
+# -- common bracket blocks ---------------------------------------------------
+# Bracket lists that several blocks share.
 
-def _common_1_3(m):
-    return (
-        _chain()
-        + [("X5", "X2", [("Y1", 1)]), ("X3", "X4", [("Y1", 1)])]
-        + _ypairs(3, 2 * m - 7)
-    )
+_B4_54 = [
+    ("X5", "X2", [("Y1", 1)]),
+    ("X3", "X4", [("Y1", 1)]),
+    ("X3", "X2", [("Y2", 1)]),
+    ("Y3", "X3", [("X6", 1)]),
+    ("Y3", "X2", [("X5", 1)]),
+]
+# also the head of blocks 24-25 and 79-80
+_B26_29_81_85 = [("X5", "X2", [("X6", 1)]), ("X3", "X4", [("X6", 1)])]
+_B37_44 = [("Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
+_B30_36_87_92 = _B37_44 + [("Y2", f"X{j}", [(f"X{j + 3}", 1)]) for j in (2, 3)]
 
-def _common_4(m):
-    return (
-        _chain()
-        + [
-            ("X5", "X2", [("Y1", 1)]),
-            ("X3", "X4", [("Y1", 1)]),
-            ("X3", "X2", [("Y2", 1)]),
-            ("Y3", "X3", [("X6", 1)]),
-            ("Y3", "X2", [("X5", 1)]),
-        ]
-        + _ypairs(3, 2 * m - 7)
-    )
-
-def _common_5_19(m):
-    return _chain() + _ypairs(3, 2 * m - 7)
-
-def _common_20_23(m):
-    return (
-        _chain()
-        + [
-            ("Y2", "X3", [("X6", 1)]),
-            ("Y2", "X2", [("X5", 1)]),
-            ("Y3", "X2", [("X6", 1)]),
-            ("Y2", "Y4", [("X6", 1)]),
-        ]
-        + _ypairs(5, 2 * m - 7)
-    )
-
-def _common_24_25(m):
-    return (
-        _chain()
-        + [
-            ("X5", "X2", [("X6", 1)]),
-            ("X3", "X4", [("X6", 1)]),
-            ("Y1", "X3", [("X6", 1)]),
-            ("Y1", "X2", [("X5", 1)]),
-            ("Y2", "X2", [("X6", 1)]),
-        ]
-        + _ypairs(3, 2 * m - 7)
-    )
-
-def _common_26_27(m):
-    return (
-        _chain()
-        + [("X5", "X2", [("X6", 1)]), ("X3", "X4", [("X6", 1)])]
-        + _ypairs(1, 2 * m - 7)
-    )
-
-_common_28_29 = _common_26_27
-
-def _common_30_36(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
-        + [(f"Y2", f"X{j}", [(f"X{j + 3}", 1)]) for j in (2, 3)]
-        + _ypairs(5, 2 * m - 7)
-    )
-
-def _common_37_41(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
-        + _ypairs(1, 2 * m - 7)
-    )
-
-def _common_42_44(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
-        + _ypairs(3, 2 * m - 7)
-    )
-
-def _common_45_46(m):
-    return (
-        _chain()
-        + [
-            ("Y1", "X3", [("X6", 1)]),
-            ("Y1", "X2", [("X5", 1)]),
-            ("Y2", "X2", [("X6", 1)]),
-        ]
-        + _ypairs(3, 2 * m - 7)
-    )
-
-def _common_47_50(m):
-    return (
-        _chain()
-        + [("Y1", "X3", [("X6", 1)]), ("Y1", "X2", [("X5", 1)])]
-        + _ypairs(1, 2 * m - 7)
-    )
-
-def _common_51_53(m):
-    return _chain() + _ypairs(1, 2 * m - 7)
-
-def _common_54(m):
-    return (
-        _chain()
-        + [
-            ("X5", "X2", [("Y1", 1)]),
-            ("X3", "X4", [("Y1", 1)]),
-            ("X3", "X2", [("Y2", 1)]),
-            ("Y3", "X3", [("X6", 1)]),
-            ("Y3", "X2", [("X5", 1)]),
-        ]
-        + _ypairs(4, 2 * m - 6)
-    )
-
-def _common_55_61(m):
-    return (
-        _chain()
-        + [("Y2", "X3", [("X6", 1)]), ("Y2", "X2", [("X5", 1)])]
-        + _ypairs(2, 2 * m - 6)
-    )
-
-def _common_62_74(m):
-    return _chain() + _ypairs(2, 2 * m - 6)
-
-def _common_75_78(m):
-    return (
-        _chain()
-        + [
-            ("Y2", "X3", [("X6", 1)]),
-            ("Y2", "X2", [("X5", 1)]),
-            ("Y3", "X2", [("X6", 1)]),
-        ]
-        + _ypairs(4, 2 * m - 6)
-    )
-
-def _common_79_80(m):
-    return (
-        _chain()
-        + [
-            ("X5", "X2", [("X6", 1)]),
-            ("X3", "X4", [("X6", 1)]),
-            ("Y1", "X2", [("X5", 1)]),
-            ("Y1", "X3", [("X6", 1)]),
-            ("Y2", "X2", [("X6", 1)]),
-            ("Y1", "Y3", [("X6", 1)]),
-        ]
-        + _ypairs(4, 2 * m - 6)
-    )
-
-def _common_81_85(m):
-    return (
-        _chain()
-        + [("X5", "X2", [("X6", 1)]), ("X3", "X4", [("X6", 1)])]
-        + _ypairs(2, 2 * m - 6)
-    )
-
-def _common_86(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
-        + [(f"Y2", f"X{j}", [(f"X{j + 3}", 1)]) for j in (2, 3)]
-        + [
-            ("Y3", "X2", [("X6", 1)]),
-            ("Y1", "Y4", [("X6", 1)]),
-            ("Y2", "Y5", [("X6", 1)]),
-        ]
-        + _ypairs(6, 2 * m - 6)
-    )
-
-def _common_87_92(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (2, 3, 4)]
-        + [(f"Y2", f"X{j}", [(f"X{j + 3}", 1)]) for j in (2, 3)]
-        + _ypairs(4, 2 * m - 6)
-    )
-
-def _common_93_95(m):
-    return (
-        _chain()
-        + [(f"Y1", f"X{j}", [(f"X{j + 2}", 1)]) for j in (3, 4)]
-        + _ypairs(2, 2 * m - 6)
-    )
-
-def _common_96_97(m):
-    return (
-        _chain()
-        + [
-            ("Y1", "X2", [("X5", 1)]),
-            ("Y1", "X3", [("X6", 1)]),
-            ("Y2", "X2", [("X6", 1)]),
-            ("Y1", "Y3", [("X6", 1)]),
-        ]
-        + _ypairs(4, 2 * m - 6)
-    )
-
-def _common_98_103(m):
-    return _chain() + _ypairs(2, 2 * m - 6)
+# (families, m_min, first Y of the Heisenberg tail, fixed brackets); `build`
+# appends the tail [Y_a, Y_{a+1}] = X6 for a = s0, s0+2, ..., n-7
+_BLOCKS = [
+    (range(1, 4), 4, 3, [("X5", "X2", [("Y1", 1)]), ("X3", "X4", [("Y1", 1)])]),
+    (range(4, 5), 5, 3, _B4_54),
+    (range(5, 20), 4, 3, []),
+    (range(20, 24), 5, 5, [
+        ("Y2", "X3", [("X6", 1)]),
+        ("Y2", "X2", [("X5", 1)]),
+        ("Y3", "X2", [("X6", 1)]),
+        ("Y2", "Y4", [("X6", 1)]),
+    ]),
+    (range(24, 26), 4, 3, _B26_29_81_85 + [
+        ("Y1", "X3", [("X6", 1)]),
+        ("Y1", "X2", [("X5", 1)]),
+        ("Y2", "X2", [("X6", 1)]),
+    ]),
+    (range(26, 28), 4, 1, _B26_29_81_85),
+    (range(28, 30), 3, 1, _B26_29_81_85),
+    (range(30, 37), 5, 5, _B30_36_87_92),
+    (range(37, 42), 4, 1, _B37_44),
+    (range(42, 45), 4, 3, _B37_44),
+    (range(45, 47), 4, 3, [
+        ("Y1", "X3", [("X6", 1)]),
+        ("Y1", "X2", [("X5", 1)]),
+        ("Y2", "X2", [("X6", 1)]),
+    ]),
+    (range(47, 51), 4, 1, [("Y1", "X3", [("X6", 1)]), ("Y1", "X2", [("X5", 1)])]),
+    (range(51, 54), 3, 1, []),
+    (range(54, 55), 4, 4, _B4_54),
+    (range(55, 62), 4, 2, [("Y2", "X3", [("X6", 1)]), ("Y2", "X2", [("X5", 1)])]),
+    (range(62, 75), 3, 2, []),
+    (range(75, 79), 4, 4, [
+        ("Y2", "X3", [("X6", 1)]),
+        ("Y2", "X2", [("X5", 1)]),
+        ("Y3", "X2", [("X6", 1)]),
+    ]),
+    (range(79, 81), 4, 4, _B26_29_81_85 + [
+        ("Y1", "X2", [("X5", 1)]),
+        ("Y1", "X3", [("X6", 1)]),
+        ("Y2", "X2", [("X6", 1)]),
+        ("Y1", "Y3", [("X6", 1)]),
+    ]),
+    (range(81, 86), 3, 2, _B26_29_81_85),
+    (range(86, 87), 5, 6, _B30_36_87_92 + [
+        ("Y3", "X2", [("X6", 1)]),
+        ("Y1", "Y4", [("X6", 1)]),
+        ("Y2", "Y5", [("X6", 1)]),
+    ]),
+    (range(87, 93), 4, 4, _B30_36_87_92),
+    (range(93, 96), 3, 2, [("Y1", "X3", [("X5", 1)]), ("Y1", "X4", [("X6", 1)])]),
+    (range(96, 98), 4, 4, [
+        ("Y1", "X2", [("X5", 1)]),
+        ("Y1", "X3", [("X6", 1)]),
+        ("Y2", "X2", [("X6", 1)]),
+        ("Y1", "Y3", [("X6", 1)]),
+    ]),
+    (range(98, 104), 3, 2, []),
+]
 
 
 # -- bullet completions ------------------------------------------------------
@@ -546,69 +428,37 @@ _BULLETS = {
     103: [("X3", "X2", [("X6", 1)]), ("Y1", "X2", [("X6", 1)])],
 }
 
-# family index -> (m_min, common block builder)
-_BLOCKS = [
-    (range(1, 4), 4, _common_1_3),
-    (range(4, 5), 5, _common_4),
-    (range(5, 20), 4, _common_5_19),
-    (range(20, 24), 5, _common_20_23),
-    (range(24, 26), 4, _common_24_25),
-    (range(26, 28), 4, _common_26_27),
-    (range(28, 30), 3, _common_28_29),
-    (range(30, 37), 5, _common_30_36),
-    (range(37, 42), 4, _common_37_41),
-    (range(42, 45), 4, _common_42_44),
-    (range(45, 47), 4, _common_45_46),
-    (range(47, 51), 4, _common_47_50),
-    (range(51, 54), 3, _common_51_53),
-    (range(54, 55), 4, _common_54),
-    (range(55, 62), 4, _common_55_61),
-    (range(62, 75), 3, _common_62_74),
-    (range(75, 79), 4, _common_75_78),
-    (range(79, 81), 4, _common_79_80),
-    (range(81, 86), 3, _common_81_85),
-    (range(86, 87), 5, _common_86),
-    (range(87, 93), 4, _common_87_92),
-    (range(93, 96), 3, _common_93_95),
-    (range(96, 98), 4, _common_96_97),
-    (range(98, 104), 3, _common_98_103),
+# (families, note): each note is written once for every family it covers
+_ERRATA_NOTES = [
+    ((26, 27), "common block for {26, 27} is typeset with a stray line break; "
+               "read as the three displayed bracket lines"),
+    (range(30, 37), "Heisenberg tail upper bound corrected from t <= m-3 to t <= m-4 "
+                    "(the printed bound references Y indices beyond the basis)"),
+    ((45, 46), "common block for {45, 46} prints the chain as X_{j+2}; corrected "
+               "to X_{j+1} (as printed, X7 would be referenced)"),
+    ((61,), "no bullet is printed for family 61; law reconstructed as the "
+            "common block plus [X4,X2]=X6, [X3,X2]=Y1+X5 (the pattern of "
+            "family 74), consistent with the structural table row"),
+    ((81,), "bullet repaired to include [X4,X2]=X6, [X3,X2]=X5: the printed "
+            "bullet yields a non-characteristically-nilpotent law of "
+            "derivation dimension 2m^2-7m+14, contradicting three "
+            "independent claims (the char-nilpotency classification, the "
+            "derivation-dimension table, and the dimension-10 derivation "
+            "algebra example); the repaired law satisfies all three"),
+    ((82,), "bullet repaired to [Y1,X3]=X6, [Y1,X2]=X5+X6 (the bullet "
+            "printed under 81): this law has derivation dimension "
+            "2m^2-7m+14 as tabulated for 82; the bullet printed under 82 "
+            "describes a class (derivation dimension 2m^2-7m+15) that "
+            "appears nowhere in the tables"),
+    ((69,), "second bracket of bullet 69 is printed with superscript 68; "
+            "encoded as part of family 69"),
+    ((87,), "second bracket of bullet 87 is printed with an even-dimension "
+            "subscript; encoded as the odd family 87"),
 ]
-
-ERRATA = {
-    26: ["common block for {26, 27} is typeset with a stray line break; "
-         "read as the three displayed bracket lines"],
-    27: ["common block for {26, 27} is typeset with a stray line break; "
-         "read as the three displayed bracket lines"],
-    30: ["Heisenberg tail upper bound corrected from t <= m-3 to t <= m-4 "
-         "(the printed bound references Y indices beyond the basis)"],
-    45: ["common block for {45, 46} prints the chain as X_{j+2}; corrected "
-         "to X_{j+1} (as printed, X7 would be referenced)"],
-    46: ["common block for {45, 46} prints the chain as X_{j+2}; corrected "
-         "to X_{j+1} (as printed, X7 would be referenced)"],
-    61: ["no bullet is printed for family 61; law reconstructed as the "
-         "common block plus [X4,X2]=X6, [X3,X2]=Y1+X5 (the pattern of "
-         "family 74), consistent with the structural table row"],
-    81: ["bullet repaired to include [X4,X2]=X6, [X3,X2]=X5: the printed "
-         "bullet yields a non-characteristically-nilpotent law of "
-         "derivation dimension 2m^2-7m+14, contradicting three "
-         "independent claims (the char-nilpotency classification, the "
-         "derivation-dimension table, and the dimension-10 derivation "
-         "algebra example); the repaired law satisfies all three"],
-    82: ["bullet repaired to [Y1,X3]=X6, [Y1,X2]=X5+X6 (the bullet "
-         "printed under 81): this law has derivation dimension "
-         "2m^2-7m+14 as tabulated for 82; the bullet printed under 82 "
-         "describes a class (derivation dimension 2m^2-7m+15) that "
-         "appears nowhere in the tables"],
-    69: ["second bracket of bullet 69 is printed with superscript 68; "
-         "encoded as part of family 69"],
-    87: ["second bracket of bullet 87 is printed with an even-dimension "
-         "subscript; encoded as the odd family 87"],
-}
-for _i in range(31, 37):
-    ERRATA.setdefault(_i, []).append(
-        "Heisenberg tail upper bound corrected from t <= m-3 to t <= m-4 "
-        "(the printed bound references Y indices beyond the basis)"
-    )
+ERRATA = {}
+for _fams, _note in _ERRATA_NOTES:
+    for _i in _fams:
+        ERRATA.setdefault(_i, []).append(_note)
 
 RECONSTRUCTED = frozenset({61, 81, 82})
 
@@ -619,7 +469,8 @@ class CatalogFamily:
     parity: str            # "even" -> n = 2m, "odd" -> n = 2m+1
     m_min: int
     needs_alpha: bool
-    common: callable = field(repr=False)
+    tail_start: int        # s0 of the Heisenberg tail [Y_a, Y_{a+1}] = X6
+    block: list = field(repr=False, default_factory=list)
     bullet: list = field(repr=False, default_factory=list)
 
     def dimension(self, m):
@@ -628,14 +479,15 @@ class CatalogFamily:
 
 def _families():
     out = {}
-    for rng, m_min, common in _BLOCKS:
+    for rng, m_min, tail_start, block in _BLOCKS:
         for i in rng:
             out[i] = CatalogFamily(
                 index=i,
                 parity="even" if i <= 53 else "odd",
                 m_min=m_min,
                 needs_alpha=i in ALPHA_FAMILIES,
-                common=common,
+                tail_start=tail_start,
+                block=block,
                 bullet=_BULLETS[i],
             )
     return out
@@ -672,7 +524,7 @@ def build(i, m, alpha=None) -> LieAlgebra:
     n = fam.dimension(m)
     nyy = n - 6
     entries = []
-    for lhs, rhs, targets in fam.common(m) + fam.bullet:
+    for lhs, rhs, targets in _CHAIN + fam.block + _ypairs(fam.tail_start, n - 7) + fam.bullet:
         a, b = _idx(lhs), _idx(rhs)
         if max(a, b) >= n:
             raise InvalidDimension(

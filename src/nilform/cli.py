@@ -13,6 +13,7 @@ import click
 from . import catalog, serialize, verify
 from .errors import MalformedFile
 from .invariants import DEFAULT_SEED
+from .rational import parse_rat, rat_str
 from .reports import Report
 
 
@@ -41,8 +42,6 @@ def _catalog_dims(ctx, param, text):
 
 
 def _parse_alphas(ctx, param, text):
-    from .rational import parse_rat
-
     try:
         alphas = tuple(parse_rat(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):     # 'x', or a zero denominator as in '1/0'
@@ -50,6 +49,9 @@ def _parse_alphas(ctx, param, text):
     if any(a == 0 for a in alphas):
         raise click.BadParameter("alpha samples must be nonzero")
     return alphas
+
+
+_DEFAULT_ALPHAS = ",".join(rat_str(a) for a in catalog.DEFAULT_ALPHAS)
 
 
 def _seed(value):
@@ -76,7 +78,7 @@ def main():
 @main.command()
 @click.option("--dims", default="7..13", callback=_catalog_dims,
               help="inclusive dimension range A..B")
-@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas,
+@click.option("--alpha", "alphas", default=_DEFAULT_ALPHAS, callback=_parse_alphas,
               help="comma-separated alpha samples")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -98,7 +100,7 @@ def check(dims, alphas, seed, fmt, path):
 @main.command()
 @click.option("--id", "table_id", type=int, required=True, help="table number 1..9")
 @click.option("--m", "ms", default="4..6", callback=_parse_range, help="m values A..B")
-@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
+@click.option("--alpha", "alphas", default=_DEFAULT_ALPHAS, callback=_parse_alphas)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def tables(table_id, ms, alphas, seed, fmt):
@@ -116,7 +118,7 @@ def tables(table_id, ms, alphas, seed, fmt):
 
 @main.command()
 @click.option("--dims", default="7..9", callback=_catalog_dims)
-@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
+@click.option("--alpha", "alphas", default=_DEFAULT_ALPHAS, callback=_parse_alphas)
 @click.option("--sums/--no-sums", default=False,
               help="also verify the nilindex-5 direct sums at n=14")
 @click.option("--certificates/--no-certificates", default=False,
@@ -175,7 +177,7 @@ main.add_command(catalog_cmd, name="catalog")
 
 @catalog_cmd.command("export")
 @click.option("--dim", "n", type=int, required=True)
-@click.option("--alpha", "alphas", default="1,2,-1,1/2", callback=_parse_alphas)
+@click.option("--alpha", "alphas", default=_DEFAULT_ALPHAS, callback=_parse_alphas)
 @click.option("--out", type=click.Path(file_okay=False), default=".")
 def catalog_export(n, alphas, out):
     """Write every instance at a dimension as algebra JSON files."""

@@ -262,16 +262,6 @@ def _power_maps(g: LieAlgebra, power, transpose):
     return _solve_maps(rows.values(), n)
 
 
-def _ad_kernel_maps(g: LieAlgebra):
-    """The integer n x n matrices M with [x, M x] = 0 for every x: `_power_maps` at j = 1."""
-    return _power_maps(g, 1, False)
-
-
-def _ad_cokernel_maps(g: LieAlgebra):
-    """The integer n x n matrices N with (N x)^T [x, y] = 0 for every x, y: `_power_maps` at j = 1."""
-    return _power_maps(g, 1, True)
-
-
 def _generic_rank_bound(certificate, n, x):
     """n - rank{A x : A solves the certificate}, which bounds rank ad(y) for every y.
 

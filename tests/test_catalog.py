@@ -112,6 +112,22 @@ def test_chain_with_abelian():
     assert tuple(char_sequence(g)) == (4, 1, 1)
 
 
+def test_heisenberg_tail_is_the_only_m_dependence():
+    # from m to m + 1 a family gains Y_{n-5}, Y_{n-4} and the one bracket
+    # [Y_{n-5}, Y_{n-4}] = X6; with the n = 7..13 digest below this pins
+    # every build up to m = 12
+    steps = 0
+    for i, fam in sorted(catalog.FAMILIES.items()):
+        alpha = 2 if fam.needs_alpha else None
+        for m in range(fam.m_min, 12):
+            g, h = catalog.build(i, m, alpha), catalog.build(i, m + 1, alpha)
+            n = g.dim
+            assert h.dim == n + 2, f"family {i}, m = {m}"
+            assert h.brackets == {**g.brackets, (n, n + 1): {5: 1}}, f"family {i}, m = {m}"
+            steps += 1
+    assert steps == 843
+
+
 # SHA-256 of `serialize.dumps` over the algebras built from bracket lists:
 # the catalog at n = 7..13, the two printed derivation presentations and 20
 # instantiated templates.  Pinned before the builders were merged into

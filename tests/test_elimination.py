@@ -327,10 +327,9 @@ def test_ad_kernel_maps_systems_match_reference(monkeypatch):
 
     monkeypatch.setattr(invariants, "_integer_kernel", recording_kernel)
     for inst in catalog.enumerate_instances(12):
-        invariants._ad_kernel_maps(inst.algebra)
-        invariants._ad_cokernel_maps(inst.algebra)
-        for transpose in (False, True):
-            invariants._power_maps(inst.algebra, 2, transpose)
+        for j in (1, 2):
+            for transpose in (False, True):
+                invariants._power_maps(inst.algebra, j, transpose)
     assert len(systems) > 80
     for rows, ncols in systems:
         assert sparse_kernel(rows, ncols) == ref.sparse_kernel(rows, ncols)
