@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidDimension, MissingParameter
 from .lie import LieAlgebra, from_bracket_list
 from .rational import ONE, rat, rat_str
+from .template import adapted_labels
 
 ALPHA_FAMILIES = (7, 66)
 DEFAULT_ALPHAS = (rat(1), rat(2), rat(-1), rat(1, 2))
@@ -522,7 +523,6 @@ def build(i, m, alpha=None) -> LieAlgebra:
         raise MissingParameter(f"family {i} takes no alpha parameter")
 
     n = fam.dimension(m)
-    nyy = n - 6
     entries = []
     for lhs, rhs, targets in _CHAIN + fam.block + _ypairs(fam.tail_start, n - 7) + fam.bullet:
         a, b = _idx(lhs), _idx(rhs)
@@ -532,9 +532,6 @@ def build(i, m, alpha=None) -> LieAlgebra:
             )
         entries.append((a, b, {_idx(tgt): alpha if c == "a" else c for tgt, c in targets}))
 
-    labels = tuple(f"X{j}" for j in range(1, 7)) + tuple(
-        f"Y{k}" for k in range(1, nyy + 1)
-    )
     meta = {
         "family": i,
         "m": m,
@@ -544,7 +541,7 @@ def build(i, m, alpha=None) -> LieAlgebra:
     }
     if fam.needs_alpha:
         meta["alpha"] = alpha
-    return from_bracket_list(n, entries, labels=labels, meta=meta)
+    return from_bracket_list(n, entries, labels=adapted_labels(n), meta=meta)
 
 
 def instance_label(i, n, alpha=None):

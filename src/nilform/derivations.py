@@ -43,6 +43,7 @@ from .errors import DimensionMismatch
 from .lie import LieAlgebra, _int_bracket, basis_vec
 from .linalg import (
     Matrix,
+    _column_matrix,
     _combine,
     _echelon,
     _fold,
@@ -76,10 +77,7 @@ class DerivationSpace:
 
     @cached_property
     def basis(self):
-        n = self.algebra.dim
-        rows = ([[rat(c[l], p) if l in c else ZERO for c in cols] for l in range(n)]
-                for p, cols in self.cleared)
-        return [Matrix(data, copy=False) for data in rows]
+        return [_column_matrix(cols, p, self.algebra.dim) for p, cols in self.cleared]
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
@@ -498,8 +496,7 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
         p = d
         for _ in range(n):
             if sum(col.get(j, 0) for j, col in enumerate(p)):
-                rows = [[rat(col.get(i, 0)) for col in d] for i in range(n)]
-                return CharNilpotency(value=False, witness=Matrix(rows, copy=False))
+                return CharNilpotency(value=False, witness=_column_matrix(d, 1, n))
             p = [_combine(p, col) for col in d]                     # the columns of P D
             if not any(p):
                 break

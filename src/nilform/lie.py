@@ -36,6 +36,7 @@ from functools import cached_property
 from .errors import DimensionMismatch, NotAnIdeal
 from .linalg import (
     Matrix,
+    _column_matrix,
     _combine,
     _echelon,
     _integer_columns,
@@ -231,12 +232,7 @@ class LieAlgebra:
         if len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
         d, iv = _scaled(enumerate(v))
-        scale = self._denominator() * d
-        rows = [zero_vec(self.dim) for _ in range(self.dim)]
-        for j, col in enumerate(self.ad_columns(iv)):
-            for k, c in col.items():
-                rows[k][j] = rat(c, scale)
-        return Matrix(rows, copy=False)
+        return _column_matrix(self.ad_columns(iv), self._denominator() * d, self.dim)
 
     def _denominator(self):
         """L, the common denominator of the structure constants."""
@@ -314,11 +310,7 @@ class LieAlgebra:
         if not failed:
             return None
         triple = min(failed)
-        scale = self._denominator() ** 2
-        res = zero_vec(self.dim)
-        for t, c in acc[triple].items():
-            res[t] = rat(c, scale)
-        return JacobiFailure(triple, res)
+        return JacobiFailure(triple, _rref_row(acc[triple], self._denominator() ** 2, self.dim))
 
     # -- derived structure ---------------------------------------------------
 
@@ -548,22 +540,6 @@ class LieAlgebra:
         tag = f" {name}" if name else ""
         return f"LieAlgebra(dim {self.dim}{tag}, {len(self.brackets)} bracket pairs)"
 
-    def describe(self):
-        lines = []
-        for (i, j), comp in sorted(self.brackets.items()):
-            terms = []
-            for k in sorted(comp):
-                c = comp[k]
-                lab = self.labels[k]
-                if c == 1:
-                    terms.append(lab)
-                elif c == -1:
-                    terms.append(f"-{lab}")
-                else:
-                    terms.append(f"{c}*{lab}")
-            lines.append(f"[{self.labels[i]}, {self.labels[j]}] = {' + '.join(terms)}")
-        return "\n".join(lines)
-
 
 class BasisChange:
     """Invertible transition matrix T, optionally tagged with its kind.
@@ -595,8 +571,7 @@ class BasisChange:
 
     @cached_property
     def matrix(self):
-        n = len(self._columns)
-        return Matrix.from_cols([_rref_row(col, self._scale, n) for col in self._columns])
+        return _column_matrix(self._columns, self._scale, len(self._columns))
 
     def __repr__(self):
         return f"BasisChange(kind {self.kind}, n={len(self._columns)})"

@@ -173,12 +173,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("matmul shape mismatch")
     da, acols = _integer_columns(a)
     db, bcols = _integer_columns(b)
-    d = da * db
-    out = [[ZERO] * b.ncols for _ in range(a.nrows)]
-    for j, bcol in enumerate(bcols):
-        for i, v in _combine(acols, bcol).items():
-            out[i][j] = rat(v, d)
-    return Matrix(out, copy=False)
+    return _column_matrix([_combine(acols, bcol) for bcol in bcols], da * db, a.nrows)
 
 
 def _primitive(row):
@@ -299,6 +294,15 @@ def _rref_row(row, d, ncols):
     for k, v in row.items():
         out[k] = rat(v, d)
     return out
+
+
+def _column_matrix(cols, d, nrows):
+    """The rational Matrix with column j the sparse integer column cols[j] {row: int} over d."""
+    out = [[ZERO] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = rat(v, d)
+    return Matrix(out, copy=False)
 
 
 def _kernel_coordinates(pivots, ncols):

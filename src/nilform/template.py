@@ -3,8 +3,10 @@
 Every law here is presented on an adapted basis X1..X6, Y1..Y_{n-6} where
 ad(X1) acts as the chain X2 -> X3 -> X4 -> X5 -> X6.  The template captures
 such a law by the parameter family (d_i, e_i, f_i, m^k, n6, o6, p^k, p6,
-a_ij); instantiate/template_match convert between the parameter form and
-explicit structure constants.
+a_ij).  The shape is stated once, in `_entries`, the bracket list of a
+parameter form: `instantiate` writes it out as structure constants, and
+`template_match` reads each parameter at the one place `_entries` puts it
+and accepts an algebra only if its brackets are exactly those entries.
 
 The type I-IV changes move to another adapted basis.  Types I, II and IV
 regenerate the chain images with the adjoint operator of the (new) X1,
@@ -77,10 +79,17 @@ class GenericN5Law:
         return -self.a.get((j, i), ZERO)
 
 
-def instantiate(t: GenericN5Law) -> LieAlgebra:
-    """Write out the template brackets as an explicit algebra."""
-    n = t.n
-    ny = n - 6
+def adapted_labels(n):
+    """The adapted-basis labels X1..X6, Y1..Y_{n-6}."""
+    return tuple(f"X{j}" for j in range(1, 7)) + tuple(f"Y{k}" for k in range(1, n - 5))
+
+
+def _entries(t: GenericN5Law):
+    """The template brackets of t, as (i, j, {k: c}) entries; zero coefficients kept.
+
+    Each basis pair is written at most once.
+    """
+    ny = t.n - 6
     mix = {5 + k: t.m[k - 1] for k in range(1, ny + 1)}
     mix[5] = t.n6
     pmix = {5 + k: t.p[k - 1] for k in range(1, ny + 1)}
@@ -94,96 +103,50 @@ def instantiate(t: GenericN5Law) -> LieAlgebra:
         entries.append((yi, 2, {4: t.d[i - 1], 5: t.e[i - 1]}))
         entries.append((yi, 1, {3: t.d[i - 1], 4: t.e[i - 1], 5: t.f[i - 1]}))
     entries += [(5 + i, 5 + j, {5: c}) for (i, j), c in t.a.items()]
+    return entries
 
-    labels = tuple(f"X{j}" for j in range(1, 7)) + tuple(
-        f"Y{k}" for k in range(1, ny + 1)
-    )
-    return from_bracket_list(n, entries, labels=labels)
+
+def instantiate(t: GenericN5Law) -> LieAlgebra:
+    """Write out the template brackets as an explicit algebra."""
+    return from_bracket_list(t.n, _entries(t), labels=adapted_labels(t.n))
 
 
 def template_match(g: LieAlgebra):
-    """Recover the template parameters, or None when a bracket breaks shape."""
+    """Recover the template parameters, or None when a bracket breaks shape.
+
+    Each parameter is read where `_entries` writes it: the X6 coefficient
+    of [Yi, X4], [Yi, X3], [Yi, X2], [X4, X2] and [Yi, Yj] for d, e, f, o6
+    and a, and [X5, X2], [X3, X2] for the rest.  g matches when every
+    entry of the law so read is its bracket and g has no other pair.
+    """
     n = g.dim
-    ny = n - 6
-    if ny < 0:
+    if n < 6:
         return None
 
-    def comp(i, j):
-        return g.bracket_basis(i, j)
+    def x6(i, j):
+        return g.bracket_basis(i, j).get(5, ZERO)
 
-    # Chain and zero rows of the X1 action.
-    for j in (1, 2, 3, 4):
-        if comp(0, j) != {j + 1: ONE}:
-            return None
-    if comp(0, 5):
-        return None
-    for k in range(ny):
-        if comp(0, 6 + k):
-            return None
-
-    mix = comp(4, 1)
-    if comp(2, 3) != mix:
-        return None
-    if any(k < 5 for k in mix):
-        return None
-    n6 = mix.get(5, ZERO)
-    m = tuple(mix.get(6 + k, ZERO) for k in range(ny))
-
-    o_comp = comp(3, 1)
-    if any(k != 5 for k in o_comp):
-        return None
-    o6 = o_comp.get(5, ZERO)
-
-    pmix = comp(2, 1)
-    if any(k < 4 for k in pmix):
-        return None
-    if pmix.get(4, ZERO) != o6:
-        return None
-    p6 = pmix.get(5, ZERO)
-    p = tuple(pmix.get(6 + k, ZERO) for k in range(ny))
-
-    # Remaining X-pair brackets must vanish.
-    for (i, j) in ((2, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)):
-        if comp(i, j):
-            return None
-
-    d = [ZERO] * ny
-    e = [ZERO] * ny
-    f = [ZERO] * ny
-    for k in range(ny):
-        yi = 6 + k
-        c4 = comp(yi, 3)
-        if any(t != 5 for t in c4):
-            return None
-        d[k] = c4.get(5, ZERO)
-        c3 = comp(yi, 2)
-        if any(t not in (4, 5) for t in c3):
-            return None
-        if c3.get(4, ZERO) != d[k]:
-            return None
-        e[k] = c3.get(5, ZERO)
-        c2 = comp(yi, 1)
-        if any(t not in (3, 4, 5) for t in c2):
-            return None
-        if c2.get(3, ZERO) != d[k] or c2.get(4, ZERO) != e[k]:
-            return None
-        f[k] = c2.get(5, ZERO)
-        if comp(yi, 4) or comp(yi, 5):
-            return None
-
-    a = {}
-    for i in range(ny):
-        for j in range(i + 1, ny):
-            cij = comp(6 + i, 6 + j)
-            if any(t != 5 for t in cij):
-                return None
-            c = cij.get(5, ZERO)
-            if c:
-                a[(i + 1, j + 1)] = c
-
-    return GenericN5Law(
-        n, tuple(d), tuple(e), tuple(f), m, n6, o6, p, p6, a
+    mix, pmix = g.bracket_basis(4, 1), g.bracket_basis(2, 1)
+    ys = range(6, n)
+    t = GenericN5Law(
+        n,
+        tuple(x6(y, 3) for y in ys),
+        tuple(x6(y, 2) for y in ys),
+        tuple(x6(y, 1) for y in ys),
+        tuple(mix.get(y, ZERO) for y in ys),
+        mix.get(5, ZERO),
+        x6(3, 1),
+        tuple(pmix.get(y, ZERO) for y in ys),
+        pmix.get(5, ZERO),
+        {(i - 5, j - 5): x6(i, j) for i in ys for j in range(i + 1, n)},
     )
+    pairs = 0
+    for i, j, comp in _entries(t):
+        comp = {k: c for k, c in comp.items() if c}
+        if comp != g.bracket_basis(i, j):
+            return None
+        pairs += bool(comp)
+    return t if pairs == len(g.brackets) else None
 
 
 # -- adapted-basis changes ----------------------------------------------------

@@ -8,12 +8,17 @@ checks the residual with one more rational bracket, and type III edits the
 columns of a rational identity matrix.  The new changes must return the
 same `BasisChange.matrix`, and raise `TemplateMismatch` with the same
 message.
+
+`template_match` is the matcher nilform used before the template shape
+was stated once, in `template._entries`: it restates that shape slot by
+slot.  The new matcher must return the same law, or None, on every input.
 """
 
 from nilform.errors import TemplateMismatch
 from nilform.lie import BasisChange, LieAlgebra, basis_vec, zero_vec
 from nilform.linalg import Matrix
-from nilform.rational import ONE, rat
+from nilform.rational import ONE, ZERO, rat
+from nilform.template import GenericN5Law
 
 from reference_linalg import solve
 
@@ -119,3 +124,91 @@ def type_iv_change(g: LieAlgebra, alpha, beta, gamma) -> BasisChange:
     y2 = _vec(n, {7: ONE, 8: rat(gamma)})
     ys = [y1, y2] + [basis_vec(n, 6 + k) for k in range(2, n - 6)]
     return BasisChange(Matrix.from_cols(cols + ys), kind="IV")
+
+
+def template_match(g: LieAlgebra):
+    """Recover the template parameters, or None when a bracket breaks shape.
+
+    One hand-written check per template slot.
+    """
+    n = g.dim
+    ny = n - 6
+    if ny < 0:
+        return None
+
+    def comp(i, j):
+        return g.bracket_basis(i, j)
+
+    # Chain and zero rows of the X1 action.
+    for j in (1, 2, 3, 4):
+        if comp(0, j) != {j + 1: ONE}:
+            return None
+    if comp(0, 5):
+        return None
+    for k in range(ny):
+        if comp(0, 6 + k):
+            return None
+
+    mix = comp(4, 1)
+    if comp(2, 3) != mix:
+        return None
+    if any(k < 5 for k in mix):
+        return None
+    n6 = mix.get(5, ZERO)
+    m = tuple(mix.get(6 + k, ZERO) for k in range(ny))
+
+    o_comp = comp(3, 1)
+    if any(k != 5 for k in o_comp):
+        return None
+    o6 = o_comp.get(5, ZERO)
+
+    pmix = comp(2, 1)
+    if any(k < 4 for k in pmix):
+        return None
+    if pmix.get(4, ZERO) != o6:
+        return None
+    p6 = pmix.get(5, ZERO)
+    p = tuple(pmix.get(6 + k, ZERO) for k in range(ny))
+
+    # Remaining X-pair brackets must vanish.
+    for (i, j) in ((2, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)):
+        if comp(i, j):
+            return None
+
+    d = [ZERO] * ny
+    e = [ZERO] * ny
+    f = [ZERO] * ny
+    for k in range(ny):
+        yi = 6 + k
+        c4 = comp(yi, 3)
+        if any(t != 5 for t in c4):
+            return None
+        d[k] = c4.get(5, ZERO)
+        c3 = comp(yi, 2)
+        if any(t not in (4, 5) for t in c3):
+            return None
+        if c3.get(4, ZERO) != d[k]:
+            return None
+        e[k] = c3.get(5, ZERO)
+        c2 = comp(yi, 1)
+        if any(t not in (3, 4, 5) for t in c2):
+            return None
+        if c2.get(3, ZERO) != d[k] or c2.get(4, ZERO) != e[k]:
+            return None
+        f[k] = c2.get(5, ZERO)
+        if comp(yi, 4) or comp(yi, 5):
+            return None
+
+    a = {}
+    for i in range(ny):
+        for j in range(i + 1, ny):
+            cij = comp(6 + i, 6 + j)
+            if any(t != 5 for t in cij):
+                return None
+            c = cij.get(5, ZERO)
+            if c:
+                a[(i + 1, j + 1)] = c
+
+    return GenericN5Law(
+        n, tuple(d), tuple(e), tuple(f), m, n6, o6, p, p6, a
+    )

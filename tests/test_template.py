@@ -59,8 +59,8 @@ def test_template_roundtrip_random():
 
 
 def test_template_match_rejects_off_shape():
-    g = catalog.build(30, 5)   # [Y1, X2] = X4 violates the template d-slot? no:
-    # family 30 is template-shaped; perturb a bracket instead
+    # family 30 matches the template; add a bracket the template forbids
+    g = catalog.build(30, 5)
     brackets = {k: dict(v) for k, v in g.brackets.items()}
     brackets[(0, 6)] = {4: rat(1)}     # [X1, Y1] must vanish in the template
     from nilform.lie import LieAlgebra
