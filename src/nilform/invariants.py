@@ -39,27 +39,38 @@ r_j.  Every later candidate then has rank ad(X)^j <= r_j for j <= k, and
 some prefix of its ranks is bounded by P, so the prune would reject it:
 stopping leaves the sequence and the witness unchanged.  There are two
 certificates for each power j, each one integer kernel of a linear system
-in the n^2 entries of an n x n matrix, built from the integer tensor by
-one row builder (`_power_maps`):
-- the cokernel certificate, the matrices N with (N X)^T ad(X)^j Y = 0
-  identically: each N X is orthogonal to the image of ad(X)^j;
-- the kernel certificate, the matrices M with ad(X)^j M X = 0
-  identically: each M X lies in ker ad(X)^j.
-If the vectors N w (or M w) have rank s, ad(X)^j has rank at most n - s
-for all X.  For each power in turn, the cokernel is solved first, on first
-need, and the kernel only when the cokernel bound exceeds r_j; each is
-solved at most once per call.  With k = 1 this is the stop at a best
-profile (r_1 + 1, 1, ..., 1) on the rank of ad(X) alone.  Of the 344
-catalog instances at n = 7..13, 171 stop at the ceiling and the other 173
-at a certified witness: 149 with k = 1 (the cokernel certifies 145 and
-the kernel the other 4) and the 24 off-shape (5, 2, 1, ...) instances
-with k = 2 (at j = 2 the cokernel certifies 11 and the kernel 13).  The
-systems are solved only when the integer tensor stores
-fewer than n^2 nonzero constants: sparse bases (the catalog's hold at most
-0.45 n^2) certify cheaply, while on dense bases (random conjugates hold at
-least 5 n^2) the solves cost more than the sampling they would save.
-Otherwise every candidate is tried, and the result is cross-checked
-against the expected value for every catalog entry in the test suite.
+built from the integer tensor by one row builder (`_power_maps`).  ad(X)^j
+maps g into C1, and with P the pivot columns of C1's echelon
+(`LieAlgebra.derived_echelon`), d = |P|, w -> w|_P is injective on C1, so
+both are written on P alone:
+- the cokernel certificate, the d x n matrices V with
+  sum over p in P of (V X)_p (ad(X)^j Y)_p = 0 identically: each V X is
+  orthogonal to the image of ad(X)^j read on P;
+- the kernel certificate, the n x n matrices M with ad(X)^j M X = 0
+  identically, its components at P: each M X lies in ker ad(X)^j.
+If the vectors V w have rank s, ad(X)^j has rank at most d - s for all
+X, and if the M w have rank s, at most n - s; a power with r_j >= d needs
+neither, as ad(X)^j maps g into C1.  For each power in turn,
+the cokernel is solved first, on first need, and the kernel only when the
+cokernel bound exceeds r_j; each is solved at most once per call.  With
+k = 1 this is the stop at a best profile (r_1 + 1, 1, ..., 1) on the rank
+of ad(X) alone.  Of the 344 catalog instances at n = 7..13, 171 stop at
+the ceiling and the other 173 at a certified witness: 149 with k = 1 (the
+cokernel certifies 145 and the kernel the other 4) and the 24 off-shape
+(5, 2, 1, ...) instances with k = 2 (at j = 2 the cokernel certifies 11
+and the kernel 13).
+
+A certificate costs more as the tensor fills in, and sampling costs more
+too, so a cost rule decides instead of a density threshold: at each new
+best, a certificate not yet solved is solved only when its estimated cost
+(`_solve_cost`), with those of the solves before it at that best, is at
+most the candidates after the witness times the cost of one candidate
+(`_sample_cost`).  The rule only decides when sampling stops, never what
+it finds.  On the catalog every certificate the stop needs passes it.
+On dense bases (random conjugates, with C1 not spanned by basis vectors)
+the power-1 cokernel, with d n unknowns, passes and certifies at the
+first witness, while the power-1 kernel (n^2 unknowns) at n >= 9 and the
+power-2 systems cost more than the sampling left and are declined.
 """
 
 from __future__ import annotations
@@ -181,12 +192,11 @@ def _solve_maps(rows, n):
         if key not in mentioned:
             k, j = divmod(key, n)
             free.setdefault(k, set()).add(j)
-    rows = [r for r in ({key: c for key, c in r.items() if key not in zero} for r in longer) if r]
-    keys = sorted({key for r in rows for key in r})
+    keys = sorted(mentioned - zero)
     index = {key: i for i, key in enumerate(keys)}
+    rows = ({i: c for key, c in r.items() if (i := index.get(key)) is not None} for r in longer)
     maps = []
-    for v in _integer_kernel([_primitive({index[key]: c for key, c in r.items()}) for r in rows],
-                             len(keys))[2]:
+    for v in _integer_kernel([_primitive(r) for r in rows if r], len(keys))[2]:
         cols = [{} for _ in range(n)]
         for i, c in v.items():
             k, j = divmod(keys[i], n)
@@ -198,24 +208,32 @@ def _solve_maps(rows, n):
 def _power_maps(g: LieAlgebra, power, transpose):
     """The maps of the power-j kernel or cokernel certificate, by `_solve_maps`.
 
-    With j = `power`, the kernel certificate is the integer n x n matrices
-    M with ad(x)^j M x = 0 for every x, and the cokernel certificate
-    (`transpose`) the matrices N with (N x)^T ad(x)^j y = 0 for every x, y.
-    Each M x lies in ker ad(x)^j and each N x is orthogonal to the image of
-    ad(x)^j, so either bounds the rank of ad(x)^j.
+    With j = `power` and P the pivot columns of C1's echelon, the kernel
+    certificate is the integer n x n matrices M with ad(x)^j M x = 0 for
+    every x, and the cokernel certificate (`transpose`) the matrices V
+    with sum over p in P of (V x)_p (ad(x)^j y)_p = 0 for every x, y,
+    their rows off P left unmentioned, so free.  Each M x lies in
+    ker ad(x)^j and each V x, read on P, is orthogonal to the image of
+    ad(x)^j, which lies in C1, on which w -> w|_P is injective; so either
+    bounds the rank of ad(x)^j.  The cokernel has d n unknowns, d = |P|,
+    not n^2, and `_generic_rank_bound` then returns d - rank{V x}.
 
-    Both identities are linear in the n^2 entries, with one row per
-    monomial x^S of degree j + 1 and component.  For a multiset A of j
-    indices, Q_A = sum of ad(e_a1) ... ad(e_aj) over the distinct orderings
-    of A, built from the integer tensor as Q_A = sum over the distinct a
-    in A of ad(e_a) Q_(A - a), with its zeros dropped; Q_(a) is the tensor
-    row br[a] itself.  The coefficient of x^S in ad(x)^j M x, component l,
-    is the sum over the distinct b in S, with A = S - b, of
-    sum_k Q_A[k]_l M_kb; that of (N x)^T ad(x)^j e_k is
-    sum_l Q_A[k]_l N_lb.  Each b gives other entries (column b of the
-    matrix), so no entry of a row is written twice.  The rows are formed
-    in the order of (S, -b), which at j = 1 is the order of the loops over
-    i <= j of the degree-1 systems.
+    Both identities are linear in the entries, with one row per monomial
+    x^S of degree j + 1 and component.  For a multiset A of j indices,
+    Q_A = sum of ad(e_a1) ... ad(e_aj) over the distinct orderings of A,
+    built from the integer tensor as Q_A = sum over the distinct a in A of
+    ad(e_a) Q_(A - a), with its zeros dropped; Q_(a) is the tensor row
+    br[a] itself.  Q_A[k] lies in C1, so it is restricted to P once, and
+    no component off P is written: the kernel's components there follow
+    from those at P.  When every structure constant lies at P, as in the
+    catalog, whose C1 is spanned by basis vectors, there is nothing to
+    restrict.  The coefficient of x^S in ad(x)^j M x, component
+    l in P, is the sum over the distinct b in S, with A = S - b, of
+    sum_k Q_A[k]_l M_kb; that of (V x)^T ad(x)^j e_k is
+    sum over l in P of Q_A[k]_l V_lb.  Each b gives other entries (column
+    b of the matrix), so no entry of a row is written twice.  The rows are
+    formed in the order of (S, -b), which at j = 1 is the order of the
+    loops over i <= j of the degree-1 systems.
     """
     n = g.dim
     br = g.integer_brackets()
@@ -240,6 +258,10 @@ def _power_maps(g: LieAlgebra, power, transpose):
                 (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
             if q:
                 qs[seq] = q
+    pivots = g.derived_echelon()
+    if any(l not in pivots for comp in g.brackets.values() for l in comp):   # Q_A[k] restricted to P
+        qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
+              for seq, q in qs.items()}
     # x^S is keyed by -sum over a in S of (j + 2)^(n - 1 - a), whose digits
     # count the indices in S, so the keys ascend as the sorted S do
     digit = [-(power + 2) ** (n - 1 - a) for a in range(n)]
@@ -277,29 +299,81 @@ def _generic_rank_bound(certificate, n, x):
     return n - len(_echelon(images, reduced=False))
 
 
-def _certified(g: LieAlgebra, solved, x, ranks):
+def _solve_cost(g: LieAlgebra, power, transpose):
+    """The cost of `_power_maps(g, power, transpose)`, estimated from the tensor before building it.
+
+    With P the pivots of C1, d = |P|, T_P the structure constants at P,
+    f = T_P / (n^2 d) their fill and u the unknowns (d n for the
+    cokernel, n^2 for the kernel), it is 5 t + f^2 u^3 / 10.  t bounds
+    the entries the row builder writes: n times the chains
+    e_k -> [e_a1, ... [e_aj, e_k]] through nonzero constants that end at
+    P, exactly n T_P at j = 1.  f^2 u^3 stands for the elimination, which
+    on a filled-in system grows with the cube of the unknowns.  The unit
+    is that of `_sample_cost`.  The constants come from min-of-3 timings
+    of the systems and candidates of the 344 catalog instances at
+    n = 7..13 and of 72 dense conjugates of the conjugate-invariants picks
+    and their quotients by the center at n = 5..13: a written entry costs
+    about 4.4 units, rounded up to 5, and the elimination term is set 3
+    times above its least-squares fit, which underestimates the dense
+    kernels at n >= 11 up to 9-fold.
+    """
+    n = g.dim
+    pivots = g.derived_echelon()
+    chains = [0] * n                                        # chains ending at component m
+    for comp in g.brackets.values():                        # [e_i, e_j] and [e_j, e_i]
+        for m in comp:
+            chains[m] += 2
+    fill = sum(chains[p] for p in pivots) / (n * n * len(pivots)) if pivots else 0
+    for _ in range(power - 1):
+        step = [0] * n
+        for row in g.integer_brackets():
+            for m, comp in row.items():
+                for l in comp:
+                    step[l] += chains[m]
+        chains = step
+    unknowns = len(pivots) * n if transpose else n * n
+    return 5 * n * sum(chains[p] for p in pivots) + fill * fill * unknowns ** 3 / 10
+
+
+def _sample_cost(g: LieAlgebra):
+    """T + 9 n, the cost of trying one candidate, with T = 2 |stored constants| the tensor's entries.
+
+    One unit is one structure constant read by `LieAlgebra.ad_columns`,
+    about 0.3 us on the 2-vCPU Xeon host, Python 3.11, where the constants
+    were calibrated (see `_solve_cost`); the membership test and the
+    echelon of the n columns for the rank of ad(x) add about 9 n.
+    """
+    return 2 * sum(map(len, g.brackets.values())) + 9 * g.dim
+
+
+def _certified(g: LieAlgebra, solved, x, ranks, budget):
     """True when certificates bound the generic rank of ad(y)^j by ranks[j - 1] at x, for every j.
 
     For each power j in turn, the cokernel and then the kernel certificate
     are solved, each on first need, into the dict `solved`, which keeps
     them for later calls under (j, transpose): the kernel is solved only
     when the cokernel bound at x exceeds r_j, and a power is solved only
-    when every lower power has been certified.
+    when every lower power has been certified.  A power with
+    r_j >= dim C1 needs none: ad(y)^j maps g into C1.  A certificate not yet
+    solved is solved only while its `_solve_cost` fits in `budget`, the
+    cost of the sampling left, which each solve here then spends;
+    otherwise it is declined, and it falls short.
     """
     for j, r in enumerate(ranks, 1):
+        if r >= len(g.derived_echelon()):
+            continue
         for transpose in (True, False):
             if (j, transpose) not in solved:
+                cost = _solve_cost(g, j, transpose)
+                if cost > budget:
+                    continue
+                budget -= cost
                 solved[j, transpose] = _power_maps(g, j, transpose)
             if _generic_rank_bound(solved[j, transpose], g.dim, x) <= r:
                 break
         else:
             return False
     return True
-
-
-def _is_sparse(g: LieAlgebra):
-    """True when the integer tensor stores fewer than n^2 nonzero constants."""
-    return sum(len(comp) for row in g.integer_brackets() for comp in row.values()) < g.dim ** 2
 
 
 def char_sequence_with_witness(
@@ -314,9 +388,10 @@ def char_sequence_with_witness(
     bound the generic rank of ad(x)^j by r_j = rank ad(witness)^j for
     every j <= k, k the least length whose rank prefix bounds the best
     profile by itself: some prefix of every later candidate's ranks would
-    then reject it.  The certificates (`_certified`) are solved only for a
-    sparse tensor (`_is_sparse`), and re-evaluated at each later best
-    witness.
+    then reject it.  At each new best, the certificates (`_certified`)
+    not yet solved are solved only when the cost rule finds them cheaper
+    than the sampling left: their `_solve_cost`, summed, at most the
+    candidates after the witness times `_sample_cost`.
     """
     n = g.dim
     if n == 0:
@@ -325,8 +400,9 @@ def char_sequence_with_witness(
     ceiling = _profile_upper_bound(n, [len(c1)])
     best = None
     witness = None
-    solved = {} if _is_sparse(g) else None
-    for x, row in _candidates(n, seed, samples):
+    solved = {}
+    candidates = _candidates(n, seed, samples)
+    for i, (x, row) in enumerate(candidates):
         if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
         ranks = []
@@ -341,11 +417,10 @@ def char_sequence_with_witness(
                 witness = x
                 if best == ceiling:
                     break
-                if solved is not None:
-                    k = next(k for k in range(1, len(ranks) + 1)
-                             if best == _profile_upper_bound(n, ranks[:k]))
-                    if _certified(g, solved, row, ranks[:k]):
-                        break
+                k = next(k for k in range(1, len(ranks) + 1)
+                         if best == _profile_upper_bound(n, ranks[:k]))
+                if _certified(g, solved, row, ranks[:k], (len(candidates) - i - 1) * _sample_cost(g)):
+                    break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")
     return CharSequence(best), [rat(v) for v in witness]

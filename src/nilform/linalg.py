@@ -350,7 +350,8 @@ def _integer_kernel(rows, ncols):
     are read from it.  The rows skipped leave the row space unchanged, and
     the reduced echelon of primitive rows with positive pivots is
     canonical, so the pivots, scale and vectors do not depend on which rows
-    were skipped.
+    were skipped.  Once every column has a pivot, the rows left are all
+    dependent and are not read.
     """
     pivots, kcols, spent = {}, None, 0
     for i, row in enumerate(rows):
@@ -375,6 +376,8 @@ def _integer_kernel(rows, ncols):
                 _reduce(pivots)
                 scale, kcols = _kernel_coordinates(pivots, ncols)
                 spent = 0
+        if len(pivots) == ncols:    # full rank: every row left is dependent
+            break
     if kcols is None:               # no kernel yet, or rows were folded since
         _reduce(pivots)
         scale, kcols = _kernel_coordinates(pivots, ncols)

@@ -117,16 +117,21 @@ def template_match(g: LieAlgebra):
     Each parameter is read where `_entries` writes it: the X6 coefficient
     of [Yi, X4], [Yi, X3], [Yi, X2], [X4, X2] and [Yi, Yj] for d, e, f, o6
     and a, and [X5, X2], [X3, X2] for the rest.  g matches when every
-    entry of the law so read is its bracket and g has no other pair.
+    entry of the law so read is its bracket and g has no other pair.  Each
+    bracket of g is read once: an entry compares with the bracket its
+    parameters were read from.
     """
     n = g.dim
     if n < 6:
         return None
+    read = {}                                   # (i, j): [e_i, e_j], each pair read once
 
     def x6(i, j):
-        return g.bracket_basis(i, j).get(5, ZERO)
+        read[i, j] = comp = g.bracket_basis(i, j)
+        return comp.get(5, ZERO)
 
-    mix, pmix = g.bracket_basis(4, 1), g.bracket_basis(2, 1)
+    mix = read[4, 1] = g.bracket_basis(4, 1)
+    pmix = read[2, 1] = g.bracket_basis(2, 1)
     ys = range(6, n)
     t = GenericN5Law(
         n,
@@ -143,7 +148,8 @@ def template_match(g: LieAlgebra):
     pairs = 0
     for i, j, comp in _entries(t):
         comp = {k: c for k, c in comp.items() if c}
-        if comp != g.bracket_basis(i, j):
+        got = read.get((i, j))
+        if comp != (g.bracket_basis(i, j) if got is None else got):
             return None
         pairs += bool(comp)
     return t if pairs == len(g.brackets) else None

@@ -46,11 +46,12 @@ def rank1_bound(n, r):
     return (n + 1,) if r == n else (r + 1,) + (1,) * (n - r - 1)
 
 
-def ad_kernel_rows(g):
+def ad_kernel_rows(g, pivots=None):
     """The rows of [x, M x] = 0 in the n^2 entries of M, as the degree-1 builder formed them.
 
     Row (i, j, l) is the coefficient of x_i x_j, i <= j, in component l:
     [e_i, M e_j] + [e_j, M e_i] for i < j and [e_i, M e_i] for i = j.
+    With `pivots`, a collection of components, only their rows are kept.
     """
     n = g.dim
     br = g.integer_brackets()
@@ -60,15 +61,18 @@ def ad_kernel_rows(g):
             for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
                 for k, comp in br[a].items():             # [e_a, M_kb e_k]
                     for l, c in comp.items():
-                        rows.setdefault((i, j, l), {})[k * n + b] = c
+                        if pivots is None or l in pivots:
+                            rows.setdefault((i, j, l), {})[k * n + b] = c
     return list(rows.values())
 
 
-def ad_cokernel_rows(g):
+def ad_cokernel_rows(g, pivots=None):
     """The rows of (N x)^T [x, y] = 0 in the n^2 entries of N, as the degree-1 builder formed them.
 
     Row (i, m, j) is the coefficient of x_i x_m y_j, i <= m:
     sum_l (N_lm c_ij^l + N_li c_mj^l) for i < m and sum_l N_li c_ij^l for i = m.
+    With `pivots`, a collection of components, only the entries N_lb with l
+    in it are written.
     """
     n = g.dim
     br = g.integer_brackets()
@@ -79,7 +83,8 @@ def ad_cokernel_rows(g):
                 for j, comp in br[a].items():             # c_aj^l N_lb
                     row = rows.setdefault((i, m, j), {})
                     for l, c in comp.items():
-                        row[l * n + b] = c
+                        if pivots is None or l in pivots:
+                            row[l * n + b] = c
     return list(rows.values())
 
 

@@ -5,40 +5,45 @@ ad(x), and `reference_linalg` forms the powers of ad(x) to rank them.  The
 sampling in `nilform.invariants` drops a candidate on any prefix of its
 rank sequence, and stops at the C1 ceiling or at a witness whose ranks of
 ad(x)^j, for the powers j its profile needs, the cokernel or kernel
-certificates show to be generic; and `rank_sequence` ranks integer images
+certificates show to be generic, solved when the cost rule finds them
+cheaper than the sampling left; and `rank_sequence` ranks integer images
 instead of powers.  Both must give exactly the same rank sequences,
 sequences and witnesses.  The sets are every catalog instance at
 n = 7..13, seeded random conjugates (dense structure constants), and
 abelian(4), heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
-The certificates of ad(x) and ad(x)^2 are checked against the rational
-reference bracket, the degree-1 systems against the reference builders,
-and the prefix bound and the stop rule against every partition of
-n <= 10.
+The certificates of ad(x) and ad(x)^2, written on the pivot columns of
+C1, are checked against the rational reference bracket, the degree-1
+systems against the reference builders projected to those pivots, the
+cost rule on dense conjugates at n = 8, 12 and 13, and the prefix bound
+and the stop rule against every partition of n <= 10.
 """
 
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
 
 import reference_invariants as ref_inv
 import reference_lie as ref_lie
 import reference_linalg as ref
-from nilform import catalog, invariants
+from nilform import catalog, invariants, serialize
 from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
     DEFAULT_SEED,
     _candidates,
     _generic_rank_bound,
-    _is_sparse,
     _power_maps,
     _profile_upper_bound,
+    _sample_cost,
+    _solve_cost,
     char_sequence_with_witness,
 )
 from nilform.lie import LieAlgebra, abelian, heisenberg
 from nilform.linalg import (
     Matrix,
+    _block_sizes,
     _echelon,
     _image_ranks,
     _integer_row,
@@ -214,23 +219,50 @@ def _stop_power(n, seq):
 def _outcome(g, seq, witness):
     """How the sampling may stop: "ceiling", "certified" or "exhausted".
 
-    "certified" when the tensor passes the density gate and, with
-    r_1, r_2, ... the ranks of the powers of ad(witness) and k the least
-    length whose prefix bounds seq by itself (`_stop_power`), the
-    cokernel or the kernel certificate of each power j <= k bounds the
-    generic rank of ad(x)^j by r_j at the witness.
+    "certified" when, with r_1, r_2, ... the ranks of the powers of
+    ad(witness) and k the least length whose prefix bounds seq by itself
+    (`_stop_power`), each power j <= k has r_j >= dim C1, or a cokernel or
+    kernel certificate that bounds the generic rank of ad(x)^j by r_j at
+    the witness and that the cost rule lets the sampling solve: its
+    `_solve_cost` is at most the candidates after the witness times
+    `_sample_cost`.
     """
     n = g.dim
     seq = tuple(seq)
-    if seq == _profile_upper_bound(n, [g.derived_subalgebra().dim]):
+    d = g.derived_subalgebra().dim
+    if seq == _profile_upper_bound(n, [d]):
         return "ceiling"
     w = _integer_row(enumerate(witness))
-    if _is_sparse(g) and all(
-        any(_generic_rank_bound(_power_maps(g, j, t), n, w) <= r for t in CERTIFICATES.values())
+    rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
+    budget = (len(rows) - rows.index(w) - 1) * _sample_cost(g)
+    if all(
+        r >= d or any(_solve_cost(g, j, t) <= budget
+                      and _generic_rank_bound(_power_maps(g, j, t), n, w) <= r
+                      for t in CERTIFICATES.values())
         for j, r in enumerate(_ranks(seq)[:_stop_power(n, seq)], 1)
     ):
         return "certified"
     return "exhausted"
+
+
+def _record_ad_columns(monkeypatch):
+    """The integer rows x of every `LieAlgebra.ad_columns(x)` call, in a list cleared by the caller."""
+    seen = []
+    ad_columns = LieAlgebra.ad_columns
+
+    def recording_ad_columns(g, v):
+        seen.append(v)
+        return ad_columns(g, v)
+
+    monkeypatch.setattr(LieAlgebra, "ad_columns", recording_ad_columns)
+    return seen
+
+
+def _tried(g):
+    """The integer rows of the candidates outside C1, in the order the sampling tries them."""
+    c1 = g.derived_subalgebra()
+    return [_integer_row(enumerate(x))
+            for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)]
 
 
 def test_char_sequence_stops_at_the_ceiling(monkeypatch):
@@ -242,17 +274,12 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
     integer row of x.  On the catalog at n = 7..13, 171 sequences reach
     the C1 ceiling and 173 stop at a certified witness, none tries every
     candidate: 149 stop on the rank of ad(x) and the 24 off-shape
-    (5, 2, 1, ...) instances on the ranks of ad(x) and ad(x)^2.  The dense
-    conjugates fail the density gate and never certify.
+    (5, 2, 1, ...) instances on the ranks of ad(x) and ad(x)^2.  Of the
+    six dense conjugates, the four of g7^65 and g8^6 (dim C1 = 5) certify
+    on the rank of ad(x), and the two of g7^84 (dim C1 = 4) reach the
+    ceiling.
     """
-    seen = []
-    ad_columns = LieAlgebra.ad_columns
-
-    def recording_ad_columns(g, v):
-        seen.append(v)
-        return ad_columns(g, v)
-
-    monkeypatch.setattr(LieAlgebra, "ad_columns", recording_ad_columns)
+    seen = _record_ad_columns(monkeypatch)
     counts = {}
     powers = []
     for name in ("catalog", "conjugates"):
@@ -263,9 +290,7 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
             calls = list(seen)
             outcome = _outcome(g, seq, witness)
             counts[name][outcome] += 1
-            c1 = g.derived_subalgebra()
-            tried = [_integer_row(enumerate(x))
-                     for x in ref_inv.candidates(g.dim) if any(x) and not c1.contains(x)]
+            tried = _tried(g)
             if outcome == "exhausted":
                 assert calls == tried
             else:
@@ -276,8 +301,119 @@ def test_char_sequence_stops_at_the_ceiling(monkeypatch):
                 if powers[-1] == 2:
                     assert tuple(seq)[:2] == (5, 2)
     assert counts["catalog"] == {"ceiling": 171, "certified": 173, "exhausted": 0}
-    assert sorted(powers) == [1] * 149 + [2] * 24
-    assert counts["conjugates"]["certified"] == 0
+    assert counts["conjugates"] == {"ceiling": 2, "certified": 4, "exhausted": 0}
+    assert sorted(powers) == [1] * 153 + [2] * 24
+
+
+def _record_certificates(monkeypatch):
+    """The (power, transpose) of every certificate the sampling solves, in a list cleared by the caller."""
+    solved = []
+    power_maps = invariants._power_maps
+
+    def recording_power_maps(g, power, transpose):
+        solved.append((power, transpose))
+        return power_maps(g, power, transpose)
+
+    monkeypatch.setattr(invariants, "_power_maps", recording_power_maps)
+    return solved
+
+
+NON_GENERIC_FIRST = [
+    pytest.param(6, 4, 7, [(1, True)], "certified", id="g8^6"),
+    pytest.param(84, 3, 6, [], "ceiling", id="g7^84"),
+]
+
+
+@pytest.mark.parametrize("family,m,seed,solves,outcome", NON_GENERIC_FIRST)
+def test_cost_rule_skips_power_two_at_a_non_generic_best(monkeypatch, family, m, seed, solves, outcome):
+    """A dense conjugate whose first best has ranks (4, 2) builds no power-2 system.
+
+    The first candidate has ranks (4, 2, ...), and that best needs k = 2;
+    the power-2 systems cost more than the sampling left by `_solve_cost`
+    and are declined.  The second candidate has ranks (4, 3, ...) and profile
+    (4 + 1, 1, ..., 1), and the sampling stops there.  For g8^6
+    (dim C1 = 5) the power-1 cokernel, cheap, is solved at the first best
+    and certifies rank 4 at the second.  For g7^84 (dim C1 = 4) rank 4 is
+    dim C1 and needs no certificate, so nothing is solved, and the second
+    candidate reaches the C1 ceiling.
+    """
+    seen = _record_ad_columns(monkeypatch)
+    solved = _record_certificates(monkeypatch)
+    g = _conjugate(catalog.build(family, m), random.Random(seed))
+    n = g.dim
+    seq, witness = char_sequence_with_witness(g)
+    calls = list(seen)
+    assert (seq, witness) == ref_inv.char_sequence_with_witness(g)
+    tried = _tried(g)
+    first = list(_image_ranks(g.ad_columns(tried[0])))
+    assert first[:2] == [4, 2] and _stop_power(n, _block_sizes(n, first)) == 2
+    budget = (len(_candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)) - 1) * _sample_cost(g)
+    assert all(_solve_cost(g, 2, t) > budget for t in CERTIFICATES.values())
+    assert solved == solves
+    assert calls == tried[:2] and calls[-1] == _integer_row(enumerate(witness))
+    assert tuple(seq) == (5,) + (1,) * (n - 5) and _outcome(g, seq, witness) == outcome
+
+
+@pytest.mark.parametrize("family,m", [(65, 6), (6, 6)], ids=["g13^65", "g12^6"])
+def test_cost_rule_on_dense_conjugates_at_n_12_13(monkeypatch, family, m):
+    """At n = 12, 13 the dense power-1 cokernel (d n unknowns) certifies; every other system is declined.
+
+    The sequence and the witness equal the reference's.  The power-1
+    cokernel costs less than the sampling left after the first candidate,
+    and is solved and certifies there, so ad(x) is built for that
+    candidate alone.  The power-1 kernel (n^2 unknowns) and the power-2
+    systems cost more than that sampling by `_solve_cost`, and none is
+    solved.
+    """
+    seen = _record_ad_columns(monkeypatch)
+    solved = _record_certificates(monkeypatch)
+    g = _conjugate(catalog.build(family, m), random.Random(0))
+    n = g.dim
+    assert n in (12, 13)
+    seq, witness = char_sequence_with_witness(g)
+    calls = list(seen)
+    assert (seq, witness) == ref_inv.char_sequence_with_witness(g)
+    budget = (len(_candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)) - 1) * _sample_cost(g)
+    assert _solve_cost(g, 1, True) <= budget
+    assert all(_solve_cost(g, j, t) > budget for j, t in ((1, False), (2, True), (2, False)))
+    assert solved == [(1, True)]
+    assert calls == [_integer_row(enumerate(witness))] == _tried(g)[:1]
+
+
+def test_dense_file_certifies_at_power_one(monkeypatch):
+    """The seeded dense conjugate of g7^65 in tests/data stops at its first witness, certified at power 1.
+
+    CI checks the same file through the installed CLI, `check --file`.
+    """
+    seen = _record_ad_columns(monkeypatch)
+    solved = _record_certificates(monkeypatch)
+    g = serialize.load(Path(__file__).parent / "data" / "dense_g7_65.json")
+    seq, witness = char_sequence_with_witness(g)
+    calls = list(seen)
+    assert (seq, witness) == ref_inv.char_sequence_with_witness(g)
+    assert tuple(seq) == (5, 1, 1) and g.derived_subalgebra().dim == 5
+    assert _outcome(g, seq, witness) == "certified" and solved == [(1, True)]
+    assert calls == _tried(g)[:1] == [_integer_row(enumerate(witness))]
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_solve_cost_bounds_the_rows_written(monkeypatch, name):
+    """`_solve_cost` is at least 5 times the entries of the rows `_power_maps` writes, at powers 1 and 2."""
+    written = []
+    solve = invariants._solve_maps
+
+    def counting_solve(rows, n):
+        rows = list(rows)
+        written.append(sum(len(r) for r in rows))
+        return solve(rows, n)
+
+    monkeypatch.setattr(invariants, "_solve_maps", counting_solve)
+    for g in _algebras(name):
+        for power in (1, 2):
+            for transpose in CERTIFICATES.values():
+                written.clear()
+                _power_maps(g, power, transpose)
+                assert _solve_cost(g, power, transpose) >= 5 * written[0]
 
 
 def _basis_brackets(g):
@@ -320,22 +456,36 @@ def _chains(n, table, power):
     return chains
 
 
-def _identity_terms(n, chains, transpose):
+def _c1_pivots(g, table):
+    """The pivot columns P of the rref of C1, from the reference brackets of basis vectors."""
+    n = g.dim
+    vecs = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            v = [ZERO] * n
+            for t, c in table[i][k]:
+                v[t] = c
+            vecs.append(v)
+    return ref.rref(Matrix(vecs))[2] if vecs else ()
+
+
+def _identity_terms(n, chains, transpose, pivots):
     """terms[i] = the (seq, component, y) through which entry (i, b) of a map enters its identity.
 
     Kernel (ad(x)^j M x = 0): M_kb adds y = (ad(e_seq) e_k)_t to the
     coefficient of x^seq x_b, component t.  Cokernel
-    ((N x)^T ad(x)^j y = 0): N_lb adds y = (ad(e_seq) e_k)_l to the
-    coefficient of x^seq x_b y_k.
+    (sum over p in P of (V x)_p (ad(x)^j y)_p = 0, P = `pivots`): V_pb
+    adds y = (ad(e_seq) e_k)_p to the coefficient of x^seq x_b y_k; an
+    entry off P enters no identity.
     """
     terms = [[] for _ in range(n)]
     for k, level in enumerate(chains):
         for seq, w in level:
             for t, y in w.items():
-                if transpose:
-                    terms[t].append((seq, k, y))
-                else:
+                if not transpose:
                     terms[k].append((seq, t, y))
+                elif t in pivots:
+                    terms[t].append((seq, k, y))
     return terms
 
 
@@ -362,17 +512,21 @@ def _matrices(certificate, n):
     return units + maps
 
 
-def _known_maps(g, certificate, power):
-    """Solutions every algebra has, flattened: M = I, and N = u e_b^T for u orthogonal to C^j.
+def _known_maps(g, certificate, power, pivots):
+    """Solutions every algebra has, flattened: M = I; V = v e_b^T for v orthogonal to C^j on P, and V off P.
 
-    ad(x)^j maps g into C^j, the j-th term of the lower central series.
+    ad(x)^j maps g into C^j, the j-th term of the lower central series,
+    so v with sum over p in P of v_p w_p = 0 for every w in C^j solves
+    the cokernel identity, and so does every map with its rows off P.
     """
     n = g.dim
     if certificate == "kernel":
         return [{k * n + k: 1 for k in range(n)}]
     term = g.lower_central_series()[power]
-    perp = [_integer_row(enumerate(u)) for u in kernel_basis(term.matrix)]
-    return [{l * n + b: c for l, c in u.items()} for u in perp for b in range(n)]
+    on_p = Matrix([[w[p] for p in pivots] for w in term.basis_vectors()])
+    perp = [_integer_row(enumerate(v)) for v in kernel_basis(on_p)]
+    known = [{pivots[i] * n + b: c for i, c in v.items()} for v in perp for b in range(n)]
+    return known + [{k * n + b: 1} for k in range(n) if k not in pivots for b in range(n)]
 
 
 SOUNDNESS = [
@@ -386,21 +540,25 @@ SOUNDNESS = [
 def test_certificate_is_sound(name, certificate, power):
     """Each map satisfies its identities, and the bound holds at every candidate.
 
-    With j = `power`, the kernel maps M have ad(x)^j M x = 0 and the
-    cokernel maps N have (N x)^T ad(x)^j y = 0, every coefficient checked
-    against the rational reference bracket.  The bound at any candidate w
-    bounds the generic rank of ad(x)^j, so the least bound over the
-    candidates must be at least the largest rank of ad(x)^j over them.
-    The conjugates call the certificates past the density gate.
+    With j = `power` and P the pivot columns of C1, the kernel maps M have
+    ad(x)^j M x = 0 and the cokernel maps V have
+    sum over p in P of (V x)_p (ad(x)^j y)_p = 0, every coefficient
+    checked against the rational reference bracket.  The bound at any
+    candidate w bounds the generic rank of ad(x)^j, so the least bound
+    over the candidates must be at least the largest rank of ad(x)^j over
+    them.  The conjugates' C1 is not spanned by basis vectors, so their
+    cokernel rows are projected onto P.
     """
     for g in _algebras(name):
         n = g.dim
+        table = _basis_brackets(g)
+        pivots = _c1_pivots(g, table)
         cert = _power_maps(g, power, CERTIFICATES[certificate])
         maps = _matrices(cert, n)
         flat = ({k * n + j: c for j, col in enumerate(m) for k, c in col.items()} for m in maps)
         span = _echelon(map(_primitive, flat), reduced=False)
-        assert not any(_remainder(span, known) for known in _known_maps(g, certificate, power))
-        terms = _identity_terms(n, _chains(n, _basis_brackets(g), power), CERTIFICATES[certificate])
+        assert not any(_remainder(span, known) for known in _known_maps(g, certificate, power, pivots))
+        terms = _identity_terms(n, _chains(n, table, power), CERTIFICATES[certificate], pivots)
         assert all(_identities_hold(terms, m) for m in maps)
         rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
         bound = min(_generic_rank_bound(cert, n, row) for row in rows)
@@ -409,7 +567,13 @@ def test_certificate_is_sound(name, certificate, power):
 
 
 def test_power_one_systems_match_reference(monkeypatch):
-    """At j = 1 the builder hands `_solve_maps` the degree-1 systems row for row, in order."""
+    """At j = 1 the builder hands `_solve_maps` the degree-1 systems on C1's pivots, row for row, in order.
+
+    The reference rows are projected to the pivot columns P of C1: the
+    kernel keeps the rows of the components in P, the cokernel the entries
+    N_lb with l in P.  The catalog's C1 is spanned by basis vectors, so
+    the projection drops nothing there; the conjugates' C1 is not.
+    """
     systems = []
     solve = invariants._solve_maps
 
@@ -419,11 +583,12 @@ def test_power_one_systems_match_reference(monkeypatch):
         return solve(rows, n)
 
     monkeypatch.setattr(invariants, "_solve_maps", recording_solve)
-    for g in _algebras("catalog") + _algebras("small"):
+    for g in _algebras("catalog") + _algebras("conjugates") + _algebras("small"):
         for transpose, reference in ((False, ref_inv.ad_kernel_rows), (True, ref_inv.ad_cokernel_rows)):
             systems.clear()
             _power_maps(g, 1, transpose)
-            assert systems == [[list(r.items()) for r in reference(g)]]
+            pivots = _c1_pivots(g, _basis_brackets(g))
+            assert systems == [[list(r.items()) for r in reference(g, pivots)]]
 
 
 def _partitions(n, largest=None):
