@@ -122,7 +122,7 @@ def tables(table_id, ms, alphas, seed, fmt):
 @click.option("--sums/--no-sums", default=False,
               help="also verify the nilindex-5 direct sums at n=14")
 @click.option("--certificates/--no-certificates", default=False,
-              help="emit a per-instance certificate item (witness or transcript)")
+              help="emit a per-instance certificate item (witness or Engel flag)")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def charnilp(dims, alphas, sums, certificates, seed, fmt):

@@ -17,16 +17,19 @@ lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
 parameters for the weight reports, and `diagonal_witness` reads a witness
 straight off one kernel vector.
 
-Characteristic nilpotency (every derivation nilpotent) is decided by
-trace-power identity testing on the generic derivation: all derivations
-are nilpotent iff tr(D^k) vanishes identically for k = 1..n.  Each tr(D^k)
-is a polynomial in the basis coefficients, tested by exact evaluation at
-random integer points; a nonzero hit produces an exact non-nilpotent
-witness, and the all-zero outcome carries a transcript whose
-false-negative probability is far below 2^-40.  The decision runs on
-integers: D and its powers are sparse integer columns built by
-`linalg._combine`, the powers stop at the first zero one, and the
-characteristic polynomial of a witness is computed only when a caller
+Characteristic nilpotency (every derivation nilpotent) is decided exactly
+by Engel's theorem (Jacobson, *Lie Algebras*, 1962, ch. II): Der(g) is a
+Lie algebra, so every derivation is nilpotent iff the Engel flag V_0 = 0,
+V_{k+1} = {v : D v in V_k for every basis derivation D} reaches g.  Each
+term is one `linalg._integer_kernel` on the integer columns of the
+derivation space, and a positive verdict carries the flag: an integer
+basis in which every derivation is strictly upper triangular.  A flag that
+stalls below g proves that some derivation is not nilpotent; only then is
+an exact witness drawn, as a random integer combination of the basis
+derivations tested by its trace powers.  Some tr(D^k), k <= n, is then a
+nonzero polynomial of degree k in the coefficients, so by Schwartz-Zippel a
+draw from [-2n^2, 2n^2] is nilpotent with probability at most n/(4n^2 + 1).
+The characteristic polynomial of a witness is computed only when a caller
 reads it.
 """
 
@@ -443,18 +446,32 @@ def diagonal_witness(g: LieAlgebra):
 # -- characteristic nilpotency -------------------------------------------------
 
 @dataclass
+class EngelFlag:
+    """The Engel flag of Der(g), reaching g.
+
+    dims[k] is dim V_{k+1}, rising strictly to n.  basis holds n integer
+    vectors (dense lists) whose first dims[k] span V_{k+1}, so with B the
+    matrix of columns basis, B^-1 D B is strictly upper triangular for every
+    derivation D.
+    """
+
+    dims: list
+    basis: list
+
+
+@dataclass
 class CharNilpotency:
     """Outcome of the nilpotency test for the full derivation algebra.
 
     value False always comes with an exact witness (a non-nilpotent
-    derivation); value True carries the randomized-test transcript.
+    derivation); value True with the Engel flag that proves it.
     witness_char_poly, the characteristic polynomial of the witness (None
     without one), is computed from the witness on first access.
     """
 
     value: bool
     witness: Matrix = None
-    transcript: dict = None
+    flag: EngelFlag = None
 
     def __bool__(self):
         return self.value
@@ -464,33 +481,68 @@ class CharNilpotency:
         return None if self.witness is None else char_poly(self.witness)
 
 
+def _engel_flag(space: DerivationSpace):
+    """The Engel flag of the span of the space, or None when it stalls.
+
+    The rows a (p_t D_t), for a in an integer basis of the annihilator of
+    V_k, cut out V_{k+1}; the annihilator of V_{k+1} is the kernel of the
+    rows its kernel vectors make.  Each new term's vectors are folded into
+    one echelon, and those that add a pivot extend the adapted basis.
+    """
+    n = space.algebra.dim
+    crows = []                                  # the rows of each p_t D_t
+    for _, cols in space.cleared:
+        rows = [{} for _ in range(n)]
+        for b, col in enumerate(cols):
+            for l, v in col.items():
+                rows[l][b] = v
+        crows.append(rows)
+    annihilator = [{i: 1} for i in range(n)]
+    span, basis, dims = {}, [], []
+    while len(basis) < n:
+        rows = [r for a in annihilator for c in crows if (r := _combine(c, a))]
+        _, _, term = _integer_kernel(rows, n)
+        if len(term) == len(basis):
+            return None
+        term = [_primitive(v) for v in term]
+        basis.extend(v for v in term if _fold(span, dict(v)))   # `_fold` may update it
+        dims.append(len(basis))
+        _, _, annihilator = _integer_kernel([dict(v) for v in term], n)
+    return EngelFlag(dims=dims, basis=[[v.get(i, 0) for i in range(n)] for v in basis])
+
+
 def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 
-    Checks the diagonal rank first (a nonzero diagonal derivation is an
-    exact semisimple witness), then tests tr(D^k) = 0 identically for
-    k = 1..n on the generic derivation by exact evaluation at random
-    integer points.  D and its powers are sparse integer columns built by
-    `_combine`, and a trial stops at the first zero power: every later
-    trace is 0 too.
-    The derivation space is `derivation_space(g)`, so a caller that has
-    just built it for the same algebra does not build it again.
+    A nonzero diagonal derivation is an exact semisimple witness.
+    Otherwise the Engel flag of `derivation_space(g)` decides exactly: when
+    it reaches g the verdict is True and carries the flag (with Der = 0,
+    V_1 = g).  When it stalls, some derivation is not nilpotent, and random
+    integer combinations of the basis derivations are drawn, coefficients in
+    [-2n^2, 2n^2] from random.Random(seed), until one has a nonzero trace
+    power tr(D^k), k <= n: that D is the witness.  Each draw is nilpotent
+    with probability at most n/(4n^2 + 1).  D and its powers are sparse
+    integer columns built by `_combine`, and a draw stops at its first zero
+    power.  The derivation space is `derivation_space(g)`, so a caller that
+    has just built it for the same algebra does not build it again.
+
+    The stall proves a non-nilpotent derivation only because Der(g) is a
+    Lie algebra, which needs g to satisfy Jacobi (see `derivation_space`).
     """
     n = g.dim
     witness = diagonal_witness(g)
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
-    basis_int = [cols for _, cols in derivation_space(g).cleared]
-    r = len(basis_int)
-    if r == 0:
-        return CharNilpotency(value=True, transcript={"seed": seed, "trials": 0, "comment": "Der = 0"})
+    space = derivation_space(g)
+    flag = _engel_flag(space)
+    if flag is not None:
+        return CharNilpotency(value=True, flag=flag)
+    basis_int = [cols for _, cols in space.cleared]
     by_col = [[b[j] for b in basis_int] for j in range(n)]      # column j of each basis element
-
     bound = 2 * n * n
-    trials = max(2 * (n + 1), 16)
     rng = random.Random(seed)
-    for trial in range(trials):
-        coeffs = [rng.randint(-bound, bound) for _ in range(r)]
+    while True:
+        coeffs = [rng.randint(-bound, bound) for _ in basis_int]
         coeffs = {t: c for t, c in enumerate(coeffs) if c}
         d = [_combine(col_j, coeffs) for col_j in by_col]           # the columns of D
         p = d
@@ -500,10 +552,6 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
             p = [_combine(p, col) for col in d]                     # the columns of P D
             if not any(p):
                 break
-    return CharNilpotency(
-        value=True,
-        transcript={"seed": seed, "trials": trials, "bound": bound, "powers": n},
-    )
 
 
 @dataclass

@@ -8,6 +8,8 @@ in the reports, because the diff itself is the product.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from . import catalog, tables
 from .derivations import (
     derivation_algebra,
@@ -229,7 +231,7 @@ def weight_rows_suite(table_id, m_values, seed=DEFAULT_SEED) -> Report:
 
 def _certificate_payload(result):
     if result.value:
-        return {"charnilp": True, "transcript": result.transcript}
+        return {"charnilp": True, "engel_flag": asdict(result.flag)}
     from .rational import rat_str
 
     return {

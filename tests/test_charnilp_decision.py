@@ -1,17 +1,20 @@
 """Differential tests: the characteristic-nilpotency decision against the reference.
 
 `reference_derivations` keeps the earlier decision: the diagonal witness
-read off the `LinearForm` weight signature, all n dense integer powers of
-the generic derivation, and the characteristic polynomial of every witness
-computed eagerly.  `diagonal_witness` now takes the witness straight from
-the kernel of the weight system, the powers are row-sparse and stop at the
-first zero power, and `witness_char_poly` is computed on access.  Both must
-give the same verdict, witness and transcript on every catalog instance at
+read off the `LinearForm` weight signature, trace-power trials on all n
+dense integer powers of the generic derivation, and the characteristic
+polynomial of every witness computed eagerly.  The decision now reads the
+Engel flag of the derivation space, and draws the same trials only when
+the flag stalls; `diagonal_witness` takes the witness straight from the
+kernel of the weight system, and `witness_char_poly` is computed on access.
+Both must give the same verdict and witness on every catalog instance at
 n = 7..10, on seeded conjugates of the ten criterion-10 picks, on
 abelian(1), on Der(g7^81) and on a conjugate of sl2, whose derivations are
-all traceless, so its witness shows only in tr(D^2); every witness
-polynomial must be the characteristic polynomial of the witness, on both
-negative paths.
+all traceless, so its witness shows only in tr(D^2).  Every verdict must
+equal the acceptance suite's own Engel-flag test, every positive must carry
+a flag in whose basis each rational basis derivation is strictly upper
+triangular, and every witness polynomial must be the characteristic
+polynomial of the witness, on both negative paths.
 """
 
 import random
@@ -28,8 +31,9 @@ from nilform.derivations import (
     is_characteristically_nilpotent,
 )
 from nilform.lie import LieAlgebra, abelian
-from nilform.linalg import Matrix, char_poly, rank
+from nilform.linalg import Matrix, char_poly, inverse, matmul, rank
 from nilform.rational import rat
+from test_acceptance import _engel_flag_complete
 
 # Criterion-10 picks: (family, m, alpha).
 PICKS = [(65, 3, None), (66, 3, rat(2)), (81, 3, None), (84, 3, None),
@@ -88,7 +92,34 @@ def test_decision_matches_reference(name):
     for g, got, want in _verdicts(name):
         assert got.value == want.value, g
         assert got.witness == want.witness, g
-        assert got.transcript == want.transcript, g
+
+
+def _flag_triangularizes(g, flag):
+    """The dims rise strictly to n, and B^-1 D B is strictly upper triangular
+    for every rational basis derivation D, B the matrix of columns flag.basis."""
+    n = g.dim
+    if len(flag.basis) != n or flag.dims != sorted(set(flag.dims)) or \
+            flag.dims[-1:] != [n] or flag.dims[0] <= 0:
+        return False
+    b = Matrix([[rat(v[i]) for v in flag.basis] for i in range(n)])
+    b_inv = inverse(b)
+    for d in derivation_space(g).basis:
+        t = matmul(matmul(b_inv, d), b)
+        if any(t[i, j] for i in range(n) for j in range(i + 1)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_decision_carries_engel_flag(name):
+    """Every verdict equals the test-side Engel flag, and a positive's flag
+    triangularizes Der(g); a negative carries no flag."""
+    for g, got, _ in _verdicts(name):
+        assert got.value == _engel_flag_complete(g.dim, derivation_space(g).basis), g
+        if got.value:
+            assert _flag_triangularizes(g, got.flag), g
+        else:
+            assert got.flag is None, g
 
 
 def test_witness_char_poly_on_both_negative_paths():

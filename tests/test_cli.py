@@ -1,10 +1,14 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from nilform import catalog, serialize
 from nilform.cli import main
+from nilform.derivations import derivation_space
+from nilform.linalg import Matrix, inverse, matmul
 
 
 def invoke(*args):
@@ -123,7 +127,15 @@ def test_dertower_g7_81_reports_failed_expectation():
         or "10" in result.output
 
 
+def _rebuild(instance_id):
+    """The catalog algebra of a report id mu_{n}_{i} or mu_{n}_{i}_alpha_{p}_{q}."""
+    n, i, p, q = re.fullmatch(r"mu_(\d+)_(\d+)(?:_alpha_(-?\d+)_(\d+))?", instance_id).groups()
+    return catalog.build(int(i), int(n) // 2, Fraction(int(p), int(q)) if p else None)
+
+
 def test_charnilp_certificates_json():
+    """Every positive's Engel flag, read back from the JSON report, makes
+    each derivation of the rebuilt instance strictly upper triangular."""
     result = invoke(
         "charnilp", "--dims", "7..7", "--alpha", "1", "--certificates",
         "--format", "json",
@@ -132,10 +144,22 @@ def test_charnilp_certificates_json():
     payload = json.loads(result.output)
     certs = [i for i in payload["items"] if i["paper_ref"].endswith("certificate")]
     assert len(certs) == 27
-    sample = next(i for i in certs if i["id"] == "mu_7_65")
-    assert "transcript" in str(sample["computed"])
+    positives = [i for i in certs if i["computed"]["charnilp"]]
+    assert {i["id"] for i in positives} == {
+        "mu_7_65", "mu_7_66_alpha_1_1", "mu_7_68", "mu_7_70", "mu_7_81", "mu_7_83"}
+    for item in positives:
+        assert "transcript" not in item["computed"]
+        flag = item["computed"]["engel_flag"]
+        g = _rebuild(item["id"])
+        n = g.dim
+        assert flag["dims"][-1] == n and flag["dims"] == sorted(set(flag["dims"]))
+        b = Matrix([[Fraction(v[i]) for v in flag["basis"]] for i in range(n)])
+        b_inv = inverse(b)
+        for d in derivation_space(g).basis:
+            t = matmul(matmul(b_inv, d), b)
+            assert not any(t[i, j] for i in range(n) for j in range(i + 1)), item["id"]
     negative = next(i for i in certs if i["id"] == "mu_7_71")
-    assert "witness" in str(negative["computed"])
+    assert "witness" in negative["computed"]
 
 
 def test_distinguish_n12():

@@ -27,13 +27,13 @@ def _conjugate(g, rng):
 def _count_solves(monkeypatch):
     """List that grows by one entry per Leibniz-system solve."""
     calls = []
-    kernel = derivations._integer_kernel
+    solve = derivations._solve_derivation_space
 
-    def counting_kernel(rows, ncols):
-        calls.append(ncols)
-        return kernel(rows, ncols)
+    def counting_solve(g):
+        calls.append(g)
+        return solve(g)
 
-    monkeypatch.setattr(derivations, "_integer_kernel", counting_kernel)
+    monkeypatch.setattr(derivations, "_solve_derivation_space", counting_solve)
     return calls
 
 

@@ -15,7 +15,7 @@ from nilform.derivations import (
 )
 from nilform.errors import DimensionMismatch
 from nilform.lie import abelian
-from nilform.linalg import matmul
+from nilform.linalg import Matrix, matmul, rank
 from nilform.linform import LinearForm
 from nilform.rational import ZERO, rat
 from reference_derivations import coordinates_of, element
@@ -116,11 +116,21 @@ def test_char_nilpotency_catalog():
     assert res.witness_char_poly != [rat(1)] + [rat(0)] * n
 
 
-def test_char_nilpotency_true_has_transcript():
-    res = is_characteristically_nilpotent(catalog.build(65, 3), seed=42)
-    assert res.value
-    assert res.transcript["seed"] == 42
-    assert res.transcript["trials"] >= 16
+def test_char_nilpotency_true_has_engel_flag():
+    """A positive carries its Engel flag whatever the seed: the dims rise
+    strictly to n, and every basis derivation maps V_{k+1} into V_k."""
+    g = catalog.build(65, 3)
+    res = is_characteristically_nilpotent(g, seed=42)
+    assert res.value and res.witness is None
+    assert res.flag == is_characteristically_nilpotent(g).flag
+    dims, basis = res.flag.dims, res.flag.basis
+    assert dims[-1] == g.dim and dims == sorted(set(dims))
+    for d in derivation_space(g).basis:
+        for lo, hi in zip([0] + dims, dims):
+            below = [[rat(x) for x in v] for v in basis[:lo]]
+            for v in basis[:hi]:
+                image = matmul(d, Matrix([[rat(x)] for x in v])).col(0)
+                assert rank(Matrix(below + [image])) == lo
 
 
 def test_diagonal_rank_implies_not_char_nilpotent():
