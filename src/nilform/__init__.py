@@ -12,7 +12,6 @@ from .invariants import (
     is_p_filiform,
     nilindex,
     pairwise_distinguish,
-    scan_coordinate_ideals,
 )
 from .derivations import (
     DerivationSpace,
@@ -51,7 +50,6 @@ __all__ = [
     "is_p_filiform",
     "nilindex",
     "pairwise_distinguish",
-    "scan_coordinate_ideals",
     "template_match",
     "verify_weight_vector",
 ]

@@ -463,19 +463,6 @@ class Fingerprint:
     quotient_by_center: tuple
     weights: object = field(default=None, compare=False)
 
-    def key(self):
-        return (
-            self.dim,
-            self.dim_derived,
-            self.derived_abelian,
-            self.dim_center,
-            tuple(self.char_seq),
-            self.lcs_dims,
-            self.ds_dims,
-            self.dim_der,
-            self.quotient_by_center,
-        )
-
     def to_dict(self):
         return {
             "dim": self.dim,
@@ -551,7 +538,7 @@ def pairwise_distinguish(entries, seed=DEFAULT_SEED) -> DistinguishResult:
     fps = [fingerprint(g, seed=seed) for g in algebras]
     groups = {}
     for idx, fp in enumerate(fps):
-        groups.setdefault(fp.key(), []).append(idx)
+        groups.setdefault(fp, []).append(idx)
 
     classes = []
     refined = []
@@ -577,28 +564,3 @@ def pairwise_distinguish(entries, seed=DEFAULT_SEED) -> DistinguishResult:
         fingerprints=fps,
         refined_by_weights=refined,
     )
-
-
-def scan_coordinate_ideals(g: LieAlgebra, k: int, required_seq, seed=DEFAULT_SEED):
-    """Coordinate-aligned ideals span{X1..X6, chosen Y's} of dimension k.
-
-    Enumerates Y subsets, keeps bracket-closed ideal candidates whose
-    subalgebra has the requested characteristic sequence, and returns
-    (indices, fingerprint) pairs.
-    """
-    from itertools import combinations
-
-    required = CharSequence(required_seq)
-    n = g.dim
-    found = []
-    if k < 6 or k > n:
-        return found
-    y_indices = range(6, n)
-    for extra in combinations(y_indices, k - 6):
-        idx = tuple(range(6)) + extra
-        if not g.coordinate_subspace_is_ideal(idx):
-            continue
-        sub = g.restrict_to_coordinates(idx)
-        if char_sequence(sub, seed=seed) == required:
-            found.append((idx, fingerprint(sub, seed=seed)))
-    return found

@@ -495,30 +495,6 @@ class LieAlgebra:
             new[(i + n1, j + n1)] = {k + n1: c for k, c in comp.items()}
         return LieAlgebra(n1 + other.dim, new, labels=tuple(labels))
 
-    def restrict_to_coordinates(self, indices):
-        """Subalgebra on a coordinate subspace; indices must be closed."""
-        indices = list(indices)
-        index_of = {c: t for t, c in enumerate(indices)}
-        idx_set = set(indices)
-        new = {}
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                comp = self.bracket_basis(indices[a], indices[b])
-                if not set(comp) <= idx_set:
-                    raise NotAnIdeal("coordinates are not bracket-closed")
-                if comp:
-                    new[(a, b)] = {index_of[k]: c for k, c in comp.items()}
-        labels = tuple(self.labels[c] for c in indices)
-        return LieAlgebra(len(indices), new, labels=labels)
-
-    def coordinate_subspace_is_ideal(self, indices):
-        idx_set = set(indices)
-        for i in idx_set:
-            for j in range(self.dim):
-                if not set(self.bracket_basis(i, j)) <= idx_set:
-                    return False
-        return True
-
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other):

@@ -350,8 +350,10 @@ def dertower_suite(family, dim, depth=1, seed=DEFAULT_SEED) -> Report:
             "dim Der(g7^81)", space.dim, 10, "printed derivation dimension",
             space.dim == 10,
         )
-        der = derivation_algebra(g)
-        cn = is_characteristically_nilpotent(der, seed=seed)
+        if depth >= 1:
+            cn = tower.levels[1].char_nilpotent
+        else:
+            cn = is_characteristically_nilpotent(derivation_algebra(g), seed=seed)
         note = ""
         if not cn.value and ("der_tower", 81) in tables.KNOWN_DEVIATIONS:
             note = "known deviation: " + tables.KNOWN_DEVIATIONS[("der_tower", 81)]
@@ -383,7 +385,7 @@ def distinguish_suite(n, alphas=(rat(1), rat(2)), seed=DEFAULT_SEED) -> Report:
         mechanisms = []
         if fa.weights.canonical_key() != fb.weights.canonical_key():
             mechanisms.append("weight signature")
-        if fa.key() != fb.key():
+        if fa != fb:
             mechanisms.append(
                 "dim Der" if fa.dim_der != fb.dim_der else "core fingerprint"
             )
@@ -395,33 +397,15 @@ def distinguish_suite(n, alphas=(rat(1), rat(2)), seed=DEFAULT_SEED) -> Report:
             separated,
         )
 
-    classes_desc = []
-    for cls in result.classes:
-        classes_desc.append("{" + ",".join(ids[t] for t in cls) + "}")
     report.add(
         f"n={n} classes", f"{len(result.classes)} classes of {len(insts)} instances",
         "(informational)", "pairwise distinction", True,
     )
-    from .invariants import scan_coordinate_ideals
-
-    scan_cache = {}
-
-    def ideal_scan_key(t):
-        if t not in scan_cache:
-            found = scan_coordinate_ideals(insts[t].algebra, 7, (5, 1, 1), seed=seed)
-            scan_cache[t] = tuple(sorted(fp.key() for _, fp in found))
-        return scan_cache[t]
-
     for (x, y) in result.unresolved_pairs:
-        same_family = fams[x] == fams[y]
-        if same_family:
+        if fams[x] == fams[y]:
             note = "alpha-family members (identified for +/-alpha)"
         else:
             note = "deferred to external ideal-class labels"
-            kx, ky = ideal_scan_key(x), ideal_scan_key(y)
-            if kx and ky:
-                verdict = "differ" if kx != ky else "agree"
-                note += f"; coordinate 7-dim ideal fingerprints {verdict}"
         report.add(
             f"unresolved {ids[x]} ~ {ids[y]}",
             "same fingerprint", "(reported, not merged)",

@@ -12,9 +12,7 @@ from nilform.invariants import (
     fingerprint,
     is_p_filiform,
     nilindex,
-    p_filiform_sequence,
     pairwise_distinguish,
-    scan_coordinate_ideals,
 )
 from nilform.lie import abelian, basis_vec, heisenberg
 from nilform.linalg import Matrix, rank
@@ -142,14 +140,3 @@ def test_pairwise_distinguish_weight_refinement():
     result = pairwise_distinguish([g12, g20])
     assert result.class_of(0) is not result.class_of(1)
     assert result.refined_by_weights  # separated by the signature, not the core
-
-
-def test_scan_coordinate_ideals():
-    g = catalog.build(6, 5)
-    found = scan_coordinate_ideals(g, 7, (5, 1, 1))
-    assert found
-    keys = {fp.key() for _, fp in found}
-    assert len(keys) == 1           # a unique ideal class among the candidates
-    whole = scan_coordinate_ideals(g, g.dim, p_filiform_sequence(g.dim, g.dim - 5))
-    assert [idx for idx, _ in whole] == [tuple(range(g.dim))]
-    assert scan_coordinate_ideals(abelian(8), 2, (2,)) == []
