@@ -5,12 +5,17 @@ its values on a generating set.  `derivation_space` takes as unknowns the
 s*n coordinates of D(e_a) on generators e_a: a complement of C1 = [g, g],
 which generates g when g is nilpotent, grown by further basis vectors when
 it does not.  The set of x with D[x,y] = [Dx,y] + [x,Dy] for every y is a
-subalgebra (by Jacobi), so imposing the rule on the pairs (generator, basis
-vector) is enough.  The integer kernel is lifted to the n^2 matrix entries
-and row-reduced once with the columns reversed, which gives exactly the
-canonical rref kernel basis of the full n^2 Leibniz system.  The space
-keeps that basis as integer columns; rationals are built only when its
-`basis` is read.
+subalgebra (by Jacobi), so imposing the rule on the pairs (generator a_p,
+basis vector) is enough, and only on a complement of the vectors where it
+already holds: those whose bracket with a_p defined a basis vector while
+the generators grew, and the generators whose pair with a_p is imposed
+already.  The space keeps the integer kernel of that system on the
+generator unknowns.  Its dimension is read off the kernel; the lift to the
+n^2 matrix entries is built when first read (by the Engel flag), and the
+canonical rref basis of the full n^2 Leibniz system -- one row reduction of
+the lift with the columns reversed -- only when the derivation algebra, a
+witness draw or `basis` reads it.  Rationals are built only when `basis`
+is read.
 
 Diagonal derivations come from the integer kernel of the weight system
 lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
@@ -21,7 +26,7 @@ Characteristic nilpotency (every derivation nilpotent) is decided exactly
 by Engel's theorem (Jacobson, *Lie Algebras*, 1962, ch. II): Der(g) is a
 Lie algebra, so every derivation is nilpotent iff the Engel flag V_0 = 0,
 V_{k+1} = {v : D v in V_k for every basis derivation D} reaches g.  Each
-term is one `linalg._integer_kernel` on the integer columns of the
+term is one `linalg._integer_kernel` on the lifted integer columns of the
 derivation space, and a positive verdict carries the flag: an integer
 basis in which every derivation is strictly upper triangular.  A flag that
 stalls below g proves that some derivation is not nilpotent; only then is
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import lcm
@@ -63,24 +68,70 @@ from .rational import ZERO, rat
 CHARNILP_SEED = 987654321
 
 
-@dataclass
 class DerivationSpace:
-    """Der(g) in its rref basis D_t; `basis`, the D_t as Matrices, is built when read.
+    """Der(g), kept as the integer kernel of its Leibniz system on generators.
 
-    cleared[t] is (p_t, the sparse integer columns {row: int} of p_t D_t),
-    p_t > 0 the least integer that clears D_t: its entry at free_positions[t].
+    kernel holds integer vectors {unknown: int}, a basis of the solutions,
+    and fcols[u] = {k: c} says that unknown u adds c times itself to the
+    matrix entry (l, b) with k = n^2 - 1 - (l n + b); dim is the number of
+    kernel vectors.  The rest is built from them when first read, and kept:
+    - `columns`: the lifted kernel vectors, integer multiples of a basis of
+      Der(g) (not the rref one), each as n sparse integer columns {row: int};
+    - `cleared`: the rref basis D_t of Der(g), cleared[t] = (p_t, the
+      sparse integer columns of p_t D_t), p_t > 0 the least integer that
+      clears D_t: its entry at free_positions[t];
+    - `free_positions`: the vectorized coordinates l n + b that give the
+      coefficients in the rref basis, each the last nonzero entry of its D_t;
+    - `basis`: the D_t as Matrices.
+    A space given by its rref basis, DerivationSpace(algebra=...,
+    cleared=..., free_positions=...), has no kernel.
     """
-    algebra: LieAlgebra
-    cleared: list = field(repr=False)
-    free_positions: list = field(repr=False)  # vectorized coords giving coefficients
 
-    @property
-    def dim(self):
-        return len(self.cleared)
+    def __init__(self, algebra, kernel=None, fcols=None, cleared=None, free_positions=None):
+        self.algebra = algebra
+        self.kernel, self.fcols = kernel, fcols
+        if kernel is None:
+            self.cleared, self.free_positions = cleared, free_positions
+            self.columns = [cols for _, cols in cleared]
+        self.dim = len(self.columns if kernel is None else kernel)
+
+    @cached_property
+    def _lift(self):
+        """The primitive lifts of the kernel vectors to the n^2 entries, keyed as in fcols."""
+        return [_primitive(_combine(self.fcols, x)) for x in self.kernel]
+
+    @cached_property
+    def columns(self):
+        return [_entry_columns(v, self.algebra.dim) for v in self._lift]
+
+    @cached_property
+    def cleared(self):
+        # The lifts are keyed with the entries reversed.  Entry c is free in
+        # the n^2 system iff some derivation has its last nonzero entry at c,
+        # so one `_echelon` gives the free positions, and each of its rows is
+        # an rref basis derivation times its pivot.
+        canon = _echelon(dict(v) for v in self._lift)     # `_echelon` may update rows
+        n = self.algebra.dim
+        return [(canon[c][c], _entry_columns(canon[c], n)) for c in sorted(canon, reverse=True)]
+
+    @cached_property
+    def free_positions(self):
+        return [max(l * len(cols) + b for b, col in enumerate(cols) for l in col)
+                for _, cols in self.cleared]
 
     @cached_property
     def basis(self):
         return [_column_matrix(cols, p, self.algebra.dim) for p, cols in self.cleared]
+
+
+def _entry_columns(row, n):
+    """The n sparse integer columns {l: v} of a row {n^2 - 1 - (l n + b): v} of entries."""
+    last = n * n - 1
+    cols = [{} for _ in range(n)]
+    for k, v in row.items():
+        l, b = divmod(last - k, n)
+        cols[b][l] = v
+    return cols
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
@@ -132,16 +183,18 @@ def _leibniz_equations(br, forms, a, j):
 def _generator_forms(g, br):
     """Generators of g and the matrix of a generic derivation on them.
 
-    Returns (gens, forms, defined): D(e_gens[p]) has coordinate l equal to
+    Returns (gens, forms, held): D(e_gens[p]) has coordinate l equal to
     the unknown p*n + l, and forms[b][l] is coordinate l of d D(e_b) as an
-    integer linear form, for one common integer d > 0.  defined holds the
-    pairs (a, j), in both orders, whose bracket [e_a, x e_j] was kept as a
-    basis vector w_t: D(w_t) is [D e_a, x e_j] + [e_a, D x e_j] by
-    definition, so their Leibniz equations vanish identically.
+    integer linear form, for one common integer d > 0.  held[p] is a
+    forward echelon {pivot column: row} of vectors y whose Leibniz rule
+    with a_p = e_gens[p] needs no equation (step 3 of
+    `_solve_derivation_space`): a_p and the generators before it, each w_u
+    of a kept bracket w_t = [a_p, w_u], and each later a_q with [a_q, a_p]
+    kept.
     """
     n = g.dim
     c1 = set(g.derived_echelon())
-    gens, defined = [], set()
+    gens, held, gen_at = [], [], {}     # gen_at[t] = p when w_t = a_p
     ws, dws = [], []        # w_t as sparse integer vectors, D(w_t) as n linear forms
     span, todo = {}, deque()
     candidates = chain((b for b in range(n) if b not in c1), range(n))
@@ -156,12 +209,14 @@ def _generator_forms(g, br):
         if u is None:                               # a new generator e_b
             (b,) = w
             dw = [{len(gens) * n + l: 1} for l in range(n)]
+            gen_at[len(ws)] = len(gens)
             gens.append(b)
+            held.append({a: {a: 1} for a in gens})
         else:
             dw = _bracket_image(br, n, p, gens[p], ws[u], dws[u])
-            if len(ws[u]) == 1:
-                (j,) = ws[u]
-                defined.update(((gens[p], j), (j, gens[p])))
+            _fold(held[p], _primitive(dict(ws[u])))     # the rule holds on w_u by definition
+            if u in gen_at:                             # w_u = a_q: so does the pair (a_q, a_p)
+                _fold(held[gen_at[u]], {gens[p]: 1})
         ws.append(w)
         dws.append(dw)
         todo.extend((p, len(ws) - 1) for p in range(len(gens)))
@@ -179,7 +234,7 @@ def _generator_forms(g, br):
             if col >= n:
                 for acc, f in zip(forms[col - n], dws[t]):
                     _add(acc, f, q * v)
-    return gens, forms, defined
+    return gens, forms, held
 
 
 # (algebra, space) of the last `derivation_space` call; replaced whole.
@@ -187,7 +242,7 @@ _last_space = (None, None)
 
 
 def derivation_space(g: LieAlgebra) -> DerivationSpace:
-    """Der(g) as the canonical rref kernel basis of the n^2 Leibniz system.
+    """Der(g), as the integer kernel of its Leibniz system on generators.
 
     The last result is kept and returned again while the argument is the
     same object (`is`, not `==`), so a sequence of calls on one algebra --
@@ -195,8 +250,11 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     decision, or a tower level and then its derivation algebra -- solves
     the system once.  Only one algebra and one space are held.  This relies
     on the rule `LieAlgebra.integer_brackets` relies on: neither an algebra
-    nor a returned space is ever modified.  `_solve_derivation_space`
-    solves the system and states its Jacobi assumption.
+    nor a returned space is ever modified.  The fields a space fills in
+    when first read (`columns`, `cleared`, `free_positions`, `basis`) are
+    built deterministically from its kernel, so every reader of a shared
+    space sees the same values.  `_solve_derivation_space` solves the
+    system and states its Jacobi assumption.
     """
     global _last_space
     last, space = _last_space
@@ -221,34 +279,40 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
        D[e_a, w_u] = [D e_a, w_u] + [e_a, D w_u].  With W the matrix of
        columns w_t and d the lcm of the pivots of [W | I], d D(e_b) is the
        integer combination of the D(w_t) in column b of d W^-1.
-    3. Constraints.  {x : D[x, y] = [Dx, y] + [x, Dy] for all y} is a
-       subalgebra by Jacobi and holds every generator, so it is g: the
-       Leibniz rule is imposed on the pairs (e_a, e_j), a a generator,
-       except those whose bracket defined a basis vector w_t in step 1,
-       where it holds by construction.
-    4. Canonical basis.  The integer kernel vectors are lifted to the n^2
-       matrix entries: the lift of x is the `_combine` of x with the
-       columns of the forms, one {entry: coefficient} per unknown.
-       Coordinate c is free in the n^2 system iff some derivation has its
-       last nonzero entry at c, so one `_echelon` with the columns
-       reversed returns the free positions, and each of its rows is an
-       rref basis derivation times its pivot, kept as integer columns.
+    3. Constraints.  {x : phi(x, y) = 0 for all y}, with
+       phi(x, y) = D[x, y] - [Dx, y] - [x, Dy], is a subalgebra by Jacobi
+       and holds every generator, so it is g: it is enough that
+       phi(a_p, .) = 0 for each generator a_p.  That form is linear, and it
+       vanishes identically on each w_u of a kept bracket w_t = [a_p, w_u],
+       because step 1 defined D(w_t) so, and on a_p itself.  phi is
+       antisymmetric, so on a_q it is -phi(a_q, a_p): implied by the
+       equations of a_q when q < p, and identically zero when q > p and the
+       bracket [a_q, a_p] was kept.  Those vectors make the forward echelon
+       K_p that `_generator_forms` returns; with P its pivot columns, K_p
+       and the e_j, j not in P, are a basis of g.  So the equations
+       phi(a_p, e_j) = 0, j not in P, taken for p = 1, 2, ... in turn,
+       give phi(a_p, .) = 0 on all of g, and only they are imposed.  That
+       holds on any table, Jacobi or not: the solutions are those of every
+       pair (a_p, e_j), and the reduced kernel of the rows is the same.
+    4. Kernel.  The integer kernel of those rows is kept with the columns
+       of the forms, one {entry: coefficient} per unknown.  The lift to the
+       n^2 matrix entries and the canonical rref basis are built by
+       `DerivationSpace` when a reader asks for them.
     The structure constants are read as integers from
     `LieAlgebra.integer_brackets`, and no rational is built.
 
     g must satisfy Jacobi, which `LieAlgebra` does not check (see
-    `jacobi_check`): on a table that fails it, steps 1 and 3 no longer
-    hold, and the result still contains every derivation but can also
-    contain matrices that are not derivations.
+    `jacobi_check`): on a table that fails it, the subalgebra argument of
+    step 3 no longer holds, and the result still contains every derivation
+    but can also contain matrices that are not derivations.
     """
     n = g.dim
     br = g.integer_brackets()
-    gens, forms, defined = _generator_forms(g, br)
-    rows, done = [], set()
-    for a in gens:
-        done.add(a)                         # (a, a) is trivial, (a, b) = -(b, a)
+    gens, forms, held = _generator_forms(g, br)
+    rows = []
+    for a, pivots in zip(gens, held):
         for j in range(n):
-            if j not in done and (a, j) not in defined:
+            if j not in pivots:
                 rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
     _, _, kernel = _integer_kernel(rows, len(gens) * n)
 
@@ -259,17 +323,7 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
             k = last - (l * n + b)          # entry (l, b), columns reversed
             for u, c in f.items():
                 fcols[u][k] = c
-    canon = _echelon(_primitive(_combine(fcols, x)) for x in kernel)
-    free_positions, cleared = [], []
-    for c in sorted(canon, reverse=True):
-        row = canon[c]
-        cols = [{} for _ in range(n)]
-        for k, v in row.items():
-            l, b = divmod(last - k, n)
-            cols[b][l] = v
-        free_positions.append(last - c)
-        cleared.append((row[c], cols))
-    return DerivationSpace(algebra=g, cleared=cleared, free_positions=free_positions)
+    return DerivationSpace(algebra=g, kernel=kernel, fcols=fcols)
 
 
 def derivation_algebra(g: LieAlgebra) -> LieAlgebra:
@@ -484,14 +538,17 @@ class CharNilpotency:
 def _engel_flag(space: DerivationSpace):
     """The Engel flag of the span of the space, or None when it stalls.
 
-    The rows a (p_t D_t), for a in an integer basis of the annihilator of
-    V_k, cut out V_{k+1}; the annihilator of V_{k+1} is the kernel of the
-    rows its kernel vectors make.  Each new term's vectors are folded into
-    one echelon, and those that add a pivot extend the adapted basis.
+    The rows a C, for a in an integer basis of the annihilator of V_k and C
+    in the space's `columns`, cut out V_{k+1}; the annihilator of V_{k+1}
+    is the kernel of the rows its kernel vectors make.  Each new term's
+    vectors are folded into one echelon, and those that add a pivot extend
+    the adapted basis.  Every term is read from a reduced echelon of a row
+    space that only the span of the C fixes, so the flag is the same for
+    any basis of Der(g), and the rref basis is not built.
     """
     n = space.algebra.dim
-    crows = []                                  # the rows of each p_t D_t
-    for _, cols in space.cleared:
+    crows = []                                  # the rows of each C
+    for cols in space.columns:
         rows = [{} for _ in range(n)]
         for b, col in enumerate(cols):
             for l, v in col.items():

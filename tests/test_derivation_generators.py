@@ -19,6 +19,15 @@ A `DerivationSpace` keeps each basis derivation as (scale, integer
 columns) and builds the rational `basis` only when it is read: the kept
 form must be what `linalg._integer_columns` gives for that matrix, and
 the library's own readers must never read `basis`.
+
+The solver imposes the Leibniz rule for a generator a_p only on a
+complement of the vectors where it already holds.  Each pair (a_p, e_j)
+it imposes must also be imposed by the earlier pairwise rule, which
+skipped only the generators up to a_p and the pairs of a kept bracket
+[a_p, x e_j]; on two dense conjugates the row totals are pinned.  The
+space keeps the kernel on the generator unknowns: reading its dimension
+lifts nothing, the Engel flag reads the lift but not the rref basis, and
+gives the same flag as the rref basis does.
 """
 
 import random
@@ -27,7 +36,7 @@ from functools import cache
 import pytest
 
 from nilform import catalog
-from nilform import derivations, invariants
+from nilform import derivations, invariants, verify
 from nilform.derivations import (
     DerivationSpace,
     derivation_algebra,
@@ -192,3 +201,146 @@ def test_library_readers_never_build_the_rational_basis(monkeypatch):
         assert invariants.fingerprint(g) == fp, g
         assert is_characteristically_nilpotent(g) == charnilp, g
         assert derivation_algebra(g) == der, g
+
+
+def _record_solves(monkeypatch):
+    """Per `_solve_derivation_space` call: its generators, kept brackets, pairs and rows.
+
+    Each record is a dict: "gens", "br" and "forms" as `_generator_forms`
+    returns them, "kept" the (a, w) of each kept bracket [e_a, w], "pairs"
+    the (a, j) whose Leibniz equations were built, "equations" their
+    nonzero rows, and "rows" the rows passed to `_integer_kernel`.
+    """
+    solves = []
+    forms_of, image, equations, kernel = (
+        derivations._generator_forms, derivations._bracket_image,
+        derivations._leibniz_equations, derivations._integer_kernel)
+
+    def generator_forms(g, br):
+        solves.append({"br": br, "kept": [], "pairs": [], "equations": 0})
+        gens, forms, held = forms_of(g, br)
+        solves[-1].update(gens=gens, forms=forms)
+        return gens, forms, held
+
+    def bracket_image(br, n, p, a, w, dw):      # called once per kept bracket
+        solves[-1]["kept"].append((a, dict(w)))
+        return image(br, n, p, a, w, dw)
+
+    def leibniz_equations(br, forms, a, j):
+        out = equations(br, forms, a, j)
+        solves[-1]["pairs"].append((a, j))
+        solves[-1]["equations"] += len(out)
+        return out
+
+    def integer_kernel(rows, ncols):
+        rows = list(rows)
+        solves[-1]["rows"] = len(rows)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(derivations, "_generator_forms", generator_forms)
+    monkeypatch.setattr(derivations, "_bracket_image", bracket_image)
+    monkeypatch.setattr(derivations, "_leibniz_equations", leibniz_equations)
+    monkeypatch.setattr(derivations, "_integer_kernel", integer_kernel)
+    return solves
+
+
+def _pairwise_rule(n, solve):
+    """The pairs (a_p, e_j) the earlier rule imposed.
+
+    It skipped j = a_q for q <= p, and both orders of each kept bracket
+    [e_a, x e_j] whose second factor is a single basis vector.
+    """
+    gens, defined = solve["gens"], set()
+    for a, w in solve["kept"]:
+        if len(w) == 1:
+            (j,) = w
+            defined.update(((a, j), (j, a)))
+    return {(a, j) for p, a in enumerate(gens) for j in range(n)
+            if j not in gens[:p + 1] and (a, j) not in defined}
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_leibniz_pairs_are_imposed_by_the_pairwise_rule(name, monkeypatch):
+    algebras = _algebras(name)              # built before the solves are recorded
+    solves = _record_solves(monkeypatch)
+    grown = fewer = 0
+    for g in algebras:
+        derivations._solve_derivation_space(g)
+        solve = solves[-1]
+        imposed, pairwise = set(solve["pairs"]), _pairwise_rule(g.dim, solve)
+        assert len(imposed) == len(solve["pairs"]), g
+        assert imposed <= pairwise, g
+        assert solve["rows"] == solve["equations"], g
+        fewer += imposed < pairwise
+        grown += len(solve["gens"]) > g.dim - g.derived_subalgebra().dim
+    assert len(solves) == len(algebras)
+    # every dense conjugate, and a few algebras whose brackets are not basis vectors
+    assert fewer == {"catalog": 2, "conjugates": 20, "presentations": 1}.get(name, 0)
+    # the non-nilpotent ones: Der(g7^84), and in `small` also [e1, e2] = e1, sl2, Der(h1)
+    assert grown == {"presentations": 1, "small": 4}.get(name, 0)
+
+
+def test_leibniz_rows_on_dense_conjugates(monkeypatch):
+    """The conjugates of g7^39 and g8^6 that `test_elimination` solves.
+
+    The pairwise rule built 168 and 136 rows for them.
+    """
+    hs = [_conjugate(catalog.build(fam, m), random.Random(seed))
+          for fam, m, seed in ((39, 4, 39), (6, 4, 2030))]
+    solves = _record_solves(monkeypatch)
+    totals = []
+    for h in hs:
+        derivations._solve_derivation_space(h)
+        solve = solves[-1]
+        pairwise = sum(len(derivations._leibniz_equations(solve["br"], solve["forms"], a, j))
+                       for a, j in _pairwise_rule(h.dim, solve))
+        totals.append((solve["rows"], pairwise))
+    assert totals == [(144, 168), (104, 136)]
+
+
+def _unbuilt(monkeypatch, *names):
+    """Make reading the named `DerivationSpace` fields raise."""
+    def unread(space):
+        raise AssertionError("DerivationSpace was lifted or canonicalised")
+
+    for name in names:
+        monkeypatch.setattr(DerivationSpace, name, property(unread))
+
+
+def test_dimension_readers_build_neither_lift_nor_rref_basis(monkeypatch):
+    g = catalog.build(39, 4)
+    h = _conjugate(g, random.Random(39))
+    _unbuilt(monkeypatch, "_lift", "cleared")
+    with pytest.raises(AssertionError):
+        derivation_space(h).cleared
+    assert invariants.fingerprint(h) == invariants.fingerprint(g)
+    report = verify.tables_structural_suite(4, (4,))
+    assert any("dimDer=" in item.computed for item in report.items)
+
+
+def _flag_inputs():
+    positives = [inst.algebra for n in (7, 8, 9) for inst in catalog.enumerate_instances(n)
+                 if is_characteristically_nilpotent(inst.algebra)]
+    return positives, list(_algebras("conjugates"))
+
+
+def test_engel_flag_reads_the_lift_not_the_rref_basis(monkeypatch):
+    positives, conjugates = _flag_inputs()
+    from_rref = []
+    for g in positives + conjugates:
+        space = derivation_space(g)
+        rref_space = DerivationSpace(algebra=g, cleared=space.cleared,
+                                     free_positions=space.free_positions)
+        from_rref.append(derivations._engel_flag(rref_space))
+    flagged = [flag is not None for flag in from_rref]
+    assert flagged == [True] * len(positives) + [fam in (65, 66, 81, 6, 7, 39)
+                                                 for fam, _, _ in PICKS] * 2
+    assert len(positives) >= 13
+
+    _unbuilt(monkeypatch, "cleared", "basis")
+    for g, flag in zip(positives + conjugates, from_rref):
+        if flag is None:
+            assert derivations._engel_flag(derivation_space(g)) is None, g
+        else:
+            got = is_characteristically_nilpotent(g)
+            assert got.value and got.flag == flag, g

@@ -284,7 +284,8 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
     Conjugates of g7^39 and of g8^6.  The rows that `_cancel` takes to zero
     inside the kernel reader are counted: no more of them than the kernel
     builds, so about one zero row per build.  Plain elimination cancels
-    every dependent row to zero (149 of the 168 rows of the first system).
+    every dependent row to zero (125 of the 144 rows of the first system,
+    93 of the 104 of the second).
     """
     zero_folds, systems, inside = [], [], []
     builds = _count_kernel_builds(monkeypatch)
