@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidDimension, MissingParameter
 from .lie import LieAlgebra, from_bracket_list
 from .rational import ONE, rat, rat_str
+from .tables import RECONSTRUCTED_NOTE
 from .template import adapted_labels
 
 ALPHA_FAMILIES = (7, 66)
@@ -461,7 +462,8 @@ for _fams, _note in _ERRATA_NOTES:
     for _i in _fams:
         ERRATA.setdefault(_i, []).append(_note)
 
-RECONSTRUCTED = frozenset({61, 81, 82})
+# The families whose encoded law is reconstructed or repaired; the notes say how.
+RECONSTRUCTED = frozenset(RECONSTRUCTED_NOTE)
 
 
 @dataclass(frozen=True)

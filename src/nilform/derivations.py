@@ -26,7 +26,7 @@ Characteristic nilpotency (every derivation nilpotent) is decided exactly
 by Engel's theorem (Jacobson, *Lie Algebras*, 1962, ch. II): Der(g) is a
 Lie algebra, so every derivation is nilpotent iff the Engel flag V_0 = 0,
 V_{k+1} = {v : D v in V_k for every basis derivation D} reaches g.  Each
-term is one `linalg._integer_kernel` on the lifted integer columns of the
+term is one `linalg._integer_kernel` on the lifted integer entries of the
 derivation space, and a positive verdict carries the flag: an integer
 basis in which every derivation is strictly upper triangular.  A flag that
 stalls below g proves that some derivation is not nilpotent; only then is
@@ -75,34 +75,24 @@ class DerivationSpace:
     and fcols[u] = {k: c} says that unknown u adds c times itself to the
     matrix entry (l, b) with k = n^2 - 1 - (l n + b); dim is the number of
     kernel vectors.  The rest is built from them when first read, and kept:
-    - `columns`: the lifted kernel vectors, integer multiples of a basis of
-      Der(g) (not the rref one), each as n sparse integer columns {row: int};
+    - `_lift`: the kernel vectors lifted to the n^2 entries, keyed as in
+      fcols, integer multiples of a basis of Der(g) (not the rref one);
     - `cleared`: the rref basis D_t of Der(g), cleared[t] = (p_t, the
       sparse integer columns of p_t D_t), p_t > 0 the least integer that
       clears D_t: its entry at free_positions[t];
     - `free_positions`: the vectorized coordinates l n + b that give the
       coefficients in the rref basis, each the last nonzero entry of its D_t;
     - `basis`: the D_t as Matrices.
-    A space given by its rref basis, DerivationSpace(algebra=...,
-    cleared=..., free_positions=...), has no kernel.
     """
 
-    def __init__(self, algebra, kernel=None, fcols=None, cleared=None, free_positions=None):
+    def __init__(self, algebra, kernel, fcols):
         self.algebra = algebra
         self.kernel, self.fcols = kernel, fcols
-        if kernel is None:
-            self.cleared, self.free_positions = cleared, free_positions
-            self.columns = [cols for _, cols in cleared]
-        self.dim = len(self.columns if kernel is None else kernel)
+        self.dim = len(kernel)
 
     @cached_property
     def _lift(self):
-        """The primitive lifts of the kernel vectors to the n^2 entries, keyed as in fcols."""
         return [_primitive(_combine(self.fcols, x)) for x in self.kernel]
-
-    @cached_property
-    def columns(self):
-        return [_entry_columns(v, self.algebra.dim) for v in self._lift]
 
     @cached_property
     def cleared(self):
@@ -251,7 +241,7 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     the system once.  Only one algebra and one space are held.  This relies
     on the rule `LieAlgebra.integer_brackets` relies on: neither an algebra
     nor a returned space is ever modified.  The fields a space fills in
-    when first read (`columns`, `cleared`, `free_positions`, `basis`) are
+    when first read (`_lift`, `cleared`, `free_positions`, `basis`) are
     built deterministically from its kernel, so every reader of a shared
     space sees the same values.  `_solve_derivation_space` solves the
     system and states its Jacobi assumption.
@@ -535,24 +525,26 @@ class CharNilpotency:
         return None if self.witness is None else char_poly(self.witness)
 
 
-def _engel_flag(space: DerivationSpace):
-    """The Engel flag of the span of the space, or None when it stalls.
+def _engel_flag(lift, n):
+    """The Engel flag of the span of the matrices C, or None when it stalls.
 
-    The rows a C, for a in an integer basis of the annihilator of V_k and C
-    in the space's `columns`, cut out V_{k+1}; the annihilator of V_{k+1}
-    is the kernel of the rows its kernel vectors make.  Each new term's
-    vectors are folded into one echelon, and those that add a pivot extend
-    the adapted basis.  Every term is read from a reduced echelon of a row
-    space that only the span of the C fixes, so the flag is the same for
-    any basis of Der(g), and the rref basis is not built.
+    Each C is given as a row {n^2 - 1 - (l n + b): entry (l, b)} of its
+    entries, as in `DerivationSpace._lift`.  The rows a C, for a in an
+    integer basis of the annihilator of V_k, cut out V_{k+1}; the
+    annihilator of V_{k+1} is the kernel of the rows its kernel vectors
+    make.  Each new term's vectors are folded into one echelon, and those
+    that add a pivot extend the adapted basis.  Every term is read from a
+    reduced echelon of a row space that only the span of the C fixes, so
+    the flag is the same for any basis of Der(g), and the decision passes
+    the lift: the rref basis is not built.
     """
-    n = space.algebra.dim
+    last = n * n - 1
     crows = []                                  # the rows of each C
-    for cols in space.columns:
+    for entries in lift:
         rows = [{} for _ in range(n)]
-        for b, col in enumerate(cols):
-            for l, v in col.items():
-                rows[l][b] = v
+        for k, v in entries.items():
+            l, b = divmod(last - k, n)
+            rows[l][b] = v
         crows.append(rows)
     annihilator = [{i: 1} for i in range(n)]
     span, basis, dims = {}, [], []
@@ -591,7 +583,7 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
     space = derivation_space(g)
-    flag = _engel_flag(space)
+    flag = _engel_flag(space._lift, n)
     if flag is not None:
         return CharNilpotency(value=True, flag=flag)
     basis_int = [cols for _, cols in space.cleared]

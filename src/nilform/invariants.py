@@ -60,17 +60,20 @@ cokernel certifies 145 and the kernel the other 4) and the 24 off-shape
 (5, 2, 1, ...) instances with k = 2 (at j = 2 the cokernel certifies 11
 and the kernel 13).
 
-A certificate costs more as the tensor fills in, and sampling costs more
-too, so a cost rule decides instead of a density threshold: at each new
-best, a certificate not yet solved is solved only when its estimated cost
-(`_solve_cost`), with those of the solves before it at that best, is at
-most the candidates after the witness times the cost of one candidate
-(`_sample_cost`).  The rule only decides when sampling stops, never what
-it finds.  On the catalog every certificate the stop needs passes it.
-On dense bases (random conjugates, with C1 not spanned by basis vectors)
-the power-1 cokernel, with d n unknowns, passes and certifies at the
-first witness, while the power-1 kernel (n^2 unknowns) at n >= 9 and the
-power-2 systems cost more than the sampling left and are declined.
+Which certificates are solved follows from the shape of C1.  The power-1
+cokernel, d n unknowns, is solved whenever a best needs it.  Every other
+certificate is solved only when C1 is spanned by basis vectors
+(`_coordinate_c1`), as throughout the catalog: the tensor is then as
+sparse as the law, the power-1 kernel and power-2 systems are small, and
+every certificate the catalog's stops need is solved.  On a dense basis
+(a random conjugate) C1 is not spanned by basis vectors.  The power-1
+cokernel still certifies most (r + 1, 1, ..., 1) bests at the first
+witness there, but the power-1 kernel (n^2 unknowns) rarely does: on two
+seeded conjugates of each catalog instance at n = 7..10 and their
+quotients by Z, it was solved 48 times and certified the stop twice.  So
+it is declined there, with the filled-in power-2 systems, and a best
+that needs them samples on.  The rule only decides when sampling stops,
+never what it finds.
 """
 
 from __future__ import annotations
@@ -205,6 +208,12 @@ def _solve_maps(rows, n):
     return free, maps
 
 
+def _coordinate_c1(g: LieAlgebra):
+    """True when C1 is spanned by basis vectors: every structure constant lies at C1's pivots."""
+    pivots = g.derived_echelon()
+    return all(l in pivots for comp in g.brackets.values() for l in comp)
+
+
 def _power_maps(g: LieAlgebra, power, transpose):
     """The maps of the power-j kernel or cokernel certificate, by `_solve_maps`.
 
@@ -225,12 +234,13 @@ def _power_maps(g: LieAlgebra, power, transpose):
     ad(e_a) Q_(A - a), with its zeros dropped; Q_(a) is the tensor row
     br[a] itself.  Q_A[k] lies in C1, so it is restricted to P once, and
     no component off P is written: the kernel's components there follow
-    from those at P.  When every structure constant lies at P, as in the
-    catalog, whose C1 is spanned by basis vectors, there is nothing to
-    restrict.  The coefficient of x^S in ad(x)^j M x, component
-    l in P, is the sum over the distinct b in S, with A = S - b, of
-    sum_k Q_A[k]_l M_kb; that of (V x)^T ad(x)^j e_k is
-    sum over l in P of Q_A[k]_l V_lb.  Each b gives other entries (column
+    from those at P.  When C1 is spanned by basis vectors
+    (`_coordinate_c1`), as in the catalog, every structure constant lies
+    at P and there is nothing to restrict; only then does the sampling
+    solve any certificate other than the power-1 cokernel.  The
+    coefficient of x^S in ad(x)^j M x, component l in P, is the sum over
+    the distinct b in S, with A = S - b, of sum_k Q_A[k]_l M_kb; that of
+    (V x)^T ad(x)^j e_k is sum over l in P of Q_A[k]_l V_lb.  Each b gives other entries (column
     b of the matrix), so no entry of a row is written twice.  The rows are
     formed in the order of (S, -b), which at j = 1 is the order of the
     loops over i <= j of the degree-1 systems.
@@ -258,8 +268,8 @@ def _power_maps(g: LieAlgebra, power, transpose):
                 (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
             if q:
                 qs[seq] = q
-    pivots = g.derived_echelon()
-    if any(l not in pivots for comp in g.brackets.values() for l in comp):   # Q_A[k] restricted to P
+    if not _coordinate_c1(g):                               # Q_A[k] restricted to P
+        pivots = g.derived_echelon()
         qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
               for seq, q in qs.items()}
     # x^S is keyed by -sum over a in S of (j + 2)^(n - 1 - a), whose digits
@@ -299,54 +309,7 @@ def _generic_rank_bound(certificate, n, x):
     return n - len(_echelon(images, reduced=False))
 
 
-def _solve_cost(g: LieAlgebra, power, transpose):
-    """The cost of `_power_maps(g, power, transpose)`, estimated from the tensor before building it.
-
-    With P the pivots of C1, d = |P|, T_P the structure constants at P,
-    f = T_P / (n^2 d) their fill and u the unknowns (d n for the
-    cokernel, n^2 for the kernel), it is 5 t + f^2 u^3 / 10.  t bounds
-    the entries the row builder writes: n times the chains
-    e_k -> [e_a1, ... [e_aj, e_k]] through nonzero constants that end at
-    P, exactly n T_P at j = 1.  f^2 u^3 stands for the elimination, which
-    on a filled-in system grows with the cube of the unknowns.  The unit
-    is that of `_sample_cost`.  The constants come from min-of-3 timings
-    of the systems and candidates of the 344 catalog instances at
-    n = 7..13 and of 72 dense conjugates of the conjugate-invariants picks
-    and their quotients by the center at n = 5..13: a written entry costs
-    about 4.4 units, rounded up to 5, and the elimination term is set 3
-    times above its least-squares fit, which underestimates the dense
-    kernels at n >= 11 up to 9-fold.
-    """
-    n = g.dim
-    pivots = g.derived_echelon()
-    chains = [0] * n                                        # chains ending at component m
-    for comp in g.brackets.values():                        # [e_i, e_j] and [e_j, e_i]
-        for m in comp:
-            chains[m] += 2
-    fill = sum(chains[p] for p in pivots) / (n * n * len(pivots)) if pivots else 0
-    for _ in range(power - 1):
-        step = [0] * n
-        for row in g.integer_brackets():
-            for m, comp in row.items():
-                for l in comp:
-                    step[l] += chains[m]
-        chains = step
-    unknowns = len(pivots) * n if transpose else n * n
-    return 5 * n * sum(chains[p] for p in pivots) + fill * fill * unknowns ** 3 / 10
-
-
-def _sample_cost(g: LieAlgebra):
-    """T + 9 n, the cost of trying one candidate, with T = 2 |stored constants| the tensor's entries.
-
-    One unit is one structure constant read by `LieAlgebra.ad_columns`,
-    about 0.3 us on the 2-vCPU Xeon host, Python 3.11, where the constants
-    were calibrated (see `_solve_cost`); the membership test and the
-    echelon of the n columns for the rank of ad(x) add about 9 n.
-    """
-    return 2 * sum(map(len, g.brackets.values())) + 9 * g.dim
-
-
-def _certified(g: LieAlgebra, solved, x, ranks, budget):
+def _certified(g: LieAlgebra, solved, x, ranks):
     """True when certificates bound the generic rank of ad(y)^j by ranks[j - 1] at x, for every j.
 
     For each power j in turn, the cokernel and then the kernel certificate
@@ -354,20 +317,18 @@ def _certified(g: LieAlgebra, solved, x, ranks, budget):
     them for later calls under (j, transpose): the kernel is solved only
     when the cokernel bound at x exceeds r_j, and a power is solved only
     when every lower power has been certified.  A power with
-    r_j >= dim C1 needs none: ad(y)^j maps g into C1.  A certificate not yet
-    solved is solved only while its `_solve_cost` fits in `budget`, the
-    cost of the sampling left, which each solve here then spends;
-    otherwise it is declined, and it falls short.
+    r_j >= dim C1 needs none: ad(y)^j maps g into C1.  The power-1
+    cokernel is always solved; any other certificate only when C1 is
+    spanned by basis vectors (`_coordinate_c1`), and otherwise it is
+    declined and falls short.
     """
     for j, r in enumerate(ranks, 1):
         if r >= len(g.derived_echelon()):
             continue
         for transpose in (True, False):
             if (j, transpose) not in solved:
-                cost = _solve_cost(g, j, transpose)
-                if cost > budget:
+                if (j, transpose) != (1, True) and not _coordinate_c1(g):
                     continue
-                budget -= cost
                 solved[j, transpose] = _power_maps(g, j, transpose)
             if _generic_rank_bound(solved[j, transpose], g.dim, x) <= r:
                 break
@@ -388,10 +349,9 @@ def char_sequence_with_witness(
     bound the generic rank of ad(x)^j by r_j = rank ad(witness)^j for
     every j <= k, k the least length whose rank prefix bounds the best
     profile by itself: some prefix of every later candidate's ranks would
-    then reject it.  At each new best, the certificates (`_certified`)
-    not yet solved are solved only when the cost rule finds them cheaper
-    than the sampling left: their `_solve_cost`, summed, at most the
-    candidates after the witness times `_sample_cost`.
+    then reject it.  At each new best, `_certified` solves the
+    certificates it needs and has not solved yet: the power-1 cokernel
+    always, the others only when C1 is spanned by basis vectors.
     """
     n = g.dim
     if n == 0:
@@ -401,8 +361,7 @@ def char_sequence_with_witness(
     best = None
     witness = None
     solved = {}
-    candidates = _candidates(n, seed, samples)
-    for i, (x, row) in enumerate(candidates):
+    for x, row in _candidates(n, seed, samples):
         if not _remainder(c1, dict(row)):                       # zero or in C1
             continue
         ranks = []
@@ -419,7 +378,7 @@ def char_sequence_with_witness(
                     break
                 k = next(k for k in range(1, len(ranks) + 1)
                          if best == _profile_upper_bound(n, ranks[:k]))
-                if _certified(g, solved, row, ranks[:k], (len(candidates) - i - 1) * _sample_cost(g)):
+                if _certified(g, solved, row, ranks[:k]):
                     break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")

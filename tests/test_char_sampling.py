@@ -5,17 +5,23 @@ ad(x), and `reference_linalg` forms the powers of ad(x) to rank them.  The
 sampling in `nilform.invariants` drops a candidate on any prefix of its
 rank sequence, and stops at the C1 ceiling or at a witness whose ranks of
 ad(x)^j, for the powers j its profile needs, the cokernel or kernel
-certificates show to be generic, solved when the cost rule finds them
-cheaper than the sampling left; and `rank_sequence` ranks integer images
+certificates show to be generic; and `rank_sequence` ranks integer images
 instead of powers.  Both must give exactly the same rank sequences,
 sequences and witnesses.  The sets are every catalog instance at
 n = 7..13, seeded random conjugates (dense structure constants), and
 abelian(4), heisenberg(2), g7^65 + abelian(1) and g8^7 with alpha = 1/2.
 The certificates of ad(x) and ad(x)^2, written on the pivot columns of
 C1, are checked against the rational reference bracket, the degree-1
-systems against the reference builders projected to those pivots, the
-cost rule on dense conjugates at n = 8, 12 and 13, and the prefix bound
-and the stop rule against every partition of n <= 10.
+systems against the reference builders projected to those pivots, and
+the prefix bound and the stop rule against every partition of n <= 10.
+
+The sampling solves the power-1 cokernel whenever a best needs it, and
+any other certificate only when C1 is spanned by basis vectors.  The
+tests pin which certificates that solves on the catalog (all it needs),
+on seeded dense conjugates at n = 7, 8, 12 and 13, the quotients by Z
+of those at n = 7 and 8, and the dense file in tests/data (the power-1
+cokernel alone), and that the library's test of C1's shape agrees with
+one read off C1's reduced basis.
 """
 
 import random
@@ -27,17 +33,17 @@ import pytest
 import reference_invariants as ref_inv
 import reference_lie as ref_lie
 import reference_linalg as ref
+import test_charnilp_decision
 from nilform import catalog, invariants, serialize
 from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
     DEFAULT_SEED,
     _candidates,
+    _coordinate_c1,
     _generic_rank_bound,
     _power_maps,
     _profile_upper_bound,
-    _sample_cost,
-    _solve_cost,
     char_sequence_with_witness,
 )
 from nilform.lie import LieAlgebra, abelian, heisenberg
@@ -216,6 +222,11 @@ def _stop_power(n, seq):
     return next(k for k in range(1, len(ranks) + 1) if _profile_upper_bound(n, ranks[:k]) == seq)
 
 
+def _spanned_by_basis_vectors(g):
+    """True when every vector of the reduced basis of C1 has a single nonzero coordinate."""
+    return all(sum(1 for c in v if c) == 1 for v in g.derived_subalgebra().basis_vectors())
+
+
 def _outcome(g, seq, witness):
     """How the sampling may stop: "ceiling", "certified" or "exhausted".
 
@@ -223,9 +234,9 @@ def _outcome(g, seq, witness):
     ad(witness) and k the least length whose prefix bounds seq by itself
     (`_stop_power`), each power j <= k has r_j >= dim C1, or a cokernel or
     kernel certificate that bounds the generic rank of ad(x)^j by r_j at
-    the witness and that the cost rule lets the sampling solve: its
-    `_solve_cost` is at most the candidates after the witness times
-    `_sample_cost`.
+    the witness and that the sampling solves: the power-1 cokernel
+    always, any other only when C1 is spanned by basis vectors
+    (`_spanned_by_basis_vectors`).
     """
     n = g.dim
     seq = tuple(seq)
@@ -233,10 +244,9 @@ def _outcome(g, seq, witness):
     if seq == _profile_upper_bound(n, [d]):
         return "ceiling"
     w = _integer_row(enumerate(witness))
-    rows = [row for _, row in _candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)]
-    budget = (len(rows) - rows.index(w) - 1) * _sample_cost(g)
+    coordinate = _spanned_by_basis_vectors(g)
     if all(
-        r >= d or any(_solve_cost(g, j, t) <= budget
+        r >= d or any((coordinate or (j, t) == (1, True))
                       and _generic_rank_bound(_power_maps(g, j, t), n, w) <= r
                       for t in CERTIFICATES.values())
         for j, r in enumerate(_ranks(seq)[:_stop_power(n, seq)], 1)
@@ -329,13 +339,13 @@ def test_cost_rule_skips_power_two_at_a_non_generic_best(monkeypatch, family, m,
     """A dense conjugate whose first best has ranks (4, 2) builds no power-2 system.
 
     The first candidate has ranks (4, 2, ...), and that best needs k = 2;
-    the power-2 systems cost more than the sampling left by `_solve_cost`
-    and are declined.  The second candidate has ranks (4, 3, ...) and profile
+    C1 is not spanned by basis vectors, so the power-2 systems are
+    declined.  The second candidate has ranks (4, 3, ...) and profile
     (4 + 1, 1, ..., 1), and the sampling stops there.  For g8^6
-    (dim C1 = 5) the power-1 cokernel, cheap, is solved at the first best
-    and certifies rank 4 at the second.  For g7^84 (dim C1 = 4) rank 4 is
-    dim C1 and needs no certificate, so nothing is solved, and the second
-    candidate reaches the C1 ceiling.
+    (dim C1 = 5) the power-1 cokernel, which is always solved, is solved
+    at the first best and certifies rank 4 at the second.  For g7^84
+    (dim C1 = 4) rank 4 is dim C1 and needs no certificate, so nothing is
+    solved, and the second candidate reaches the C1 ceiling.
     """
     seen = _record_ad_columns(monkeypatch)
     solved = _record_certificates(monkeypatch)
@@ -347,8 +357,7 @@ def test_cost_rule_skips_power_two_at_a_non_generic_best(monkeypatch, family, m,
     tried = _tried(g)
     first = list(_image_ranks(g.ad_columns(tried[0])))
     assert first[:2] == [4, 2] and _stop_power(n, _block_sizes(n, first)) == 2
-    budget = (len(_candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)) - 1) * _sample_cost(g)
-    assert all(_solve_cost(g, 2, t) > budget for t in CERTIFICATES.values())
+    assert not _spanned_by_basis_vectors(g) and not _coordinate_c1(g)
     assert solved == solves
     assert calls == tried[:2] and calls[-1] == _integer_row(enumerate(witness))
     assert tuple(seq) == (5,) + (1,) * (n - 5) and _outcome(g, seq, witness) == outcome
@@ -359,11 +368,10 @@ def test_cost_rule_on_dense_conjugates_at_n_12_13(monkeypatch, family, m):
     """At n = 12, 13 the dense power-1 cokernel (d n unknowns) certifies; every other system is declined.
 
     The sequence and the witness equal the reference's.  The power-1
-    cokernel costs less than the sampling left after the first candidate,
-    and is solved and certifies there, so ad(x) is built for that
-    candidate alone.  The power-1 kernel (n^2 unknowns) and the power-2
-    systems cost more than that sampling by `_solve_cost`, and none is
-    solved.
+    cokernel is solved at the first candidate and certifies there, so
+    ad(x) is built for that candidate alone.  C1 is not spanned by basis
+    vectors, so the power-1 kernel (n^2 unknowns) and the power-2 systems
+    are never solved.
     """
     seen = _record_ad_columns(monkeypatch)
     solved = _record_certificates(monkeypatch)
@@ -373,9 +381,7 @@ def test_cost_rule_on_dense_conjugates_at_n_12_13(monkeypatch, family, m):
     seq, witness = char_sequence_with_witness(g)
     calls = list(seen)
     assert (seq, witness) == ref_inv.char_sequence_with_witness(g)
-    budget = (len(_candidates(n, DEFAULT_SEED, CHAR_SEQUENCE_SAMPLES)) - 1) * _sample_cost(g)
-    assert _solve_cost(g, 1, True) <= budget
-    assert all(_solve_cost(g, j, t) > budget for j, t in ((1, False), (2, True), (2, False)))
+    assert not _spanned_by_basis_vectors(g) and not _coordinate_c1(g)
     assert solved == [(1, True)]
     assert calls == [_integer_row(enumerate(witness))] == _tried(g)[:1]
 
@@ -396,24 +402,35 @@ def test_dense_file_certifies_at_power_one(monkeypatch):
     assert calls == _tried(g)[:1] == [_integer_row(enumerate(witness))]
 
 
-@pytest.mark.parametrize("name", SETS)
-def test_solve_cost_bounds_the_rows_written(monkeypatch, name):
-    """`_solve_cost` is at least 5 times the entries of the rows `_power_maps` writes, at powers 1 and 2."""
-    written = []
-    solve = invariants._solve_maps
+def test_catalog_solves_every_certificate_its_stops_need(monkeypatch):
+    """The catalog's C1 is spanned by basis vectors, so no certificate is declined there.
 
-    def counting_solve(rows, n):
-        rows = list(rows)
-        written.append(sum(len(r) for r in rows))
-        return solve(rows, n)
+    Over the 344 instances at n = 7..13 the sampling solves the power-1
+    cokernel 173 times, the power-1 kernel 28, the power-2 cokernel 24 and
+    the power-2 kernel 13: one solve per certificate a stop tries.
+    """
+    solved = _record_certificates(monkeypatch)
+    for g in _algebras("catalog"):
+        assert _coordinate_c1(g) and _spanned_by_basis_vectors(g)
+        char_sequence_with_witness(g)
+    split = {key: solved.count(key) for key in set(solved)}
+    assert split == {(1, True): 173, (1, False): 28, (2, True): 24, (2, False): 13}
 
-    monkeypatch.setattr(invariants, "_solve_maps", counting_solve)
-    for g in _algebras(name):
-        for power in (1, 2):
-            for transpose in CERTIFICATES.values():
-                written.clear()
-                _power_maps(g, power, transpose)
-                assert _solve_cost(g, power, transpose) >= 5 * written[0]
+
+def test_dense_fingerprints_solve_only_the_power_one_cokernel(monkeypatch):
+    """`fingerprint` of seeded conjugates of the criterion-10 picks solves the power-1 cokernel alone.
+
+    The conjugates are those of test_charnilp_decision (rng 2028).  Their
+    C1 and that of their quotients by Z are not spanned by basis vectors,
+    so every certificate solved for their two sequences is the power-1
+    cokernel, and each sequence and witness equals the reference's.
+    """
+    solved = _record_certificates(monkeypatch)
+    for g in test_charnilp_decision._algebras("conjugates"):
+        invariants.fingerprint(g)
+        for h in (g, g.quotient(g.center())):
+            assert char_sequence_with_witness(h) == ref_inv.char_sequence_with_witness(h)
+    assert solved and set(solved) == {(1, True)}
 
 
 def _basis_brackets(g):

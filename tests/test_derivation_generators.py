@@ -46,7 +46,7 @@ from nilform.derivations import (
 )
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra, Subspace, abelian, basis_vec, heisenberg
-from nilform.linalg import Matrix, _integer_columns, rank
+from nilform.linalg import Matrix, _echelon, _integer_columns, rank
 from nilform.rational import rat
 import reference_derivations
 from reference_derivations import ReferenceSpace, coordinates_of, derivation_space as reference_space
@@ -154,16 +154,16 @@ def test_derivation_algebra_matches_reference():
 def test_derivation_algebra_rejects_a_commutator_outside_the_space(monkeypatch):
     """span{E12, E21} is not closed: [E12, E21] = E11 - E22 has coordinates 0.
 
-    The library space holds each basis matrix as (1, its integer columns);
-    the reference reads the same span as rational matrices.
+    The library space is a kernel of two unknowns, lifted to the entries
+    (0, 1) and (1, 0) (keys 2 and 1, the entries reversed); the reference
+    reads the same span as rational matrices.
     """
     g = abelian(2)
     e12 = Matrix([[0, 1], [0, 0]])
     e21 = Matrix([[0, 0], [1, 0]])
-    space = DerivationSpace(algebra=g, cleared=[(1, [{}, {0: 1}]), (1, [{1: 1}, {}])],
-                            free_positions=[1, 2])
+    space = DerivationSpace(algebra=g, kernel=[{0: 1}, {1: 1}], fcols=[{2: 1}, {1: 1}])
     ref = ReferenceSpace(algebra=g, basis=[e12, e21], free_positions=[1, 2])
-    assert space.basis == ref.basis
+    assert space.basis == ref.basis and space.free_positions == ref.free_positions
     monkeypatch.setattr(derivations, "derivation_space", lambda _: space)
     monkeypatch.setattr(reference_derivations, "generator_space", lambda _: ref)
     for algebra_of in (derivation_algebra, reference_derivations.derivation_algebra):
@@ -328,10 +328,8 @@ def test_engel_flag_reads_the_lift_not_the_rref_basis(monkeypatch):
     positives, conjugates = _flag_inputs()
     from_rref = []
     for g in positives + conjugates:
-        space = derivation_space(g)
-        rref_space = DerivationSpace(algebra=g, cleared=space.cleared,
-                                     free_positions=space.free_positions)
-        from_rref.append(derivations._engel_flag(rref_space))
+        rref_rows = _echelon(dict(v) for v in derivation_space(g)._lift)   # may update rows
+        from_rref.append(derivations._engel_flag(list(rref_rows.values()), g.dim))
     flagged = [flag is not None for flag in from_rref]
     assert flagged == [True] * len(positives) + [fam in (65, 66, 81, 6, 7, 39)
                                                  for fam, _, _ in PICKS] * 2
@@ -340,7 +338,7 @@ def test_engel_flag_reads_the_lift_not_the_rref_basis(monkeypatch):
     _unbuilt(monkeypatch, "cleared", "basis")
     for g, flag in zip(positives + conjugates, from_rref):
         if flag is None:
-            assert derivations._engel_flag(derivation_space(g)) is None, g
+            assert derivations._engel_flag(derivation_space(g)._lift, g.dim) is None, g
         else:
             got = is_characteristically_nilpotent(g)
             assert got.value and got.flag == flag, g
