@@ -39,8 +39,10 @@ r_j.  Every later candidate then has rank ad(X)^j <= r_j for j <= k, and
 some prefix of its ranks is bounded by P, so the prune would reject it:
 stopping leaves the sequence and the witness unchanged.  There are two
 certificates for each power j, each one integer kernel of a linear system
-built from the integer tensor by one row builder (`_power_maps`).  ad(X)^j
-maps g into C1, and with P the pivot columns of C1's echelon
+built from the integer tensor by one row builder (`_power_maps`).  Most of
+its rows have one entry and only force that unknown to 0; the builder
+reads them off the support of the tensor's products and never writes
+them.  ad(X)^j maps g into C1, and with P the pivot columns of C1's echelon
 (`LieAlgebra.derived_echelon`), d = |P|, w -> w|_P is injective on C1, so
 both are written on P alone:
 - the cokernel certificate, the d x n matrices V with
@@ -89,8 +91,8 @@ from .linalg import (
     _combine,
     _echelon,
     _image_ranks,
-    _integer_kernel,
     _integer_row,
+    _kernel_on,
     _primitive,
     _remainder,
 )
@@ -170,44 +172,6 @@ def _candidates(n, seed, samples):
     return tuple((x, _integer_row(enumerate(x))) for x in vectors)
 
 
-def _solve_maps(rows, n):
-    """The integer n x n matrices whose n^2 entries solve `rows`, as (free, maps).
-
-    Entry (k, j) is unknown k * n + j, and the rows are nonempty
-    {unknown: int} dicts with no zero value.  An entry that no row
-    mentions is free: its unit matrix, which maps x to x_j e_k, is a
-    solution, and `free` holds these as {k: {j, ...}}.  Most rows have one entry and say
-    that entry is 0; they are substituted into the others, and the integer
-    kernel of what is left, in the entries it still mentions, gives the
-    other solutions.  Each is returned in `maps` as its sparse columns
-    {k: entry (k, j)}, so `linalg._combine` gives its product with a
-    vector.  The unit matrices and `maps` together span the solutions.
-    """
-    mentioned, zero, longer = set(), set(), []
-    for r in rows:
-        mentioned.update(r)
-        if len(r) == 1:
-            zero.update(r)
-        else:
-            longer.append(r)
-    free = {}
-    for key in range(n * n):
-        if key not in mentioned:
-            k, j = divmod(key, n)
-            free.setdefault(k, set()).add(j)
-    keys = sorted(mentioned - zero)
-    index = {key: i for i, key in enumerate(keys)}
-    rows = ({i: c for key, c in r.items() if (i := index.get(key)) is not None} for r in longer)
-    maps = []
-    for v in _integer_kernel([_primitive(r) for r in rows if r], len(keys))[2]:
-        cols = [{} for _ in range(n)]
-        for i, c in v.items():
-            k, j = divmod(keys[i], n)
-            cols[j][k] = c
-        maps.append(cols)
-    return free, maps
-
-
 def _coordinate_c1(g: LieAlgebra):
     """True when C1 is spanned by basis vectors: every structure constant lies at C1's pivots."""
     pivots = g.derived_echelon()
@@ -215,7 +179,7 @@ def _coordinate_c1(g: LieAlgebra):
 
 
 def _power_maps(g: LieAlgebra, power, transpose):
-    """The maps of the power-j kernel or cokernel certificate, by `_solve_maps`.
+    """The maps of the power-j kernel or cokernel certificate, as (free, maps).
 
     With j = `power` and P the pivot columns of C1's echelon, the kernel
     certificate is the integer n x n matrices M with ad(x)^j M x = 0 for
@@ -226,6 +190,15 @@ def _power_maps(g: LieAlgebra, power, transpose):
     ad(x)^j, which lies in C1, on which w -> w|_P is injective; so either
     bounds the rank of ad(x)^j.  The cokernel has d n unknowns, d = |P|,
     not n^2, and `_generic_rank_bound` then returns d - rank{V x}.
+
+    Entry (k, j) of a matrix is unknown k n + j.  An unknown that no
+    identity mentions is free: its unit matrix, which maps x to x_j e_k,
+    is a solution, and `free` holds these as {k: {j, ...}}.  The other
+    solutions are the integer kernel of the identities on the unknowns
+    they do not force to 0 (`linalg._kernel_on`), each returned in `maps`
+    as its sparse columns {k: entry (k, j)}, so `linalg._combine` gives
+    its product with a vector.  The unit matrices and `maps` together
+    span the solutions.
 
     Both identities are linear in the entries, with one row per monomial
     x^S of degree j + 1 and component.  For a multiset A of j indices,
@@ -240,10 +213,24 @@ def _power_maps(g: LieAlgebra, power, transpose):
     solve any certificate other than the power-1 cokernel.  The
     coefficient of x^S in ad(x)^j M x, component l in P, is the sum over
     the distinct b in S, with A = S - b, of sum_k Q_A[k]_l M_kb; that of
-    (V x)^T ad(x)^j e_k is sum over l in P of Q_A[k]_l V_lb.  Each b gives other entries (column
-    b of the matrix), so no entry of a row is written twice.  The rows are
-    formed in the order of (S, -b), which at j = 1 is the order of the
-    loops over i <= j of the degree-1 systems.
+    (V x)^T ad(x)^j e_k is sum over l in P of Q_A[k]_l V_lb.  So each
+    term (A, b) adds to the row keyed by l (kernel) or k (cokernel) one
+    piece of Q_A, {k: Q_A[k]_l} or Q_A[k], at column b of the matrix;
+    each b gives other entries, so no entry of a row is written twice.
+    The rows are ordered by (S, -b, position of the piece in Q_A) of the
+    first term that writes them, which at j = 1 is the order of the loops
+    over i <= j of the degree-1 systems.
+
+    A row with one entry only says that its unknown is 0, and most rows
+    are of this kind, so they are read off the support of the pieces and
+    never written.  Two pieces of one key share a row only when they come
+    from A = C + e and A' = C + f, e != f: the row of x^(C + e + f), at
+    b = f and b = e.  So a one-entry piece {m: c} forces m n + b to 0 at
+    every b but those of the other pieces in its group (C, key).  The
+    rows with two or more entries are written from the terms sorted by
+    (S, -b), on the unknowns not forced to 0, numbered in ascending order:
+    the full system with its one-entry rows substituted, in the same
+    order; a row left empty is dropped.
     """
     n = g.dim
     br = g.integer_brackets()
@@ -272,36 +259,86 @@ def _power_maps(g: LieAlgebra, power, transpose):
         pivots = g.derived_echelon()
         qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
               for seq, q in qs.items()}
+    if transpose:                                           # row k: Q_A[k]_l N_lb
+        pieces = qs
+    else:                                                   # row l: Q_A[k]_l M_kb
+        pieces = {}
+        for seq, q in qs.items():
+            p = pieces[seq] = {}
+            for k, comp in q.items():
+                for l, c in comp.items():
+                    p.setdefault(l, {})[k] = c
     # x^S is keyed by -sum over a in S of (j + 2)^(n - 1 - a), whose digits
     # count the indices in S, so the keys ascend as the sorted S do
     digit = [-(power + 2) ** (n - 1 - a) for a in range(n)]
-    terms = sorted(
-        (code + digit[b], -b, q)
-        for code, q in ((sum(digit[a] for a in seq), q) for seq, q in qs.items())
-        for b in range(n)
-    )
+    code = {seq: sum(map(digit.__getitem__, seq)) for seq in pieces}
+    # pieces of one key at A = C + e and A' = C + f, e != f, share the row of
+    # x^(C + e + f); only one-entry pieces force zeros, so only their keys are grouped
+    lone = {key for p in pieces.values() for key, piece in p.items() if len(piece) == 1}
+    rest = {}                                               # (C, key): [(e, A)]
+    for seq, p in pieces.items():
+        keys = lone.intersection(p)
+        for e in set(seq):
+            for key in keys:
+                rest.setdefault((code[seq] - digit[e], key), []).append((e, seq))
+    partners = {}                                           # (A, key): the b of its shared rows
+    for (_, key), members in rest.items():
+        if len(members) > 1:
+            es = {e for e, _ in members}
+            for e, seq in members:
+                if len(pieces[seq][key]) == 1:
+                    partners.setdefault((seq, key), set()).update(es.difference((e,)))
+    every = set(range(n))
+    zero = [set() for _ in range(n)]                        # zero[m]: b with m n + b forced
+    terms = []                                              # (x^S, -b, pieces (A, b) writes)
+    for seq, p in pieces.items():
+        multi, shared = [], {}                              # shared: b -> one-entry keys it shares
+        for key, piece in p.items():
+            if len(piece) > 1:
+                multi.append((key, piece))
+                continue
+            bs = partners.get((seq, key), ())
+            zero[next(iter(piece))].update(every.difference(bs))
+            for b in bs:
+                shared.setdefault(b, set()).add(key)
+        if multi:
+            terms += ((code[seq] + digit[b], -b, multi) for b in range(n) if b not in shared)
+        for b, keys in shared.items():
+            items = [(key, piece) for key, piece in p.items() if len(piece) > 1 or key in keys]
+            terms.append((code[seq] + digit[b], -b, items))
+    mentioned = set().union(*(piece for p in pieces.values() for piece in p.values()))
+    free = {k: set(every) for k in range(n) if k not in mentioned}
+    live = [k * n + j for k in sorted(mentioned) for j in range(n) if j not in zero[k]]
+    index = dict(zip(live, range(len(live))))
+    terms.sort()
     rows = {}
-    for mono, b, q in terms:
+    for mono, b, items in terms:
         b = -b
-        for k, comp in q.items():
-            if transpose:                                   # Q_A[k]_l N_lb
-                row = rows.setdefault((mono, k), {})
-                for l, c in comp.items():
-                    row[l * n + b] = c
-            else:                                           # Q_A[k]_l M_kb
-                for l, c in comp.items():
-                    rows.setdefault((mono, l), {})[k * n + b] = c
-    return _solve_maps(rows.values(), n)
+        for key, piece in items:
+            row = rows.setdefault((mono, key), {})
+            for m, c in piece.items():
+                if (i := index.get(m * n + b)) is not None:
+                    row[i] = c
+    maps = []
+    for v in _kernel_on(rows.values(), live):
+        cols = [{} for _ in range(n)]
+        for key, c in v.items():
+            k, j = divmod(key, n)
+            cols[j][k] = c
+        maps.append(cols)
+    return free, maps
 
 
 def _generic_rank_bound(certificate, n, x):
     """n - rank{A x : A solves the certificate}, which bounds rank ad(y) for every y.
 
-    `certificate` is (free, maps) from `_solve_maps`: the free unit
+    `certificate` is (free, maps) from `_power_maps`: the free unit
     matrices give the unit vectors e_k with x_j != 0 for some j in
-    free[k].  For either certificate, over Q(y) the vectors A y lie in
-    ker ad(y), or are orthogonal to its image, and have rank at least
-    their rank at the integer vector x = {i: int}.
+    free[k], and `maps` the other solutions, which are 0 at every entry
+    that a one-entry row of the identities forces to 0.  For either
+    certificate, over Q(y) the vectors A y lie in ker ad(y), or are
+    orthogonal to its image, and have rank at least their rank at the
+    integer vector x = {i: int}.
     """
     free, maps = certificate
     images = [{k: 1} for k, js in free.items() if not js.isdisjoint(x)]

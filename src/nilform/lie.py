@@ -10,22 +10,22 @@ holds the same constants once, scaled by their common denominator L to
 Python ints (cleared by `linalg._scaled`), for both orders of each pair,
 and L[x, y] has the ranks, images, spans and derivations of [x, y].  The
 bracket and ad(v) clear their rational arguments the same way and contract
-them with it; the center is the integer kernel of its rows; ad(x) for the
-characteristic sequence (`ad_columns`), the derived algebra, the lower
-central and derived series, the Jacobi check, the ideal test and the
-quotient, the basis change and the derivation solver read it and eliminate
-with the integer core of `linalg`.  Rationals are built only for what is
-returned, each integer divided by its known scale: the bracket, ad(v), the
-rref rows of a `Subspace` and the matrix of a `BasisChange` when read, the
-residual of a Jacobi failure and the new constants of a quotient or a basis
-change.  A `Subspace` holds its reduced integer echelon, which is
-canonical, and compares, tests membership and projects on it.  The tensor
-is built on first use, so algebras that are never queried pay nothing, and
-the forward echelon of C1 is kept beside it once built, so the
-characteristic sequence and the series share one elimination of C1.
-Algebras are treated as immutable after construction, so everything here
-is safe to share across threads: two threads that race on the first use
-build equal tensors.
+them with it; the center is the integer kernel of its rows, those with one
+entry substituted first; ad(x) for the characteristic sequence
+(`ad_columns`), the derived algebra, the lower central and derived series,
+the Jacobi check, the ideal test and the quotient, the basis change and the
+derivation solver read it and eliminate with the integer core of `linalg`.
+Rationals are built only for what is returned, each integer divided by its
+known scale: the bracket, ad(v), the rref rows of a `Subspace` and the
+matrix of a `BasisChange` when read, the residual of a Jacobi failure and
+the new constants of a quotient or a basis change.  A `Subspace` holds its
+reduced integer echelon, which is canonical, and compares, tests membership
+and projects on it.  The tensor is built on first use, so algebras that are
+never queried pay nothing, and the forward echelon of C1 is kept beside it
+once built, so the characteristic sequence and the series share one
+elimination of C1.  Algebras are treated as immutable after construction,
+so everything here is safe to share across threads: two threads that race
+on the first use build equal tensors.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .linalg import (
     _combine,
     _echelon,
     _integer_columns,
-    _integer_kernel,
     _integer_row,
     _inverse_echelon,
     _kernel_coordinates,
+    _kernel_on,
     _primitive,
     _reduce,
     _rref,
@@ -332,14 +332,30 @@ class LieAlgebra:
         return Subspace._of_echelon(self.dim, _copy(self.derived_echelon()))
 
     def center(self):
-        """Kernel of x -> ([e_a, x])_a, one integer row [e_a, e_j]_k per (a, k) coordinate."""
+        """Kernel of x -> ([e_a, x])_a, one integer row [e_a, e_j]_k per (a, k) coordinate.
+
+        A row with one entry, at j, says x_j = 0.  Those rows are
+        substituted before the kernel (`linalg._kernel_on`): the other rows
+        are written on the columns left, and the central vectors are 0 at
+        every substituted column.  In a sparse law most rows are of this
+        kind (ad(X1) maps each X_i to one X_(i+1)).
+        """
+        n = self.dim
         rows = {}
         for a, brs in enumerate(self.integer_brackets()):
             for j, comp in brs.items():
                 for k, c in comp.items():
                     rows.setdefault((a, k), {})[j] = c
-        _, _, kernel = _integer_kernel([_primitive(r) for r in rows.values()], self.dim)
-        return Subspace._of_echelon(self.dim, _echelon(map(_primitive, kernel), reduced=False))
+        zero = {j for r in rows.values() if len(r) == 1 for j in r}
+        if zero:
+            live = [j for j in range(n) if j not in zero]
+            index = {j: i for i, j in enumerate(live)}
+            rows = [{index[j]: c for j, c in r.items() if j not in zero}
+                    for r in rows.values() if len(r) > 1]
+            kernel = _kernel_on(rows, live)
+        else:
+            kernel = _kernel_on(rows.values(), range(n))
+        return Subspace._of_echelon(n, _echelon(map(_primitive, kernel), reduced=False))
 
     def _series(self, images):
         """[g, C1, ...] for terms T' = span images(integer basis of T), from T = C1.
@@ -359,11 +375,25 @@ class LieAlgebra:
         return [Subspace._of_echelon(self.dim, t) for t in terms]
 
     def lower_central_series(self):
-        """[C^0 = g, C^1, ...] descending; ends with the first repeat or 0."""
+        """[C^0 = g, C^1, ...] descending; ends with the first repeat or 0.
+
+        Each term is spanned by the [e_i, v], v in the echelon of the term
+        before.  [e_i, v] = sum over m of v_m [e_i, e_m] is 0 unless i is
+        in the support of a tensor row br[m] with m in v, so only those
+        brackets are computed, in the (i, v) order of the full double loop:
+        the forward echelons are the same.
+        """
         br = self.integer_brackets()
-        return self._series(
-            lambda basis: (_int_bracket(br, {i: 1}, v) for i in range(self.dim) for v in basis)
-        )
+        n = self.dim
+
+        def images(basis):
+            by_index = [[] for _ in range(n)]
+            for v in basis:
+                for i in set().union(*map(br.__getitem__, v)):
+                    by_index[i].append(v)
+            return (_int_bracket(br, {i: 1}, v) for i in range(n) for v in by_index[i])
+
+        return self._series(images)
 
     def derived_series(self):
         br = self.integer_brackets()

@@ -15,9 +15,11 @@ row and step, where Fraction arithmetic pays one per entry.  Rationals are
 built only at the end, one division by the pivot per output entry; `rank`
 runs the forward pass only and builds none.  Kernels and inverses each
 have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
-by the rational entry points here, by `LieAlgebra.center`, by
-`BasisChange` and by the derivation solver; `_inverse_echelon` takes
-integer rows, and `inverse` clears its matrix once to give it them.  The
+by the rational entry points here, by `LieAlgebra.center` and the
+sequence certificates (through `_kernel_on`, which runs it on the columns
+that one-entry rows do not fix at 0), by `BasisChange` and by the
+derivation solver; `_inverse_echelon` takes integer rows, and `inverse`
+clears its matrix once to give it them.  The
 kernel reader verifies dependent rows instead of cancelling them to zero:
 once its echelon E has a kept kernel, a row that vanishes on ker E is
 skipped.  That is exact, because (ker E)^perp = row E over Q, so the row
@@ -385,6 +387,20 @@ def _integer_kernel(rows, ncols):
         for f, v in kcols[c].items():
             kcols[f][c] = v
     return sorted(pivots), scale, [kcols[f] for f in range(ncols) if f not in pivots]
+
+
+def _kernel_on(rows, live):
+    """The `_integer_kernel` vectors of a system whose columns off `live` are fixed at 0.
+
+    `live` lists the other columns, ascending, and the rows are written
+    on them by position: entry i is the coefficient of column live[i].
+    A row left empty is dropped.  Each kernel vector is returned in the
+    original columns, {live[i]: int}, and is 0 at every fixed column.
+    """
+    kernel = _integer_kernel([_primitive(r) for r in rows if r], len(live))[2]
+    if live and live[-1] == len(live) - 1:          # no column fixed: nothing to map
+        return kernel
+    return [{live[i]: c for i, c in v.items()} for v in kernel]
 
 
 def _inverse_echelon(rows, n):

@@ -6,7 +6,10 @@ vectors from one seeded generator) and every one outside C1 is tried.
 Membership in C1 subtracts whole dense basis rows, and Jordan profiles come
 from the reference rank sequence, which forms the powers of ad(x).  It also
 keeps the degree-1 kernel and cokernel certificate systems as they were
-built before one builder served every power of ad(x).
+built before one builder served every power of ad(x), and that builder
+as it was before it read the forced zeros off the tensor's support: it
+wrote every row, one entry or more, and `solve_maps` substituted the
+single-entry rows before the integer kernel.
 """
 
 import random
@@ -17,7 +20,9 @@ from nilform.invariants import (
     DEFAULT_SEED,
     CharSequence,
 )
+from nilform.invariants import _coordinate_c1
 from nilform.lie import basis_vec
+from nilform.linalg import _integer_kernel, _primitive
 from nilform.rational import rat
 
 from reference_linalg import nilpotent_jordan_profile, rank
@@ -86,6 +91,99 @@ def ad_cokernel_rows(g, pivots=None):
                         if pivots is None or l in pivots:
                             row[l * n + b] = c
     return list(rows.values())
+
+
+def power_rows(g, power, transpose):
+    """Every row of the power-j kernel or cokernel certificate, in the order it was written.
+
+    One row per monomial x^S of degree j + 1 and component, over the
+    unknowns k n + j of the n x n matrix, written from Q_A for each term
+    (A, b) of S, the terms sorted by (S, -b).
+    """
+    n = g.dim
+    br = g.integer_brackets()
+    qs = {(a,): row for a, row in enumerate(br) if row}
+    for _ in range(power - 1):
+        sums = {}
+        for seq, q in qs.items():
+            for a, row in enumerate(br):
+                if not row:
+                    continue
+                acc = sums.setdefault(tuple(sorted(seq + (a,))), {})
+                for k, v in q.items():
+                    col = acc.setdefault(k, {})
+                    for m, c in v.items():
+                        comp = row.get(m)
+                        if comp:
+                            for l, d in comp.items():
+                                col[l] = col.get(l, 0) + c * d
+        qs = {}
+        for seq, acc in sums.items():
+            q = {k: col for k, col in (
+                (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
+            if q:
+                qs[seq] = q
+    if not _coordinate_c1(g):
+        pivots = g.derived_echelon()
+        qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
+              for seq, q in qs.items()}
+    digit = [-(power + 2) ** (n - 1 - a) for a in range(n)]
+    terms = sorted(
+        (code + digit[b], -b, q)
+        for code, q in ((sum(digit[a] for a in seq), q) for seq, q in qs.items())
+        for b in range(n)
+    )
+    rows = {}
+    for mono, b, q in terms:
+        b = -b
+        for k, comp in q.items():
+            if transpose:
+                row = rows.setdefault((mono, k), {})
+                for l, c in comp.items():
+                    row[l * n + b] = c
+            else:
+                for l, c in comp.items():
+                    rows.setdefault((mono, l), {})[k * n + b] = c
+    return list(rows.values())
+
+
+def substituted(rows, n):
+    """(free, keys, kernel rows): `rows` with their single-entry rows substituted.
+
+    An unknown no row mentions is free ({k: {j, ...}} for unknown k n + j).
+    A row with one entry sets that unknown to 0; the other rows, with those
+    unknowns dropped, are written on `keys`, the unknowns left, ascending,
+    by position, and made primitive; rows left empty are dropped.
+    """
+    mentioned, zero, longer = set(), set(), []
+    for r in rows:
+        mentioned.update(r)
+        if len(r) == 1:
+            zero.update(r)
+        else:
+            longer.append(r)
+    free = {}
+    for key in range(n * n):
+        if key not in mentioned:
+            k, j = divmod(key, n)
+            free.setdefault(k, set()).add(j)
+    keys = sorted(mentioned - zero)
+    index = {key: i for i, key in enumerate(keys)}
+    rows = ({i: c for key, c in r.items() if (i := index.get(key)) is not None} for r in longer)
+    return free, keys, [_primitive(r) for r in rows if r]
+
+
+def solve_maps(rows, n):
+    """(free, maps) of a certificate system: the free unit matrices and the kernel on the rest."""
+    free, keys, rows = substituted(rows, n)
+    maps = []
+    for v in _integer_kernel(rows, len(keys))[2]:
+        cols = [{} for _ in range(n)]
+        for i, c in v.items():
+            k, j = divmod(keys[i], n)
+            cols[j][k] = c
+        maps.append(cols)
+    return free, maps
 
 
 def candidates(n, seed=DEFAULT_SEED, samples=CHAR_SEQUENCE_SAMPLES):

@@ -25,11 +25,26 @@ complement basis vectors before reducing it against the ideal.  Membership
 and remainders come from `reference_invariants.contains` and `reduce`, the
 dense rational loop over the ideal's rref rows, not from the `Subspace`
 under test.  The reference `change_basis` brackets through it too.
+
+`integer_lower_central_series` and `integer_center` are the integer
+versions used before the support of the tensor decided what is built:
+the series brackets every e_i with every echelon row of the term before,
+and the center hands the integer kernel every row [e_a, e_j]_k, those
+with one entry too.  They build the same forward echelons as the
+versions under test.
 """
 
 from nilform.errors import DimensionMismatch, NotAnIdeal, SingularTransform
-from nilform.lie import BasisChange, JacobiFailure, LieAlgebra, Subspace, basis_vec, zero_vec
-from nilform.linalg import Matrix, inverse, rank
+from nilform.lie import (
+    BasisChange,
+    JacobiFailure,
+    LieAlgebra,
+    Subspace,
+    _int_bracket,
+    basis_vec,
+    zero_vec,
+)
+from nilform.linalg import Matrix, _echelon, _integer_kernel, _primitive, inverse, rank
 from nilform.rational import ONE, ZERO
 
 import reference_invariants as ref_inv
@@ -141,6 +156,23 @@ def lower_central_series(g):
         if nxt.dim == 0:
             break
     return series
+
+
+def integer_lower_central_series(g):
+    """The series from every [e_i, v], i over the basis and v over the echelon rows of the term before."""
+    br = g.integer_brackets()
+    return g._series(lambda basis: (_int_bracket(br, {i: 1}, v) for i in range(g.dim) for v in basis))
+
+
+def integer_center(g):
+    """The integer kernel of every row [e_a, e_j]_k of the center system, one entry or more."""
+    rows = {}
+    for a, brs in enumerate(g.integer_brackets()):
+        for j, comp in brs.items():
+            for k, c in comp.items():
+                rows.setdefault((a, k), {})[j] = c
+    _, _, kernel = _integer_kernel([_primitive(r) for r in rows.values()], g.dim)
+    return Subspace._of_echelon(g.dim, _echelon(map(_primitive, kernel), reduced=False))
 
 
 def derived_series(g):

@@ -14,6 +14,11 @@ The certificates of ad(x) and ad(x)^2, written on the pivot columns of
 C1, are checked against the rational reference bracket, the degree-1
 systems against the reference builders projected to those pivots, and
 the prefix bound and the stop rule against every partition of n <= 10.
+The builder never writes a row with one entry; for every power-1 and
+power-2 certificate, on the catalog at n = 7..15, on dense conjugates at
+n = 7..9 with their quotients by Z and on the small set, it must give the
+reference builder's (free, maps) and hand the integer kernel the
+reference rows with their one-entry rows substituted, in order.
 
 The sampling solves the power-1 cokernel whenever a best needs it, and
 any other certificate only when C1 is spanned by basis vectors.  The
@@ -34,7 +39,7 @@ import reference_invariants as ref_inv
 import reference_lie as ref_lie
 import reference_linalg as ref
 import test_charnilp_decision
-from nilform import catalog, invariants, serialize
+from nilform import catalog, invariants, linalg, serialize
 from nilform.errors import DimensionMismatch, NotNilpotent
 from nilform.invariants import (
     CHAR_SEQUENCE_SAMPLES,
@@ -583,29 +588,124 @@ def test_certificate_is_sound(name, certificate, power):
         assert bound >= top
 
 
+def _record_kernel_rows(monkeypatch, memo=None):
+    """The rows of every `linalg._integer_kernel` call, as item lists, in a list cleared by the caller.
+
+    The rows are copied before the kernel reads them, as it may update them
+    in place.  With a dict `memo`, a system met again (same rows, same
+    columns) returns the kernel computed for it the first time, also when
+    the reference module asks for it.
+    """
+    systems = []
+    kernel = linalg._integer_kernel
+
+    def recording_kernel(rows, ncols):
+        items = [list(r.items()) for r in rows]
+        systems.append(items)
+        if memo is None:
+            return kernel(rows, ncols)
+        key = (tuple(map(tuple, items)), ncols)
+        if key not in memo:
+            memo[key] = kernel(rows, ncols)
+        return memo[key]
+
+    monkeypatch.setattr(linalg, "_integer_kernel", recording_kernel)
+    if memo is not None:
+        monkeypatch.setattr(ref_inv, "_integer_kernel", recording_kernel)
+    return systems
+
+
 def test_power_one_systems_match_reference(monkeypatch):
-    """At j = 1 the builder hands `_solve_maps` the degree-1 systems on C1's pivots, row for row, in order.
+    """At j = 1 the kernel gets the degree-1 systems on C1's pivots, one-entry rows substituted, in order.
 
     The reference rows are projected to the pivot columns P of C1: the
     kernel keeps the rows of the components in P, the cokernel the entries
     N_lb with l in P.  The catalog's C1 is spanned by basis vectors, so
-    the projection drops nothing there; the conjugates' C1 is not.
+    the projection drops nothing there; the conjugates' C1 is not.  The
+    builder never writes a row with one entry, but what reaches the
+    integer kernel is the reference system with those rows substituted
+    (`ref_inv.substituted`) and nothing else changed, row for row, in
+    order; and the certificate is the reference `solve_maps` of the full
+    reference system.
     """
-    systems = []
-    solve = invariants._solve_maps
-
-    def recording_solve(rows, n):
-        rows = list(rows)
-        systems.append([list(r.items()) for r in rows])
-        return solve(rows, n)
-
-    monkeypatch.setattr(invariants, "_solve_maps", recording_solve)
+    systems = _record_kernel_rows(monkeypatch)
     for g in _algebras("catalog") + _algebras("conjugates") + _algebras("small"):
         for transpose, reference in ((False, ref_inv.ad_kernel_rows), (True, ref_inv.ad_cokernel_rows)):
+            rows = reference(g, _c1_pivots(g, _basis_brackets(g)))
             systems.clear()
-            _power_maps(g, 1, transpose)
-            pivots = _c1_pivots(g, _basis_brackets(g))
-            assert systems == [[list(r.items()) for r in reference(g, pivots)]]
+            certificate = _power_maps(g, 1, transpose)
+            assert systems == [[list(r.items()) for r in ref_inv.substituted(rows, g.dim)[2]]]
+            assert certificate == ref_inv.solve_maps(rows, g.dim)
+
+
+@cache
+def _power_map_algebras(name):
+    """The catalog at n = 7..15; or two seeded conjugates of each instance at n = 7..9, each with its quotient by Z."""
+    if name == "catalog":
+        return tuple(
+            inst.algebra for n in range(7, 16) for inst in catalog.enumerate_instances(n)
+        )
+    if name == "conjugates":
+        rng = random.Random(2029)
+        out = []
+        for n in range(7, 10):
+            for inst in catalog.enumerate_instances(n):
+                for _ in range(2):
+                    h = _conjugate(inst.algebra, rng)
+                    out += [h, h.quotient(h.center())]
+        return tuple(out)
+    return _algebras("small")
+
+
+@pytest.mark.parametrize("name", SETS)
+@pytest.mark.parametrize("power,certificate", [(j, c) for j in (1, 2) for c in CERTIFICATES])
+def test_power_maps_match_reference(monkeypatch, name, power, certificate):
+    """`_power_maps` gives the reference's (free, maps) and hands the kernel its substituted rows.
+
+    The reference (`ref_inv.power_rows`, `ref_inv.solve_maps`) writes every
+    row, one entry or more, and substitutes the one-entry rows before the
+    kernel.  On the catalog at n = 7..15, on dense conjugates at n = 7..9
+    with their quotients by Z, and on the small set, the certificate must
+    be identical and the rows reaching `_integer_kernel` must be the
+    reference's, in order.  The two sides meet identical systems, so the
+    kernel of each is computed once, and the rows each hands it are
+    recorded.
+    """
+    transpose = CERTIFICATES[certificate]
+    systems = _record_kernel_rows(monkeypatch, memo := {})
+    for g in _power_map_algebras(name):
+        rows = ref_inv.power_rows(g, power, transpose)
+        memo.clear()
+        systems.clear()
+        certificate_maps = _power_maps(g, power, transpose)
+        reference_maps = ref_inv.solve_maps(rows, g.dim)
+        assert len(systems) == 2 and systems[0] == systems[1]
+        assert certificate_maps == reference_maps
+
+
+def test_catalog_certificates_write_only_rows_with_two_entries(monkeypatch):
+    """Over the 344 catalog instances at n = 7..13 the certificates hand the kernel 3813 rows.
+
+    The 238 systems the sampling solves have 41706 rows in all (the
+    reference writes each of them), and 35380 of those have one entry;
+    they are never written.  Every row that reaches the kernel has at
+    least one entry.
+    """
+    solves = []
+    power_maps = invariants._power_maps
+
+    def recording_power_maps(g, power, transpose):
+        solves.append((g, power, transpose))
+        return power_maps(g, power, transpose)
+
+    monkeypatch.setattr(invariants, "_power_maps", recording_power_maps)
+    systems = _record_kernel_rows(monkeypatch)
+    for g in _algebras("catalog"):
+        char_sequence_with_witness(g)
+    assert len(solves) == len(systems) == 238
+    assert sum(map(len, systems)) == 3813 and all(r for rows in systems for r in rows)
+    rows = [r for g, power, transpose in solves for r in ref_inv.power_rows(g, power, transpose)]
+    assert len(rows) == 41706 and sum(len(r) == 1 for r in rows) == 35380
 
 
 def _partitions(n, largest=None):

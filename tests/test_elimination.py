@@ -318,19 +318,24 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
 
 
 def test_ad_kernel_maps_systems_match_reference(monkeypatch):
-    """The kernel and cokernel certificate systems of ad(x) and ad(x)^2 at n = 12."""
+    """The kernel and cokernel certificate systems of ad(x) and ad(x)^2 at n = 12.
+
+    The certificates reach the integer kernel through `linalg._kernel_on`,
+    which reads `linalg._integer_kernel`.
+    """
     systems = []
-    kernel = invariants._integer_kernel
+    kernel = linalg._integer_kernel
 
     def recording_kernel(rows, ncols):
         systems.append(([dict(r) for r in rows], ncols))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(invariants, "_integer_kernel", recording_kernel)
-    for inst in catalog.enumerate_instances(12):
-        for j in (1, 2):
-            for transpose in (False, True):
-                invariants._power_maps(inst.algebra, j, transpose)
+    with monkeypatch.context() as m:        # `sparse_kernel` below reads it too
+        m.setattr(linalg, "_integer_kernel", recording_kernel)
+        for inst in catalog.enumerate_instances(12):
+            for j in (1, 2):
+                for transpose in (False, True):
+                    invariants._power_maps(inst.algebra, j, transpose)
     assert len(systems) > 80
     for rows, ncols in systems:
         assert sparse_kernel(rows, ncols) == ref.sparse_kernel(rows, ncols)

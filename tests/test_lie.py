@@ -1,8 +1,10 @@
 import random
+from functools import cache
 
 import pytest
 
-from nilform import catalog
+import reference_lie as ref
+from nilform import catalog, lie
 from nilform.errors import DimensionMismatch, NotAnIdeal, SingularTransform
 from nilform.invariants import char_sequence
 from nilform.lie import (
@@ -245,3 +247,82 @@ def test_from_bracket_list():
     assert g.brackets == {(1, 2): {1: rat(3)}}
     with pytest.raises(DimensionMismatch):
         from_bracket_list(3, [(1, 1, {2: 1})])
+
+
+@cache
+def _support_algebras(name):
+    """The catalog at n = 7..13, or a seeded conjugate of each instance at n = 7..9 and its quotient by Z."""
+    if name == "catalog":
+        return tuple(
+            inst.algebra for n in range(7, 14) for inst in catalog.enumerate_instances(n)
+        )
+    rng = random.Random(2030)
+    out = []
+    for n in range(7, 10):
+        for inst in catalog.enumerate_instances(n):
+            while True:
+                t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                if rank(t) == n:
+                    break
+            h = inst.algebra.change_basis(t)
+            out += [h, h.quotient(h.center())]
+    return tuple(out)
+
+
+def _forward_echelons(monkeypatch, compute):
+    """Copies of the forward echelons that `compute()` hands to `Subspace._of_echelon`, in order."""
+    seen = []
+    of_echelon = Subspace._of_echelon
+
+    def recording(ambient, pivots):
+        seen.append({c: dict(row) for c, row in pivots.items()})
+        return of_echelon(ambient, pivots)
+
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "_of_echelon", staticmethod(recording))
+        compute()
+    return seen
+
+
+@pytest.mark.parametrize("name", ["catalog", "conjugates"])
+def test_series_and_center_read_the_support(monkeypatch, name):
+    """The lower central series and the center equal the references, forward echelons too.
+
+    The series computes [e_i, v] only for i in the support of v's tensor
+    rows, and the center substitutes its one-entry rows before the
+    kernel.  Both must give the Subspaces of the rational reference
+    (`ref.lower_central_series`, `ref.center`), and every forward echelon
+    they build must be the one built by the integer versions that bracket
+    every e_i with every v and hand the kernel every row
+    (`ref.integer_lower_central_series`, `ref.integer_center`).
+    """
+    for g in _support_algebras(name):
+        assert g.lower_central_series() == ref.lower_central_series(g)
+        assert g.center() == ref.center(g)
+        assert (_forward_echelons(monkeypatch, g.lower_central_series)
+                == _forward_echelons(monkeypatch, lambda: ref.integer_lower_central_series(g)))
+        assert (_forward_echelons(monkeypatch, g.center)
+                == _forward_echelons(monkeypatch, lambda: ref.integer_center(g)))
+
+
+def test_series_computes_only_nonzero_brackets_on_the_catalog(monkeypatch):
+    """Over the 344 catalog instances at n = 7..13 the series computes 3959 brackets, none of them 0.
+
+    Bracketing every e_i with every echelon row, as the integer reference
+    does, computes 39838, and 35879 of those are 0.
+    """
+    counts = {}
+
+    def counting(key, bracket):
+        def wrapped(br, u, v):
+            w = bracket(br, u, v)
+            calls, zeros = counts.get(key, (0, 0))
+            counts[key] = (calls + 1, zeros + (not w))
+            return w
+        return wrapped
+
+    monkeypatch.setattr(lie, "_int_bracket", counting("support", lie._int_bracket))
+    monkeypatch.setattr(ref, "_int_bracket", counting("every", ref._int_bracket))
+    for g in _support_algebras("catalog"):
+        assert g.lower_central_series() == ref.integer_lower_central_series(g)
+    assert counts == {"support": (3959, 0), "every": (39838, 35879)}
