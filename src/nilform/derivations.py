@@ -17,25 +17,25 @@ the lift with the columns reversed -- only when the derivation algebra, a
 witness draw or `basis` reads it.  Rationals are built only when `basis`
 is read.
 
-Diagonal derivations come from the integer kernel of the weight system
+Diagonal derivations come from one integer kernel of the weight system
 lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
 parameters for the weight reports, and `diagonal_witness` reads a witness
-straight off one kernel vector.
+straight off one kernel vector, each entry over the kernel's scale.
 
 Characteristic nilpotency (every derivation nilpotent) is decided exactly
 by Engel's theorem (Jacobson, *Lie Algebras*, 1962, ch. II): Der(g) is a
 Lie algebra, so every derivation is nilpotent iff the Engel flag V_0 = 0,
 V_{k+1} = {v : D v in V_k for every basis derivation D} reaches g.  Each
 term is one `linalg._integer_kernel` on the lifted integer entries of the
-derivation space, and a positive verdict carries the flag: an integer
-basis in which every derivation is strictly upper triangular.  A flag that
-stalls below g proves that some derivation is not nilpotent; only then is
-an exact witness drawn, as a random integer combination of the basis
-derivations tested by its trace powers.  Some tr(D^k), k <= n, is then a
-nonzero polynomial of degree k in the coefficients, so by Schwartz-Zippel a
-draw from [-2n^2, 2n^2] is nilpotent with probability at most n/(4n^2 + 1).
-The characteristic polynomial of a witness is computed only when a caller
-reads it.
+derivation space, whose echelon gives the next annihilator, and a positive
+verdict carries the flag: an integer basis in which every derivation is
+strictly upper triangular.  A flag that stalls below g proves that some
+derivation is not nilpotent; only then is an exact witness drawn, as a
+random integer combination of the basis derivations tested by its trace
+powers.  Some tr(D^k), k <= n, is then a nonzero polynomial of degree k in
+the coefficients, so by Schwartz-Zippel a draw from [-2n^2, 2n^2] is
+nilpotent with probability at most n/(4n^2 + 1).  The characteristic
+polynomial of a witness is computed only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .linalg import (
     _primitive,
     char_poly,
     matmul,
-    sparse_kernel,
 )
 from .linform import LinearForm
 from .rational import ZERO, rat
@@ -413,29 +412,23 @@ def _ordered_vars(form: LinearForm):
 
 
 def _weight_kernel(g: LieAlgebra):
-    """Free positions and kernel vectors of lambda_i + lambda_j = lambda_k.
+    """Free positions, scale and kernel vectors of lambda_i + lambda_j = lambda_k.
 
-    One equation per stored bracket coefficient.  Columns are processed in
-    reverse, so the free parameters land on the lowest basis positions, and
-    kernel vector t, which is 1 at its free column, holds the weight of
-    position pos at index n - 1 - pos.
+    One row per stored bracket coefficient, as it is: its entries are +-1
+    (k is at most one of i < j), so it is primitive, and a repeated row is
+    a dependent row the kernel skips.  Columns are reversed, so the free
+    parameters land on the lowest basis positions; kernel vector t holds
+    scale times the weight of position pos at index n - 1 - pos.
     """
     n = g.dim
     rows = []
-    seen = set()
     for (i, j), comp in sorted(g.brackets.items()):
         for k in sorted(comp):
-            row = {}
-            for pos, c in ((i, 1), (j, 1), (k, -1)):
-                row[pos] = row.get(pos, 0) + c
-            row = {n - 1 - c: v for c, v in row.items() if v}
-            key = tuple(sorted(row.items()))
-            if row and key not in seen:
-                seen.add(key)
-                rows.append(row)
-    pivot_cols, kernel = sparse_kernel(rows, n)
-    pivot_set = set(pivot_cols)
-    return [n - 1 - c for c in range(n) if c not in pivot_set], kernel
+            row = {n - 1 - i: 1, n - 1 - j: 1}
+            row[n - 1 - k] = row.get(n - 1 - k, 0) - 1
+            rows.append({c: v for c, v in row.items() if v})
+    pivots, scale, kernel = _integer_kernel(rows, n)
+    return [n - 1 - c for c in range(n) if c not in pivots], scale, kernel
 
 
 def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
@@ -446,14 +439,12 @@ def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
     index order).
     """
     n = g.dim
-    free_cols, kernel = _weight_kernel(g)
+    free_cols, scale, kernel = _weight_kernel(g)
+    names = [_weight_param_name(f) for f in free_cols]
     weights = []
     for pos in range(n):
-        form = LinearForm()
-        for vec, f in zip(kernel, free_cols):
-            if vec[n - 1 - pos]:
-                form = form + LinearForm({_weight_param_name(f): vec[n - 1 - pos]})
-        weights.append(form)
+        c = n - 1 - pos
+        weights.append(LinearForm({x: rat(v[c], scale) for x, v in zip(names, kernel) if c in v}))
     return WeightSignature(rank=len(kernel), weights=weights)
 
 
@@ -476,14 +467,14 @@ def diagonal_witness(g: LieAlgebra):
     diagonal the weight signature gives with that parameter set to 1 and
     every other one to 0.
     """
-    free_cols, kernel = _weight_kernel(g)
+    free_cols, scale, kernel = _weight_kernel(g)
     if not kernel:
         return None
     t = min(range(len(kernel)), key=lambda t: _weight_param_name(free_cols[t]))
     n = g.dim
     rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = kernel[t][n - 1 - i]
+    for c, v in kernel[t].items():
+        rows[n - 1 - c][n - 1 - c] = rat(v, scale)
     return Matrix(rows, copy=False)
 
 
@@ -530,13 +521,14 @@ def _engel_flag(lift, n):
 
     Each C is given as a row {n^2 - 1 - (l n + b): entry (l, b)} of its
     entries, as in `DerivationSpace._lift`.  The rows a C, for a in an
-    integer basis of the annihilator of V_k, cut out V_{k+1}; the
-    annihilator of V_{k+1} is the kernel of the rows its kernel vectors
-    make.  Each new term's vectors are folded into one echelon, and those
-    that add a pivot extend the adapted basis.  Every term is read from a
-    reduced echelon of a row space that only the span of the C fixes, so
-    the flag is the same for any basis of Der(g), and the decision passes
-    the lift: the rref basis is not built.
+    integer basis of the annihilator of V_k, make a system R with
+    V_{k+1} = ker R; the echelon of R that `_integer_kernel` returns is a
+    basis of row R = (ker R)^perp, the annihilator of V_{k+1}.  Each new
+    term's vectors are folded into one echelon, and those that add a
+    pivot extend the adapted basis.  Every term is read from a reduced
+    echelon of a row space that only the span of the C fixes, so the flag
+    is the same for any basis of Der(g), and the decision passes the lift:
+    the rref basis is not built.
     """
     last = n * n - 1
     crows = []                                  # the rows of each C
@@ -550,13 +542,13 @@ def _engel_flag(lift, n):
     span, basis, dims = {}, [], []
     while len(basis) < n:
         rows = [r for a in annihilator for c in crows if (r := _combine(c, a))]
-        _, _, term = _integer_kernel(rows, n)
+        echelon, _, term = _integer_kernel(rows, n)
         if len(term) == len(basis):
             return None
         term = [_primitive(v) for v in term]
         basis.extend(v for v in term if _fold(span, dict(v)))   # `_fold` may update it
         dims.append(len(basis))
-        _, _, annihilator = _integer_kernel([dict(v) for v in term], n)
+        annihilator = list(echelon.values())
     return EngelFlag(dims=dims, basis=[[v.get(i, 0) for i in range(n)] for v in basis])
 
 

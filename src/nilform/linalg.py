@@ -17,12 +17,13 @@ runs the forward pass only and builds none.  Kernels and inverses each
 have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
 by the rational entry points here, by `LieAlgebra.center` and the
 sequence certificates (through `_kernel_on`, which runs it on the columns
-that one-entry rows do not fix at 0), by `BasisChange` and by the
-derivation solver; `_inverse_echelon` takes integer rows, and `inverse`
-clears its matrix once to give it them.  The
-kernel reader verifies dependent rows instead of cancelling them to zero:
-once its echelon E has a kept kernel, a row that vanishes on ker E is
-skipped.  That is exact, because (ker E)^perp = row E over Q, so the row
+that one-entry rows do not fix at 0), by `BasisChange`, and by the
+derivation solver, Engel flag and weight system; `_inverse_echelon` takes
+integer rows, and `inverse` clears its matrix once to give it them.
+`kernel_basis` and `sparse_kernel` have no library caller.  The kernel
+reader returns its reduced echelon E, a basis of the row space, with the
+kernel, and verifies dependent rows instead of cancelling them to zero:
+once E has a kept kernel, a row that vanishes on ker E is skipped.  That is exact, because (ker E)^perp = row E over Q, so the row
 adds nothing to the row space, and the reduced echelon of that row space
 is canonical.  The kernel is kept when it pays: it costs about p k entries
 to build, for p pivots and k kernel vectors, and at most k of the rows
@@ -329,10 +330,10 @@ def _kernel_coordinates(pivots, ncols):
 def _integer_kernel(rows, ncols):
     """Kernel of a sequence of sparse integer rows, on the reduced integer echelon E.
 
-    Returns (pivot columns ascending, scale, vectors): scale is the lcm of
-    the pivot entries, and there is one integer vector {col: int} per free
-    column, ascending, equal to scale times the canonical kernel vector of
-    that column (see `_kernel_coordinates`).
+    Returns (E as {pivot column: row}, scale, vectors): scale is the lcm
+    of the pivot entries, and there is one integer vector {col: int} per
+    free column, ascending, equal to scale times the canonical kernel
+    vector of that column (see `_kernel_coordinates`).
 
     Most rows of a Leibniz system are dependent, and cancelling one to zero
     costs a `_cancel` per pivot it meets, with growing integers.  Keeping
@@ -386,7 +387,7 @@ def _integer_kernel(rows, ncols):
     for c in pivots:                # kcols[f] = {f: scale} becomes vector f
         for f, v in kcols[c].items():
             kcols[f][c] = v
-    return sorted(pivots), scale, [kcols[f] for f in range(ncols) if f not in pivots]
+    return pivots, scale, [kcols[f] for f in range(ncols) if f not in pivots]
 
 
 def _kernel_on(rows, live):
@@ -581,5 +582,5 @@ def sparse_kernel(rows, ncols):
     row echelon form, ascending, and one dense kernel vector per free
     column, ascending.
     """
-    cols, scale, kernel = _integer_kernel([_integer_row(raw.items()) for raw in rows], ncols)
-    return cols, [_rref_row(v, scale, ncols) for v in kernel]
+    pivots, scale, kernel = _integer_kernel([_integer_row(raw.items()) for raw in rows], ncols)
+    return sorted(pivots), [_rref_row(v, scale, ncols) for v in kernel]

@@ -19,23 +19,31 @@ that combination.  They read any object with `algebra`, `basis` and
 `free_positions`; the reference solver returns its own such record,
 `ReferenceSpace`, so that it does not depend on the library class.
 
+`diagonal_derivations` is the weight signature from before the weight
+rows went straight into the integer kernel: repeated rows are dropped by a
+set of keys, the kernel is taken by `sparse_kernel` as dense rational
+vectors, and each weight is a sum of one-term `LinearForm`s.  Its result
+type is the library's `WeightSignature`.
+
 `is_characteristically_nilpotent` is the decision used before it ran on
 sparse integer powers: it computes the characteristic polynomial of every
 witness eagerly, forms all n dense integer powers of the generic
 derivation (`_int_matmul`), and takes the diagonal witness from the
-`LinearForm` weight signature (`diagonal_witness`).  Its result type is
-the eager `CharNilpotency` of that version.
+`LinearForm` weight signature of this module's `diagonal_derivations`
+(`diagonal_witness`).  Its result type is the eager `CharNilpotency` of
+that version.
 """
 
 import random
 from dataclasses import dataclass
 from math import lcm
 
-from nilform.derivations import CHARNILP_SEED, diagonal_derivations
+from nilform.derivations import CHARNILP_SEED, WeightSignature
 from nilform.derivations import derivation_space as generator_space
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra
 from nilform.linalg import Matrix, char_poly, sparse_kernel
+from nilform.linform import LinearForm
 from nilform.rational import ONE, ZERO, rat
 
 
@@ -123,6 +131,49 @@ def derivation_space(g: LieAlgebra) -> ReferenceSpace:
         for v in kernel
     ]
     return ReferenceSpace(algebra=g, basis=basis, free_positions=free_positions)
+
+
+def _weight_param_name(pos):
+    return f"f{pos + 1}^{pos + 1}" if pos < 6 else f"mu{pos - 5}"
+
+
+def _weight_kernel(g: LieAlgebra):
+    """Free positions and dense kernel vectors of lambda_i + lambda_j = lambda_k.
+
+    One equation per distinct stored bracket row, columns reversed: kernel
+    vector t, 1 at its free column, holds the weight of position pos at
+    index n - 1 - pos.
+    """
+    n = g.dim
+    rows = []
+    seen = set()
+    for (i, j), comp in sorted(g.brackets.items()):
+        for k in sorted(comp):
+            row = {}
+            for pos, c in ((i, 1), (j, 1), (k, -1)):
+                row[pos] = row.get(pos, 0) + c
+            row = {n - 1 - c: v for c, v in row.items() if v}
+            key = tuple(sorted(row.items()))
+            if row and key not in seen:
+                seen.add(key)
+                rows.append(row)
+    pivot_cols, kernel = sparse_kernel(rows, n)
+    pivot_set = set(pivot_cols)
+    return [n - 1 - c for c in range(n) if c not in pivot_set], kernel
+
+
+def diagonal_derivations(g: LieAlgebra) -> WeightSignature:
+    """The weight signature, free parameters on the lowest basis positions."""
+    n = g.dim
+    free_cols, kernel = _weight_kernel(g)
+    weights = []
+    for pos in range(n):
+        form = LinearForm()
+        for vec, f in zip(kernel, free_cols):
+            if vec[n - 1 - pos]:
+                form = form + LinearForm({_weight_param_name(f): vec[n - 1 - pos]})
+        weights.append(form)
+    return WeightSignature(rank=len(kernel), weights=weights)
 
 
 def diagonal_witness(g: LieAlgebra):

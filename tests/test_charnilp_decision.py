@@ -6,15 +6,20 @@ dense integer powers of the generic derivation, and the characteristic
 polynomial of every witness computed eagerly.  The decision now reads the
 Engel flag of the derivation space, and draws the same trials only when
 the flag stalls; `diagonal_witness` takes the witness straight from the
-kernel of the weight system, and `witness_char_poly` is computed on access.
-Both must give the same verdict and witness on every catalog instance at
-n = 7..10, on seeded conjugates of the ten criterion-10 picks, on
-abelian(1), on Der(g7^81) and on a conjugate of sl2, whose derivations are
-all traceless, so its witness shows only in tr(D^2).  Every verdict must
-equal the acceptance suite's own Engel-flag test, every positive must carry
-a flag in whose basis each rational basis derivation is strictly upper
-triangular, and every witness polynomial must be the characteristic
+integer kernel of the weight system, and `witness_char_poly` is computed
+on access.  Both must give the same verdict and witness on every catalog
+instance at n = 7..10, on seeded conjugates of the ten criterion-10 picks,
+on abelian(1), on Der(g7^81) and on a conjugate of sl2, whose derivations
+are all traceless, so its witness shows only in tr(D^2).  Every verdict
+must equal the acceptance suite's own Engel-flag test, every positive must
+carry a flag in whose basis each rational basis derivation is strictly
+upper triangular, and every witness polynomial must be the characteristic
 polynomial of the witness, on both negative paths.
+
+The reference also keeps the earlier weight signature, which drops
+repeated weight rows and reads dense rational kernel vectors.  The diagonal
+witness and the weight signature must equal it on the same sets and on
+abelian(0).
 """
 
 import random
@@ -27,6 +32,7 @@ from nilform import catalog
 from nilform.derivations import (
     derivation_algebra,
     derivation_space,
+    diagonal_derivations,
     diagonal_witness,
     is_characteristically_nilpotent,
 )
@@ -81,10 +87,28 @@ def _verdicts(name):
     return tuple(out)
 
 
+def _weight_inputs(name):
+    """The set, and abelian(0) with the small one: the weights need no derivation space."""
+    return _algebras(name) + ((abelian(0),) if name == "small" else ())
+
+
 @pytest.mark.parametrize("name", SETS)
 def test_diagonal_witness_matches_reference(name):
-    for g in _algebras(name):
+    for g in _weight_inputs(name):
         assert diagonal_witness(g) == ref.diagonal_witness(g), g
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_diagonal_derivations_match_reference(name):
+    for g in _weight_inputs(name):
+        got, want = diagonal_derivations(g), ref.diagonal_derivations(g)
+        assert got.rank == want.rank, g
+        assert got.weights == want.weights, g
+        # the parameters of each weight in the same order, too
+        assert [list(w.coeffs.items()) for w in got.weights] == \
+            [list(w.coeffs.items()) for w in want.weights], g
+        assert str(got) == str(want), g
+        assert got.canonical_key() == want.canonical_key(), g
 
 
 @pytest.mark.parametrize("name", SETS)

@@ -342,3 +342,34 @@ def test_engel_flag_reads_the_lift_not_the_rref_basis(monkeypatch):
         else:
             got = is_characteristically_nilpotent(g)
             assert got.value and got.flag == flag, g
+
+
+def test_engel_flag_solves_one_kernel_per_term(monkeypatch):
+    """Each term of the flag is one `_integer_kernel` call, and the next
+    annihilator is read off that call's echelon.
+
+    The kernels returned are the terms V_1, V_2, ...: on a flag that reaches
+    g their dimensions are its dims, and a stalled flag adds one call whose
+    term is no larger than the one before.
+    """
+    positives, conjugates = _flag_inputs()
+    terms, kernel = [], derivations._integer_kernel
+
+    def recording_kernel(rows, ncols):
+        out = kernel(rows, ncols)
+        terms.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(derivations, "_integer_kernel", recording_kernel)
+    stalled = 0
+    for g in positives + conjugates:
+        lift = derivation_space(g)._lift
+        del terms[:]
+        flag = derivations._engel_flag(lift, g.dim)
+        if flag is not None:
+            assert terms == flag.dims, g
+            continue
+        stalled += 1
+        *rising, last = terms
+        assert rising == sorted(set(rising)) and last == (rising[-1] if rising else 0), g
+    assert stalled == 8 and len(positives) >= 13
