@@ -123,17 +123,12 @@ def tables(table_id, ms, alphas, seed, fmt):
               help="also verify the nilindex-5 direct sums at n=14")
 @click.option("--certificates/--no-certificates", default=False,
               help="emit a per-instance certificate item (witness or Engel flag)")
-@click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def charnilp(dims, alphas, sums, certificates, seed, fmt):
+def charnilp(dims, alphas, sums, certificates, fmt):
     """Characteristic nilpotency classification over the catalog."""
-    seed = _seed(seed)
-    report = verify.charnilp_suite(
-        dims, alphas=alphas, seed=seed, certificates=certificates,
-    )
+    report = verify.charnilp_suite(dims, alphas=alphas, certificates=certificates)
     if sums:
-        extra = verify.corollary_sums_suite(seed=seed)
-        report.items.extend(extra.items)
+        report.items.extend(verify.corollary_sums_suite().items)
     _emit(report, fmt)
 
 
@@ -141,9 +136,8 @@ def charnilp(dims, alphas, sums, certificates, seed, fmt):
 @click.option("--family", type=int, required=True)
 @click.option("--dim", type=int, required=True)
 @click.option("--depth", type=click.IntRange(min=0), default=1)
-@click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def dertower(family, dim, depth, seed, fmt):
+def dertower(family, dim, depth, fmt):
     """Derivation tower of one catalog entry."""
     if family not in catalog.FAMILIES:
         raise click.BadParameter(f"no family {family}", param_hint="'--family'")
@@ -152,7 +146,7 @@ def dertower(family, dim, depth, seed, fmt):
     if fam.dimension(m) != dim or m < fam.m_min:
         raise click.BadParameter(f"family {family} is not defined at dimension {dim}",
                                  param_hint="'--dim'")
-    _emit(verify.dertower_suite(family, dim, depth=depth, seed=_seed(seed)), fmt)
+    _emit(verify.dertower_suite(family, dim, depth=depth), fmt)
 
 
 @main.command()

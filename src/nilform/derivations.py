@@ -13,9 +13,8 @@ already.  The space keeps the integer kernel of that system on the
 generator unknowns.  Its dimension is read off the kernel; the lift to the
 n^2 matrix entries is built when first read (by the Engel flag), and the
 canonical rref basis of the full n^2 Leibniz system -- one row reduction of
-the lift with the columns reversed -- only when the derivation algebra, a
-witness draw or `basis` reads it.  Rationals are built only when `basis`
-is read.
+the lift with the columns reversed -- only when the derivation algebra or
+`basis` reads it.  Rationals are built only when `basis` is read.
 
 Diagonal derivations come from one integer kernel of the weight system
 lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
@@ -29,25 +28,29 @@ V_{k+1} = {v : D v in V_k for every basis derivation D} reaches g.  Each
 term is one `linalg._integer_kernel` on the lifted integer entries of the
 derivation space, whose echelon gives the next annihilator, and a positive
 verdict carries the flag: an integer basis in which every derivation is
-strictly upper triangular.  A flag that stalls below g proves that some
-derivation is not nilpotent; only then is an exact witness drawn, as a
-random integer combination of the basis derivations tested by its trace
-powers.  Some tr(D^k), k <= n, is then a nonzero polynomial of degree k in
-the coefficients, so by Schwartz-Zippel a draw from [-2n^2, 2n^2] is
-nilpotent with probability at most n/(4n^2 + 1).  The characteristic
-polynomial of a witness is computed only when a caller reads it.
+strictly upper triangular.  A flag that stalls at V != g proves that some
+derivation is not nilpotent, and a lifted basis derivation D_a or a sum
+D_a + D_b is one.  Derivations are strictly triangular on V, so traces of
+products on g are traces on g/V.  Were every D_a nilpotent and every
+tr(D_a D_b) zero, the image of Der(g) in gl(g/V) would be solvable by
+Cartan's criterion, so triangular by Lie's theorem, with diagonals linear
+in D and zero at every D_a: nilpotent, and the flag would not stall
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+4.1 and 4.3).  So some D_a, or some D_a + D_b with
+tr((D_a + D_b)^2) = 2 tr(D_a D_b) != 0, has a nonzero trace power
+tr(D^k), k <= n, and the first such is the witness.  Its characteristic
+polynomial is computed only when a caller reads it.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from math import lcm
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NilformError
 from .lie import LieAlgebra, _int_bracket, basis_vec
 from .linalg import (
     Matrix,
@@ -63,8 +66,6 @@ from .linalg import (
 )
 from .linform import LinearForm
 from .rational import ZERO, rat
-
-CHARNILP_SEED = 987654321
 
 
 class DerivationSpace:
@@ -552,23 +553,40 @@ def _engel_flag(lift, n):
     return EngelFlag(dims=dims, basis=[[v.get(i, 0) for i in range(n)] for v in basis])
 
 
-def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNilpotency:
+def _nonnilpotent_witness(mats, n):
+    """The first of D_1..D_r, then of D_a + D_b (a < b), with some tr(D^k) != 0, k <= n.
+
+    Each D is n sparse integer columns, and a candidate stops at its first
+    zero power.  The search runs out only on a span that is no Lie algebra
+    or has only nilpotent elements (the argument of the module docstring).
+    """
+    pairs = ([_combine(cols, {0: 1, 1: 1}) for cols in zip(da, db)]
+             for da, db in combinations(mats, 2))
+    for d in chain(mats, pairs):
+        p = d
+        for _ in range(n):
+            if sum(col.get(j, 0) for j, col in enumerate(p)):
+                return _column_matrix(d, 1, n)
+            p = [_combine(p, col) for col in d]                     # the columns of P D
+            if not any(p):
+                break
+    raise NilformError("no witness among the D_a and D_a + D_b: g fails Jacobi")
+
+
+def is_characteristically_nilpotent(g: LieAlgebra) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 
     A nonzero diagonal derivation is an exact semisimple witness.
     Otherwise the Engel flag of `derivation_space(g)` decides exactly: when
     it reaches g the verdict is True and carries the flag (with Der = 0,
-    V_1 = g).  When it stalls, some derivation is not nilpotent, and random
-    integer combinations of the basis derivations are drawn, coefficients in
-    [-2n^2, 2n^2] from random.Random(seed), until one has a nonzero trace
-    power tr(D^k), k <= n: that D is the witness.  Each draw is nilpotent
-    with probability at most n/(4n^2 + 1).  D and its powers are sparse
-    integer columns built by `_combine`, and a draw stops at its first zero
-    power.  The derivation space is `derivation_space(g)`, so a caller that
-    has just built it for the same algebra does not build it again.
+    V_1 = g).  When it stalls, `_nonnilpotent_witness` searches the lifted
+    basis derivations the flag read, and the sums of two, by the argument
+    of the module docstring; the rref basis is never built.  A caller that
+    has just built the derivation space of g does not build it again.
 
     The stall proves a non-nilpotent derivation only because Der(g) is a
-    Lie algebra, which needs g to satisfy Jacobi (see `derivation_space`).
+    Lie algebra, which needs g to satisfy Jacobi (see `derivation_space`);
+    on a table that fails it the search can run out and raise `NilformError`.
     """
     n = g.dim
     witness = diagonal_witness(g)
@@ -578,21 +596,8 @@ def is_characteristically_nilpotent(g: LieAlgebra, seed=CHARNILP_SEED) -> CharNi
     flag = _engel_flag(space._lift, n)
     if flag is not None:
         return CharNilpotency(value=True, flag=flag)
-    basis_int = [cols for _, cols in space.cleared]
-    by_col = [[b[j] for b in basis_int] for j in range(n)]      # column j of each basis element
-    bound = 2 * n * n
-    rng = random.Random(seed)
-    while True:
-        coeffs = [rng.randint(-bound, bound) for _ in basis_int]
-        coeffs = {t: c for t, c in enumerate(coeffs) if c}
-        d = [_combine(col_j, coeffs) for col_j in by_col]           # the columns of D
-        p = d
-        for _ in range(n):
-            if sum(col.get(j, 0) for j, col in enumerate(p)):
-                return CharNilpotency(value=False, witness=_column_matrix(d, 1, n))
-            p = [_combine(p, col) for col in d]                     # the columns of P D
-            if not any(p):
-                break
+    mats = [_entry_columns(v, n) for v in space._lift]
+    return CharNilpotency(value=False, witness=_nonnilpotent_witness(mats, n))
 
 
 @dataclass
@@ -608,18 +613,18 @@ class TowerResult:
     index: int          # smallest k with Der^k not char-nilpotent, or None
 
 
-def derivation_tower_index(g: LieAlgebra, max_depth=1, seed=CHARNILP_SEED) -> TowerResult:
+def derivation_tower_index(g: LieAlgebra, max_depth=1) -> TowerResult:
     """Walk g, Der(g), Der(Der(g)), ... testing characteristic nilpotency.
 
     The index is the smallest k <= max_depth whose k-th derivation algebra
     admits a non-nilpotent derivation.
     """
-    levels = [TowerLevel(0, g.dim, is_characteristically_nilpotent(g, seed=seed))]
+    levels = [TowerLevel(0, g.dim, is_characteristically_nilpotent(g))]
     current = g
     index = None
     for depth in range(1, max_depth + 1):
         current = derivation_algebra(current)
-        result = is_characteristically_nilpotent(current, seed=seed)
+        result = is_characteristically_nilpotent(current)
         levels.append(TowerLevel(depth, current.dim, result))
         if not result.value:
             index = depth

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 
 VERSION = "0.1.0"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -34,7 +34,7 @@ class Item:
 @dataclass
 class Report:
     suite: str
-    seed: int
+    seed: int = None        # None for a suite that draws nothing at random
     items: list = field(default_factory=list)
 
     def add(self, id, computed, expected, paper_ref, passed, note=""):
@@ -70,7 +70,8 @@ class Report:
                      "pass" if item.passed else "FAIL", item.note]
                 )
             return buf.getvalue().rstrip("\n")
-        lines = [f"suite: {self.suite} (seed {self.seed}, version {VERSION})"]
+        seed = "" if self.seed is None else f"seed {self.seed}, "
+        lines = [f"suite: {self.suite} ({seed}version {VERSION})"]
         for item in self.items:
             status = "pass" if item.passed else "FAIL"
             line = f"[{status}] {item.id}: computed={item.computed} expected={item.expected} ({item.paper_ref})"

@@ -240,13 +240,12 @@ def _certificate_payload(result):
     }
 
 
-def charnilp_suite(dims, alphas=catalog.DEFAULT_ALPHAS, seed=DEFAULT_SEED,
-                   certificates=False) -> Report:
-    report = Report("charnilp", seed)
+def charnilp_suite(dims, alphas=catalog.DEFAULT_ALPHAS, certificates=False) -> Report:
+    report = Report("charnilp")
     for n in dims:
         positives = set()
         for inst in catalog.enumerate_instances(n, alphas=alphas):
-            result = is_characteristically_nilpotent(inst.algebra, seed=seed)
+            result = is_characteristically_nilpotent(inst.algebra)
             if result.value:
                 positives.add(inst.family)
             if certificates:
@@ -276,14 +275,14 @@ def charnilp_suite(dims, alphas=catalog.DEFAULT_ALPHAS, seed=DEFAULT_SEED,
     return report
 
 
-def corollary_sums_suite(pairs=((65, 65), (65, 83), (83, 83)), seed=DEFAULT_SEED) -> Report:
+def corollary_sums_suite(pairs=((65, 65), (65, 83), (83, 83))) -> Report:
     """Direct sums of 7-dimensional characteristically nilpotent entries."""
-    report = Report("charnilp-sums", seed)
+    report = Report("charnilp-sums")
     for a, b in pairs:
         ga = catalog.build(a, 3, 2 if catalog.FAMILIES[a].needs_alpha else None)
         gb = catalog.build(b, 3, 2 if catalog.FAMILIES[b].needs_alpha else None)
         s = ga.direct_sum(gb)
-        cn = is_characteristically_nilpotent(s, seed=seed)
+        cn = is_characteristically_nilpotent(s)
         nil = nilindex(s)
         ok = cn.value and nil == 5
         report.add(
@@ -298,8 +297,8 @@ def corollary_sums_suite(pairs=((65, 65), (65, 83), (83, 83)), seed=DEFAULT_SEED
 
 # -- derivation towers ------------------------------------------------------
 
-def dertower_suite(family, dim, depth=1, seed=DEFAULT_SEED) -> Report:
-    report = Report("dertower", seed)
+def dertower_suite(family, dim, depth=1) -> Report:
+    report = Report("dertower")
     m = dim // 2
     fam = catalog.FAMILIES[family]
     alpha = 2 if fam.needs_alpha else None
@@ -315,7 +314,7 @@ def dertower_suite(family, dim, depth=1, seed=DEFAULT_SEED) -> Report:
         f"{label}: diagonal rank level 0", sig.rank, "(informational)",
         "diagonal derivations in the defining basis", True,
     )
-    tower = derivation_tower_index(g, max_depth=depth, seed=seed)
+    tower = derivation_tower_index(g, max_depth=depth)
     for level in tower.levels:
         report.add(
             f"{label}: level {level.depth}",
@@ -353,7 +352,7 @@ def dertower_suite(family, dim, depth=1, seed=DEFAULT_SEED) -> Report:
         if depth >= 1:
             cn = tower.levels[1].char_nilpotent
         else:
-            cn = is_characteristically_nilpotent(derivation_algebra(g), seed=seed)
+            cn = is_characteristically_nilpotent(derivation_algebra(g))
         note = ""
         if not cn.value and ("der_tower", 81) in tables.KNOWN_DEVIATIONS:
             note = "known deviation: " + tables.KNOWN_DEVIATIONS[("der_tower", 81)]

@@ -38,13 +38,15 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from nilform.derivations import CHARNILP_SEED, WeightSignature
+from nilform.derivations import WeightSignature
 from nilform.derivations import derivation_space as generator_space
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra
 from nilform.linalg import Matrix, char_poly, sparse_kernel
 from nilform.linform import LinearForm
 from nilform.rational import ONE, ZERO, rat
+
+CHARNILP_SEED = 987654321       # the seed of this decision's random trials
 
 
 @dataclass

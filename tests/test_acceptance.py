@@ -317,7 +317,7 @@ def test_criterion_4_printed_examples():
     ok2 = verify_weight_vector(pres, v)
     g781 = catalog.build(81, 3)
     ok3 = derivation_space(g781).dim == 10
-    tower = derivation_tower_index(g86, max_depth=1, seed=SEED)
+    tower = derivation_tower_index(g86, max_depth=1)
     ok4 = tower.index == 1
     _line(4, ok1 and ok2 and ok3 and ok4, "dims, weight vector, tower index")
     assert ok1 and ok2 and ok3 and ok4
@@ -327,7 +327,7 @@ def test_criterion_4_derivation_algebra_char_nilpotency():
     """is_characteristically_nilpotent(Der(g7^81)) = True as printed, or the
     ("der_tower", 81) deviation refuted by an exact non-nilpotent derivation."""
     der = derivation_algebra(catalog.build(81, 3))
-    result = is_characteristically_nilpotent(der, seed=SEED)
+    result = is_characteristically_nilpotent(der)
     certified = (
         not result.value
         and ("der_tower", 81) in tables.KNOWN_DEVIATIONS
@@ -348,7 +348,7 @@ def test_criterion_4_companion_derivation_algebra_pinned():
     der = derivation_algebra(catalog.build(81, 3))
     pres = catalog.derivation_presentation_g7_81()
     for g in (der, pres):
-        res = is_characteristically_nilpotent(g, seed=SEED)
+        res = is_characteristically_nilpotent(g)
         assert not res.value
         assert res.witness is not None
         n = g.dim
@@ -371,7 +371,7 @@ def test_criterion_5_char_nilpotency_classification():
     uncertified = []
     for n in (7, 8, 9):
         results = [
-            (inst, is_characteristically_nilpotent(inst.algebra, seed=SEED))
+            (inst, is_characteristically_nilpotent(inst.algebra))
             for inst in catalog.enumerate_instances(n, alphas=ALPHAS)
         ]
         positives = {inst.family for inst, res in results if res.value}
@@ -406,7 +406,7 @@ def test_criterion_5_companion_computed_sets_pinned():
     for n, want in expected.items():
         per_alpha = {}
         for inst in catalog.enumerate_instances(n, alphas=ALPHAS):
-            res = is_characteristically_nilpotent(inst.algebra, seed=SEED)
+            res = is_characteristically_nilpotent(inst.algebra)
             per_alpha.setdefault(inst.family, []).append(res.value)
         positives = {f for f, vals in per_alpha.items() if any(vals)}
         assert positives == want, (n, sorted(positives))
@@ -427,7 +427,7 @@ def test_criterion_6_low_filiform_examples_not_char_nilpotent():
         assert tuple(char_sequence(g, seed=SEED)) == seq, name
         witness = diagonal_witness(g)
         assert witness is not None, name
-        res = is_characteristically_nilpotent(g, seed=SEED)
+        res = is_characteristically_nilpotent(g)
         assert not res.value and res.witness is not None, name
     _line(6, True, "diagonal witnesses found for all spot checks")
 
@@ -441,7 +441,7 @@ def test_criterion_7_nilindex5_sums():
         (fa, aa), (fb, ab) = seven_dim_list[ia], seven_dim_list[ib]
         s = catalog.build(fa, 3, aa).direct_sum(catalog.build(fb, 3, ab))
         assert s.dim == 14
-        res = is_characteristically_nilpotent(s, seed=SEED)
+        res = is_characteristically_nilpotent(s)
         assert res.value, (fa, fb)
         assert nilindex(s) == 5
     _line(7, True, f"{len(pairs)} direct sums verified at n=14")

@@ -273,8 +273,24 @@ def test_check_file_malformed_or_not_nilpotent(tmp_path, content, code, fragment
 
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("NILFORM_SEED", "777")
-    result = invoke("charnilp", "--dims", "7..7", "--alpha", "1", "--format", "json")
+    result = invoke("check", "--dims", "7..7", "--alpha", "1", "--format", "json")
     assert json.loads(result.output)["seed"] == 777
+
+
+@pytest.mark.parametrize("args", [
+    ("charnilp", "--dims", "7..7", "--alpha", "1"),
+    ("dertower", "--family", "6", "--dim", "8", "--depth", "0"),
+], ids=["charnilp", "dertower"])
+def test_seedless_commands(monkeypatch, args):
+    """charnilp and dertower draw nothing at random: their reports record
+    seed null whatever NILFORM_SEED says, and --seed is a usage error."""
+    monkeypatch.setenv("NILFORM_SEED", "777")
+    result = invoke(*args, "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["seed"] is None
+    result = invoke(*args, "--seed", "1")
+    assert result.exit_code == 2
+    assert "--seed" in result.output
 
 
 def test_seed_env_malformed_is_a_usage_error(monkeypatch):

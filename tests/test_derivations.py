@@ -117,10 +117,10 @@ def test_char_nilpotency_catalog():
 
 
 def test_char_nilpotency_true_has_engel_flag():
-    """A positive carries its Engel flag whatever the seed: the dims rise
-    strictly to n, and every basis derivation maps V_{k+1} into V_k."""
+    """A positive carries its Engel flag, the same on every call: the dims
+    rise strictly to n, and every basis derivation maps V_{k+1} into V_k."""
     g = catalog.build(65, 3)
-    res = is_characteristically_nilpotent(g, seed=42)
+    res = is_characteristically_nilpotent(g)
     assert res.value and res.witness is None
     assert res.flag == is_characteristically_nilpotent(g).flag
     dims, basis = res.flag.dims, res.flag.basis
