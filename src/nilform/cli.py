@@ -101,19 +101,14 @@ def check(dims, alphas, seed, fmt, path):
 @click.option("--id", "table_id", type=int, required=True, help="table number 1..9")
 @click.option("--m", "ms", default="4..6", callback=_parse_range, help="m values A..B")
 @click.option("--alpha", "alphas", default=_DEFAULT_ALPHAS, callback=_parse_alphas)
-@click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def tables(table_id, ms, alphas, seed, fmt):
+def tables(table_id, ms, alphas, fmt):
     """Recompute a printed table and diff it column by column."""
     if not 1 <= table_id <= 9:
         raise click.BadParameter("table id must be in 1..9", param_hint="'--id'")
-    seed = _seed(seed)
     if table_id in (8, 9):
-        _emit(verify.weight_rows_suite(table_id, ms, seed=seed), fmt)
-    _emit(
-        verify.tables_structural_suite(table_id, ms, alphas=alphas, seed=seed),
-        fmt,
-    )
+        _emit(verify.weight_rows_suite(table_id, ms), fmt)
+    _emit(verify.tables_structural_suite(table_id, ms, alphas=alphas), fmt)
 
 
 @main.command()

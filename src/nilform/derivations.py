@@ -39,7 +39,8 @@ in D and zero at every D_a: nilpotent, and the flag would not stall
 4.1 and 4.3).  So some D_a, or some D_a + D_b with
 tr((D_a + D_b)^2) = 2 tr(D_a D_b) != 0, has a nonzero trace power
 tr(D^k), k <= n, and the first such is the witness.  Its characteristic
-polynomial is computed only when a caller reads it.
+polynomial is computed only when a caller reads it.  The flag and the
+search run on `LieAlgebra.adapted()`, mapped back to g's basis.
 """
 
 from __future__ import annotations
@@ -577,12 +578,13 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> CharNilpotency:
     """Decide whether every derivation of g is nilpotent.
 
     A nonzero diagonal derivation is an exact semisimple witness.
-    Otherwise the Engel flag of `derivation_space(g)` decides exactly: when
-    it reaches g the verdict is True and carries the flag (with Der = 0,
-    V_1 = g).  When it stalls, `_nonnilpotent_witness` searches the lifted
-    basis derivations the flag read, and the sums of two, by the argument
-    of the module docstring; the rref basis is never built.  A caller that
-    has just built the derivation space of g does not build it again.
+    Otherwise the Engel flag of `derivation_space(h)`, (h, T) = g.adapted(),
+    decides exactly: when it reaches h the verdict is True and carries the
+    flag (with Der = 0, V_1 = h).  When it stalls, `_nonnilpotent_witness`
+    searches the lifted basis derivations the flag read, and the sums of
+    two, by the argument of the module docstring; the rref basis is never
+    built.  A flag vector v maps back to T v, a witness D to T D T^-1, and
+    a derivation space of h that a caller has just built is read again.
 
     The stall proves a non-nilpotent derivation only because Der(g) is a
     Lie algebra, which needs g to satisfy Jacobi (see `derivation_space`);
@@ -592,12 +594,18 @@ def is_characteristically_nilpotent(g: LieAlgebra) -> CharNilpotency:
     witness = diagonal_witness(g)
     if witness is not None:
         return CharNilpotency(value=False, witness=witness)
-    space = derivation_space(g)
+    h, t = g.adapted()
+    space = derivation_space(h)
     flag = _engel_flag(space._lift, n)
     if flag is not None:
+        if t is not None:                                       # v -> T v, T on integers
+            flag.basis = [[sum(c.get(i, 0) * x for c, x in zip(t._columns, v)) for i in range(n)]
+                          for v in flag.basis]
         return CharNilpotency(value=True, flag=flag)
-    mats = [_entry_columns(v, n) for v in space._lift]
-    return CharNilpotency(value=False, witness=_nonnilpotent_witness(mats, n))
+    witness = _nonnilpotent_witness([_entry_columns(v, n) for v in space._lift], n)
+    if t is not None:
+        witness = matmul(matmul(t.matrix, witness), t.inverse_matrix)
+    return CharNilpotency(value=False, witness=witness)
 
 
 @dataclass
@@ -617,13 +625,14 @@ def derivation_tower_index(g: LieAlgebra, max_depth=1) -> TowerResult:
     """Walk g, Der(g), Der(Der(g)), ... testing characteristic nilpotency.
 
     The index is the smallest k <= max_depth whose k-th derivation algebra
-    admits a non-nilpotent derivation.
+    admits a non-nilpotent derivation.  Each level is built from the
+    adapted algebra that decided the one before, which solved its system.
     """
     levels = [TowerLevel(0, g.dim, is_characteristically_nilpotent(g))]
     current = g
     index = None
     for depth in range(1, max_depth + 1):
-        current = derivation_algebra(current)
+        current = derivation_algebra(current.adapted()[0])
         result = is_characteristically_nilpotent(current)
         levels.append(TowerLevel(depth, current.dim, result))
         if not result.value:

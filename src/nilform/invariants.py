@@ -42,40 +42,27 @@ certificates for each power j, each one integer kernel of a linear system
 built from the integer tensor by one row builder (`_power_maps`).  Most of
 its rows have one entry and only force that unknown to 0; the builder
 reads them off the support of the tensor's products and never writes
-them.  ad(X)^j maps g into C1, and with P the pivot columns of C1's echelon
-(`LieAlgebra.derived_echelon`), d = |P|, w -> w|_P is injective on C1, so
-both are written on P alone:
-- the cokernel certificate, the d x n matrices V with
-  sum over p in P of (V X)_p (ad(X)^j Y)_p = 0 identically: each V X is
-  orthogonal to the image of ad(X)^j read on P;
+them.  For power j they are:
+- the cokernel certificate, the n x n matrices V with
+  (V X)^T ad(X)^j Y = 0 identically: each V X is orthogonal to the image
+  of ad(X)^j;
 - the kernel certificate, the n x n matrices M with ad(X)^j M X = 0
-  identically, its components at P: each M X lies in ker ad(X)^j.
-If the vectors V w have rank s, ad(X)^j has rank at most d - s for all
-X, and if the M w have rank s, at most n - s; a power with r_j >= d needs
-neither, as ad(X)^j maps g into C1.  For each power in turn,
-the cokernel is solved first, on first need, and the kernel only when the
-cokernel bound exceeds r_j; each is solved at most once per call.  With
-k = 1 this is the stop at a best profile (r_1 + 1, 1, ..., 1) on the rank
-of ad(X) alone.  Of the 344 catalog instances at n = 7..13, 171 stop at
-the ceiling and the other 173 at a certified witness: 149 with k = 1 (the
-cokernel certifies 145 and the kernel the other 4) and the 24 off-shape
-(5, 2, 1, ...) instances with k = 2 (at j = 2 the cokernel certifies 11
-and the kernel 13).
+  identically: each M X lies in ker ad(X)^j.
+If the vectors V w, or the M w, have rank s, ad(X)^j has rank at most
+n - s for all X; a power with r_j >= dim C1 needs neither, as ad(X)^j
+maps g into C1.  For each power in turn, the cokernel is solved first,
+on first need, and the kernel only when the cokernel bound exceeds r_j;
+each is solved at most once per call.  With k = 1 this is the stop at a
+best profile (r_1 + 1, 1, ..., 1) on the rank of ad(X) alone.  Of the 344
+catalog instances at n = 7..13, 171 stop at the ceiling and the other 173
+at a certified witness: 149 with k = 1 (the cokernel certifies 145 and
+the kernel the other 4) and the 24 off-shape (5, 2, 1, ...) instances
+with k = 2 (at j = 2 the cokernel certifies 11 and the kernel 13).
 
-Which certificates are solved follows from the shape of C1.  The power-1
-cokernel, d n unknowns, is solved whenever a best needs it.  Every other
-certificate is solved only when C1 is spanned by basis vectors
-(`_coordinate_c1`), as throughout the catalog: the tensor is then as
-sparse as the law, the power-1 kernel and power-2 systems are small, and
-every certificate the catalog's stops need is solved.  On a dense basis
-(a random conjugate) C1 is not spanned by basis vectors.  The power-1
-cokernel still certifies most (r + 1, 1, ..., 1) bests at the first
-witness there, but the power-1 kernel (n^2 unknowns) rarely does: on two
-seeded conjugates of each catalog instance at n = 7..10 and their
-quotients by Z, it was solved 48 times and certified the stop twice.  So
-it is declined there, with the filled-in power-2 systems, and a best
-that needs them samples on.  The rule only decides when sampling stops,
-never what it finds.
+Every input is sampled on h = change_basis(T), (h, T) = g.adapted(): each
+term of h's lower central series is spanned by basis vectors, as in the
+catalog, which keeps its basis, so the certificate systems are as sparse
+as the law.  A witness x' of h maps back to x = T x'.
 """
 
 from __future__ import annotations
@@ -172,24 +159,16 @@ def _candidates(n, seed, samples):
     return tuple((x, _integer_row(enumerate(x))) for x in vectors)
 
 
-def _coordinate_c1(g: LieAlgebra):
-    """True when C1 is spanned by basis vectors: every structure constant lies at C1's pivots."""
-    pivots = g.derived_echelon()
-    return all(l in pivots for comp in g.brackets.values() for l in comp)
-
-
 def _power_maps(g: LieAlgebra, power, transpose):
     """The maps of the power-j kernel or cokernel certificate, as (free, maps).
 
-    With j = `power` and P the pivot columns of C1's echelon, the kernel
-    certificate is the integer n x n matrices M with ad(x)^j M x = 0 for
-    every x, and the cokernel certificate (`transpose`) the matrices V
-    with sum over p in P of (V x)_p (ad(x)^j y)_p = 0 for every x, y,
-    their rows off P left unmentioned, so free.  Each M x lies in
-    ker ad(x)^j and each V x, read on P, is orthogonal to the image of
-    ad(x)^j, which lies in C1, on which w -> w|_P is injective; so either
-    bounds the rank of ad(x)^j.  The cokernel has d n unknowns, d = |P|,
-    not n^2, and `_generic_rank_bound` then returns d - rank{V x}.
+    With j = `power`, the kernel certificate is the integer n x n
+    matrices M with ad(x)^j M x = 0 for every x, and the cokernel
+    certificate (`transpose`) the matrices V with (V x)^T ad(x)^j y = 0
+    for every x, y.  Each M x lies in ker ad(x)^j and each V x is
+    orthogonal to the image of ad(x)^j, so either bounds the rank of
+    ad(x)^j.  The image lies in C1; when C1 is spanned by basis vectors,
+    as on an adapted basis, the rows of V off C1 enter no identity.
 
     Entry (k, j) of a matrix is unknown k n + j.  An unknown that no
     identity mentions is free: its unit matrix, which maps x to x_j e_k,
@@ -205,18 +184,13 @@ def _power_maps(g: LieAlgebra, power, transpose):
     Q_A = sum of ad(e_a1) ... ad(e_aj) over the distinct orderings of A,
     built from the integer tensor as Q_A = sum over the distinct a in A of
     ad(e_a) Q_(A - a), with its zeros dropped; Q_(a) is the tensor row
-    br[a] itself.  Q_A[k] lies in C1, so it is restricted to P once, and
-    no component off P is written: the kernel's components there follow
-    from those at P.  When C1 is spanned by basis vectors
-    (`_coordinate_c1`), as in the catalog, every structure constant lies
-    at P and there is nothing to restrict; only then does the sampling
-    solve any certificate other than the power-1 cokernel.  The
-    coefficient of x^S in ad(x)^j M x, component l in P, is the sum over
-    the distinct b in S, with A = S - b, of sum_k Q_A[k]_l M_kb; that of
-    (V x)^T ad(x)^j e_k is sum over l in P of Q_A[k]_l V_lb.  So each
-    term (A, b) adds to the row keyed by l (kernel) or k (cokernel) one
-    piece of Q_A, {k: Q_A[k]_l} or Q_A[k], at column b of the matrix;
-    each b gives other entries, so no entry of a row is written twice.
+    br[a] itself.  The coefficient of x^S in ad(x)^j M x, component l, is
+    the sum over the distinct b in S, with A = S - b, of
+    sum_k Q_A[k]_l M_kb; that of (V x)^T ad(x)^j e_k is
+    sum over l of Q_A[k]_l V_lb.  So each term (A, b) adds to the row
+    keyed by l (kernel) or k (cokernel) one piece of Q_A, {k: Q_A[k]_l} or
+    Q_A[k], at column b of the matrix; each b gives other entries, so no
+    entry of a row is written twice.
     The rows are ordered by (S, -b, position of the piece in Q_A) of the
     first term that writes them, which at j = 1 is the order of the loops
     over i <= j of the degree-1 systems.
@@ -255,10 +229,6 @@ def _power_maps(g: LieAlgebra, power, transpose):
                 (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
             if q:
                 qs[seq] = q
-    if not _coordinate_c1(g):                               # Q_A[k] restricted to P
-        pivots = g.derived_echelon()
-        qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
-              for seq, q in qs.items()}
     if transpose:                                           # row k: Q_A[k]_l N_lb
         pieces = qs
     else:                                                   # row l: Q_A[k]_l M_kb
@@ -354,18 +324,13 @@ def _certified(g: LieAlgebra, solved, x, ranks):
     them for later calls under (j, transpose): the kernel is solved only
     when the cokernel bound at x exceeds r_j, and a power is solved only
     when every lower power has been certified.  A power with
-    r_j >= dim C1 needs none: ad(y)^j maps g into C1.  The power-1
-    cokernel is always solved; any other certificate only when C1 is
-    spanned by basis vectors (`_coordinate_c1`), and otherwise it is
-    declined and falls short.
+    r_j >= dim C1 needs none: ad(y)^j maps g into C1.
     """
     for j, r in enumerate(ranks, 1):
         if r >= len(g.derived_echelon()):
             continue
         for transpose in (True, False):
             if (j, transpose) not in solved:
-                if (j, transpose) != (1, True) and not _coordinate_c1(g):
-                    continue
                 solved[j, transpose] = _power_maps(g, j, transpose)
             if _generic_rank_bound(solved[j, transpose], g.dim, x) <= r:
                 break
@@ -387,12 +352,13 @@ def char_sequence_with_witness(
     every j <= k, k the least length whose rank prefix bounds the best
     profile by itself: some prefix of every later candidate's ranks would
     then reject it.  At each new best, `_certified` solves the
-    certificates it needs and has not solved yet: the power-1 cokernel
-    always, the others only when C1 is spanned by basis vectors.
+    certificates it needs and has not solved yet.  The candidates are
+    tried on h, (h, T) = g.adapted(), and the witness maps back by T.
     """
     n = g.dim
     if n == 0:
         return CharSequence(()), []
+    g, t = g.adapted()
     c1 = g.derived_echelon()
     ceiling = _profile_upper_bound(n, [len(c1)])
     best = None
@@ -419,6 +385,8 @@ def char_sequence_with_witness(
                     break
     if best is None:
         raise VectorInDerivedAlgebra("no vector outside C1 was sampled")
+    if t is not None:                                           # x = T x', T on integers
+        witness = [sum(c.get(i, 0) * v for c, v in zip(t._columns, witness)) for i in range(n)]
     return CharSequence(best), [rat(v) for v in witness]
 
 
@@ -477,6 +445,8 @@ class Fingerprint:
 def fingerprint(g: LieAlgebra, seed=DEFAULT_SEED) -> Fingerprint:
     from .derivations import derivation_space, diagonal_derivations
 
+    weights = diagonal_derivations(g) if g.meta.get("defining_basis") else None
+    g = g.adapted()[0]          # the decision of g reads its derivation space again
     c1 = g.derived_subalgebra()
     z = g.center()
     lcs = tuple(s.dim for s in g.lower_central_series())
@@ -489,9 +459,6 @@ def fingerprint(g: LieAlgebra, seed=DEFAULT_SEED) -> Fingerprint:
         q.derived_subalgebra().dim,
         q.center().dim,
         tuple(qseq),
-    )
-    weights = (
-        diagonal_derivations(g) if g.meta.get("defining_basis") else None
     )
     return Fingerprint(
         dim=g.dim,

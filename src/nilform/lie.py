@@ -180,7 +180,7 @@ class JacobiFailure:
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q with a distinguished basis."""
 
-    __slots__ = ("dim", "labels", "brackets", "meta", "_tensor")
+    __slots__ = ("dim", "labels", "brackets", "meta", "_tensor", "_adapted")
 
     def __init__(self, dim, brackets, labels=None, meta=None):
         self.dim = dim
@@ -202,6 +202,7 @@ class LieAlgebra:
         self.brackets = clean
         self.meta = dict(meta) if meta else {}
         self._tensor = None
+        self._adapted = None
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -395,6 +396,28 @@ class LieAlgebra:
 
         return self._series(images)
 
+    def adapted(self):
+        """(h, T): h = change_basis(T), each term of its lower central series spanned by basis vectors.
+
+        When C1 already is (every structure constant lies at its pivots), as
+        in the catalog, h is this algebra and T is None.  Else the integer
+        columns of T are the e_b off C1's pivots, then each term's echelon
+        rows at the pivots the next term lacks, the deepest term last.  Kept,
+        so every caller gets one h; an algebra that is its own h keeps False,
+        as keeping itself would make a reference cycle.
+        """
+        if self._adapted is None:
+            c1 = self.derived_echelon()
+            if all(k in c1 for comp in self.brackets.values() for k in comp):
+                self._adapted = False
+            else:
+                terms = [s.echelon for s in self.lower_central_series()] + [{}]
+                cols = [row for term, below in zip(terms, terms[1:])
+                        for c, row in sorted(term.items()) if c not in below]
+                t = BasisChange((1, cols))
+                self._adapted = (self.change_basis(t), t)
+        return (self, None) if self._adapted is False else self._adapted
+
     def derived_series(self):
         br = self.integer_brackets()
         return self._series(
@@ -578,6 +601,13 @@ class BasisChange:
     @cached_property
     def matrix(self):
         return _column_matrix(self._columns, self._scale, len(self._columns))
+
+    @cached_property
+    def inverse_matrix(self):
+        """T^-1 = d (d T)^-1, read off the kept echelon: row i holds p_i (d T)^-1 row i."""
+        n, inv = len(self._columns), self._inverse
+        return Matrix([[rat(self._scale * inv[i].get(n + k, 0), inv[i][i]) for k in range(n)]
+                       for i in range(n)], copy=False)
 
     def __repr__(self):
         return f"BasisChange(kind {self.kind}, n={len(self._columns)})"

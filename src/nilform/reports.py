@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 
 VERSION = "0.1.0"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass

@@ -104,9 +104,8 @@ def check_algebra_file(g, seed=DEFAULT_SEED) -> Report:
 
 # -- structural tables (1-7) ------------------------------------------------------
 
-def tables_structural_suite(table_id, m_values, alphas=catalog.DEFAULT_ALPHAS,
-                            seed=DEFAULT_SEED) -> Report:
-    report = Report(f"table{table_id}", seed)
+def tables_structural_suite(table_id, m_values, alphas=catalog.DEFAULT_ALPHAS) -> Report:
+    report = Report(f"table{table_id}")
     for i in tables.table_members(table_id):
         fam = catalog.FAMILIES[i]
         for m_req in m_values:
@@ -189,8 +188,8 @@ def weight_row_match(g, row):
     return True, x_rank < 2, ""
 
 
-def weight_rows_suite(table_id, m_values, seed=DEFAULT_SEED) -> Report:
-    report = Report(f"table{table_id}", seed)
+def weight_rows_suite(table_id, m_values) -> Report:
+    report = Report(f"table{table_id}")
     rows = tables.TABLE8 if table_id == 8 else tables.TABLE9
     pairs = dict()
     for a, b in tables.REMARK_PAIRS_EVEN + tables.REMARK_PAIRS_ODD:

@@ -20,7 +20,6 @@ from nilform.invariants import (
     DEFAULT_SEED,
     CharSequence,
 )
-from nilform.invariants import _coordinate_c1
 from nilform.lie import basis_vec
 from nilform.linalg import _integer_kernel, _primitive
 from nilform.rational import rat
@@ -93,6 +92,12 @@ def ad_cokernel_rows(g, pivots=None):
     return list(rows.values())
 
 
+def coordinate_c1(g):
+    """True when C1 is spanned by basis vectors: every structure constant lies at C1's pivots."""
+    pivots = g.derived_echelon()
+    return all(l in pivots for comp in g.brackets.values() for l in comp)
+
+
 def power_rows(g, power, transpose):
     """Every row of the power-j kernel or cokernel certificate, in the order it was written.
 
@@ -123,7 +128,7 @@ def power_rows(g, power, transpose):
                 (k, {l: c for l, c in col.items() if c}) for k, col in acc.items()) if col}
             if q:
                 qs[seq] = q
-    if not _coordinate_c1(g):
+    if not coordinate_c1(g):                    # Q_A[k] restricted to C1's pivots
         pivots = g.derived_echelon()
         qs = {seq: {k: {l: c for l, c in comp.items() if l in pivots} for k, comp in q.items()}
               for seq, q in qs.items()}

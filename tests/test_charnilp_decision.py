@@ -14,7 +14,10 @@ ten criterion-10 picks, on abelian(1), on Der(g7^81) and on a conjugate of
 sl2, whose derivations are all traceless, so its witness shows only in
 tr(D^2).  A diagonal witness must equal the reference's; a trace-power
 witness must be a derivation with a nonzero trace power that is one
-lifted basis derivation or the sum of two.  Every verdict must equal the
+lifted basis derivation or the sum of two, of the derivation space of
+h = g.adapted()[0] where the flag is read, mapped back to g's basis for
+an algebra that is not its own adapted one (the conjugates and
+Der(g7^81)).  Every verdict must equal the
 acceptance suite's own Engel-flag test, every positive must carry a flag
 in whose basis each rational basis derivation is strictly upper
 triangular, and every witness polynomial must be the characteristic
@@ -85,10 +88,11 @@ SL2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 
 @cache
 def _verdicts(name):
-    """(algebra, decision, reference decision), both on the same derivation space.
+    """(algebra, decision, reference decision), the reference on derivation_space(g).
 
-    The decision reads the space `derivation_space` keeps for the last
-    algebra it was called on, so it sees the one the reference is given.
+    For an algebra that is its own adapted one, the decision reads the
+    space `derivation_space` keeps for the last algebra it was called on,
+    so it sees the one the reference is given.
     """
     out = []
     for g in _algebras(name):
@@ -132,7 +136,8 @@ def _lift_sums(g):
 @pytest.mark.parametrize("name", SETS)
 def test_decision_matches_reference(name):
     """Equal verdicts; a diagonal witness equals the reference's, and a
-    trace-power witness is a non-nilpotent derivation from the searched set."""
+    trace-power witness is a non-nilpotent derivation of the given g from
+    the set searched on h = g.adapted()[0], mapped back by T D T^-1."""
     for g, got, want in _verdicts(name):
         assert got.value == want.value, g
         if got.value:
@@ -141,7 +146,9 @@ def test_decision_matches_reference(name):
             assert got.witness == want.witness, g
         else:
             assert _refutes_char_nilpotency(g, got.witness), g
-            assert got.witness in _lift_sums(g), g
+            h, t = g.adapted()
+            back = got.witness if t is None else matmul(matmul(t.inverse_matrix, got.witness), t.matrix)
+            assert back in _lift_sums(h), g
 
 
 def _ad_columns(g, v):
@@ -175,12 +182,15 @@ def test_search_raises_on_a_nilpotent_span():
 
 
 def test_negative_decision_builds_no_rref_basis():
-    """A stalled flag on a dense conjugate is decided on the lift alone."""
+    """A stalled flag on a dense conjugate is decided on the lift of its adapted algebra alone,
+    and its witness is a non-nilpotent derivation of the given g."""
     g = _conjugate(catalog.build(84, 3), random.Random(2030))
-    assert diagonal_witness(g) is None
-    assert not is_characteristically_nilpotent(g)
-    assert "_lift" in derivation_space(g).__dict__
-    assert "cleared" not in derivation_space(g).__dict__
+    h = g.adapted()[0]
+    assert h is not g and diagonal_witness(g) is None
+    got = is_characteristically_nilpotent(g)
+    assert not got and _refutes_char_nilpotency(g, got.witness)
+    assert "_lift" in derivation_space(h).__dict__
+    assert "cleared" not in derivation_space(h).__dict__
 
 
 def _flag_triangularizes(g, flag):

@@ -280,10 +280,11 @@ def test_seed_env_fallback(monkeypatch):
 @pytest.mark.parametrize("args", [
     ("charnilp", "--dims", "7..7", "--alpha", "1"),
     ("dertower", "--family", "6", "--dim", "8", "--depth", "0"),
-], ids=["charnilp", "dertower"])
+    ("tables", "--id", "1", "--m", "4"),
+], ids=["charnilp", "dertower", "tables"])
 def test_seedless_commands(monkeypatch, args):
-    """charnilp and dertower draw nothing at random: their reports record
-    seed null whatever NILFORM_SEED says, and --seed is a usage error."""
+    """charnilp, dertower and tables draw nothing at random: their reports
+    record seed null whatever NILFORM_SEED says, and --seed is a usage error."""
     monkeypatch.setenv("NILFORM_SEED", "777")
     result = invoke(*args, "--format", "json")
     assert result.exit_code == 0

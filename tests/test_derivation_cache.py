@@ -1,8 +1,9 @@
 """`derivation_space` keeps its last result, keyed on the algebra's identity.
 
 `invariants.fingerprint` reads dim Der(g) and the characteristic-nilpotency
-decision reads a basis of Der(g); called one after the other on the same
-algebra, they must share one solve of the Leibniz system.  The kept space
+decision reads a basis of Der(g), both on `g.adapted()`; called one after
+the other on the same algebra, they must share one solve of the Leibniz
+system.  The kept space
 belongs to one algebra object only: a different object, even an equal
 one, gets its own space.
 """
@@ -38,11 +39,13 @@ def _count_solves(monkeypatch):
 
 
 def test_fingerprint_and_decision_share_one_solve(monkeypatch):
-    h = _conjugate(catalog.build(6, 4), random.Random(2030))       # g8^6
+    """On a dense conjugate both read the space of its adapted algebra, solved once."""
+    g = _conjugate(catalog.build(6, 4), random.Random(2030))       # g8^6
     solves = _count_solves(monkeypatch)
-    fp = fingerprint(h)
-    verdict = is_characteristically_nilpotent(h)
-    assert len(solves) == 1
+    fp = fingerprint(g)
+    verdict = is_characteristically_nilpotent(g)
+    h = g.adapted()[0]
+    assert solves == [h] and h is not g
     assert verdict.value                    # no diagonal witness: the space was read
     assert fp.dim_der == derivation_space(h).dim == 13
     assert len(solves) == 1

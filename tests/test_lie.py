@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import cache
 
 import pytest
@@ -326,3 +327,36 @@ def test_series_computes_only_nonzero_brackets_on_the_catalog(monkeypatch):
     for g in _support_algebras("catalog"):
         assert g.lower_central_series() == ref.integer_lower_central_series(g)
     assert counts == {"support": (3959, 0), "every": (39838, 35879)}
+
+
+def test_catalog_is_its_own_adapted_algebra():
+    """All 344 catalog instances at n = 7..13 have every term of the lower
+    central series spanned by basis vectors, so `adapted()` returns the
+    algebra itself, with no basis change."""
+    algebras = _support_algebras("catalog")
+    assert len(algebras) == 344
+    for g in algebras:
+        assert all(len(row) == 1 for s in g.lower_central_series() for row in s.echelon.values())
+        h, t = g.adapted()
+        assert h is g and t is None and g.adapted()[0] is g
+
+
+def test_adapted_keeps_no_reference_to_itself():
+    """An algebra that is its own adapted one keeps a marker, not (itself,
+    None), which would be a reference cycle: its reference count is the
+    same after `adapted()`.  A dense conjugate keeps one adapted copy,
+    change_basis(T) for a T with integer columns, which is its own."""
+    g = catalog.build(65, 3)
+    before = sys.getrefcount(g)
+    h, t = g.adapted()
+    del h
+    assert t is None and sys.getrefcount(g) == before
+    rng = random.Random(5)
+    while True:
+        m = Matrix([[rng.randint(-2, 2) for _ in range(g.dim)] for _ in range(g.dim)])
+        if rank(m) == g.dim:
+            break
+    dense = g.change_basis(m)
+    h, t = dense.adapted()
+    assert h is not dense and dense.adapted()[0] is h and h.adapted()[0] is h
+    assert t._scale == 1 and h == dense.change_basis(t)
