@@ -9,12 +9,15 @@ subalgebra (by Jacobi), so imposing the rule on the pairs (generator a_p,
 basis vector) is enough, and only on a complement of the vectors where it
 already holds: those whose bracket with a_p defined a basis vector while
 the generators grew, and the generators whose pair with a_p is imposed
-already.  The space keeps the integer kernel of that system on the
-generator unknowns.  Its dimension is read off the kernel; the lift to the
-n^2 matrix entries is built when first read (by the Engel flag), and the
-canonical rref basis of the full n^2 Leibniz system -- one row reduction of
-the lift with the columns reversed -- only when the derivation algebra or
-`basis` reads it.  Rationals are built only when `basis` is read.
+already.  Most rows of a sparse system have one entry and fix an unknown
+at 0; they are substituted into the others, and one `linalg._kernel_on`
+solves the rest.  The space keeps the integer kernel of that system on the
+generator unknowns, and the entries of D as linear forms in them.  Its
+dimension is read off the kernel; the lift to the n^2 matrix entries is
+built when first read (by the Engel flag), and the canonical rref basis of
+the full n^2 Leibniz system -- one row reduction of the lift with the
+columns reversed -- only when the derivation algebra or `basis` reads it.
+Rationals are built only when `basis` is read.
 
 Diagonal derivations come from one integer kernel of the weight system
 lambda_i + lambda_j = lambda_k: `diagonal_derivations` names its free
@@ -61,6 +64,7 @@ from .linalg import (
     _fold,
     _integer_kernel,
     _inverse_echelon,
+    _kernel_on,
     _primitive,
     char_poly,
     matmul,
@@ -73,9 +77,12 @@ class DerivationSpace:
     """Der(g), kept as the integer kernel of its Leibniz system on generators.
 
     kernel holds integer vectors {unknown: int}, a basis of the solutions,
-    and fcols[u] = {k: c} says that unknown u adds c times itself to the
-    matrix entry (l, b) with k = n^2 - 1 - (l n + b); dim is the number of
-    kernel vectors.  The rest is built from them when first read, and kept:
+    and forms[b][l] is entry (l, b) of d D, d > 0 one common integer, as an
+    integer linear form {unknown: c} in them (`_generator_forms`); dim is
+    the number of kernel vectors.  `fcols` turns the forms around into the
+    map from each unknown u to {k: c}, the entries (l, b) it adds c times
+    itself to, keyed k = n^2 - 1 - (l n + b); it is built on each read, and
+    only `_lift` reads it.  The rest is built when first read, and kept:
     - `_lift`: the kernel vectors lifted to the n^2 entries, keyed as in
       fcols, integer multiples of a basis of Der(g) (not the rref one);
     - `cleared`: the rref basis D_t of Der(g), cleared[t] = (p_t, the
@@ -86,14 +93,26 @@ class DerivationSpace:
     - `basis`: the D_t as Matrices.
     """
 
-    def __init__(self, algebra, kernel, fcols):
+    def __init__(self, algebra, kernel, forms):
         self.algebra = algebra
-        self.kernel, self.fcols = kernel, fcols
+        self.kernel, self.forms = kernel, forms
         self.dim = len(kernel)
+
+    @property
+    def fcols(self):
+        n = len(self.forms)
+        out = {}
+        for b, fb in enumerate(self.forms):
+            for l, f in enumerate(fb):
+                k = n * n - 1 - (l * n + b)         # entry (l, b), columns reversed
+                for u, c in f.items():
+                    out.setdefault(u, {})[k] = c
+        return out
 
     @cached_property
     def _lift(self):
-        return [_primitive(_combine(self.fcols, x)) for x in self.kernel]
+        fcols = self.fcols
+        return [_primitive(_combine(fcols, x)) for x in self.kernel]
 
     @cached_property
     def cleared(self):
@@ -157,18 +176,25 @@ def _bracket_image(br, n, p, a, w, dw):
 
 
 def _leibniz_equations(br, forms, a, j):
-    """D[e_a, e_j] - [D e_a, e_j] - [e_a, D e_j] = 0, one row per coordinate."""
-    eq = [{} for _ in forms]
+    """D[e_a, e_j] - [D e_a, e_j] - [e_a, D e_j] = 0, one row per coordinate, ascending.
+
+    The rows are written into one dict keyed by the coordinates k that
+    some term touches; a row that cancels to zero is dropped.
+    """
+    eq = {}
     for m, c in br[a].get(j, {}).items():
         for k, f in enumerate(forms[m]):
-            _add(eq[k], f, c)
+            if f:
+                _add(eq.setdefault(k, {}), f, c)
     for l, comp in br[j].items():           # -[D e_a, e_j] = [e_j, D e_a]
-        for k, c in comp.items():
-            _add(eq[k], forms[a][l], c)
+        if f := forms[a][l]:
+            for k, c in comp.items():
+                _add(eq.setdefault(k, {}), f, c)
     for l, comp in br[a].items():
-        for k, c in comp.items():
-            _add(eq[k], forms[j][l], -c)
-    return [row for row in ({u: v for u, v in r.items() if v} for r in eq) if row]
+        if f := forms[j][l]:
+            for k, c in comp.items():
+                _add(eq.setdefault(k, {}), f, -c)
+    return [row for row in ({u: v for u, v in eq[k].items() if v} for k in sorted(eq)) if row]
 
 
 def _generator_forms(g, br):
@@ -193,6 +219,8 @@ def _generator_forms(g, br):
         if todo:
             p, u = todo.popleft()
             w = _int_bracket(br, {gens[p]: 1}, ws[u])
+            if not w:                               # most brackets of a sparse law
+                continue
         else:
             u, w = None, {next(candidates): 1}
         if not _fold(span, _primitive(dict(w))):    # `_cancel` may update rows in place
@@ -243,8 +271,8 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     on the rule `LieAlgebra.integer_brackets` relies on: neither an algebra
     nor a returned space is ever modified.  The fields a space fills in
     when first read (`_lift`, `cleared`, `free_positions`, `basis`) are
-    built deterministically from its kernel, so every reader of a shared
-    space sees the same values.  `_solve_derivation_space` solves the
+    built deterministically from its kernel and forms, so every reader of
+    a shared space sees the same values.  `_solve_derivation_space` solves the
     system and states its Jacobi assumption.
     """
     global _last_space
@@ -285,10 +313,14 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
        give phi(a_p, .) = 0 on all of g, and only they are imposed.  That
        holds on any table, Jacobi or not: the solutions are those of every
        pair (a_p, e_j), and the reduced kernel of the rows is the same.
-    4. Kernel.  The integer kernel of those rows is kept with the columns
-       of the forms, one {entry: coefficient} per unknown.  The lift to the
-       n^2 matrix entries and the canonical rref basis are built by
-       `DerivationSpace` when a reader asks for them.
+    4. Kernel.  Each pair's rows are built in ascending coordinate order.
+       A row with one entry fixes its unknown at 0: those rows are
+       substituted into the others, and `linalg._kernel_on` takes the
+       rest, written on the unknowns left, dropping the rows left empty.
+       Its kernel is the kernel of all the rows, which is 0 at every fixed
+       unknown.  It is kept with the forms; the lift to the n^2 matrix
+       entries and the canonical rref basis are built by `DerivationSpace`
+       when a reader asks for them.
     The structure constants are read as integers from
     `LieAlgebra.integer_brackets`, and no rational is built.
 
@@ -304,17 +336,13 @@ def _solve_derivation_space(g: LieAlgebra) -> DerivationSpace:
     for a, pivots in zip(gens, held):
         for j in range(n):
             if j not in pivots:
-                rows.extend(_primitive(r) for r in _leibniz_equations(br, forms, a, j))
-    _, _, kernel = _integer_kernel(rows, len(gens) * n)
-
-    last = n * n - 1
-    fcols = [{} for _ in range(len(gens) * n)]  # unknown -> {entry: coefficient}
-    for b, fb in enumerate(forms):
-        for l, f in enumerate(fb):
-            k = last - (l * n + b)          # entry (l, b), columns reversed
-            for u, c in f.items():
-                fcols[u][k] = c
-    return DerivationSpace(algebra=g, kernel=kernel, fcols=fcols)
+                rows.extend(_leibniz_equations(br, forms, a, j))
+    zero = {u for r in rows if len(r) == 1 for u in r}
+    live = [u for u in range(len(gens) * n) if u not in zero]
+    index = {u: i for i, u in enumerate(live)}
+    kernel = _kernel_on(({index[u]: v for u, v in r.items() if u not in zero}
+                         for r in rows if len(r) > 1), live)
+    return DerivationSpace(algebra=g, kernel=kernel, forms=forms)
 
 
 def derivation_algebra(g: LieAlgebra) -> LieAlgebra:

@@ -15,10 +15,10 @@ row and step, where Fraction arithmetic pays one per entry.  Rationals are
 built only at the end, one division by the pivot per output entry; `rank`
 runs the forward pass only and builds none.  Kernels and inverses each
 have one integer reader, `_integer_kernel` and `_inverse_echelon`, shared
-by the rational entry points here, by `LieAlgebra.center` and the
-sequence certificates (through `_kernel_on`, which runs it on the columns
-that one-entry rows do not fix at 0), by `BasisChange`, and by the
-derivation solver, Engel flag and weight system; `_inverse_echelon` takes
+by the rational entry points here, by `LieAlgebra.center`, the sequence
+certificates and the derivation solver (through `_kernel_on`, which runs it
+on the columns that one-entry rows do not fix at 0), by `BasisChange`, and
+by the Engel flag and weight system; `_inverse_echelon` takes
 integer rows, and `inverse` clears its matrix once to give it them.
 `kernel_basis` and `sparse_kernel` have no library caller.  The kernel
 reader returns its reduced echelon E, a basis of the row space, with the

@@ -25,12 +25,16 @@ complement of the vectors where it already holds.  Each pair (a_p, e_j)
 it imposes must also be imposed by the earlier pairwise rule, which
 skipped only the generators up to a_p and the pairs of a kept bracket
 [a_p, x e_j]; on two dense conjugates the row totals are pinned.  The
-space keeps the kernel on the generator unknowns: reading its dimension
-lifts nothing, the Engel flag reads the lift but not the rref basis, and
-gives the same flag as the rref basis does.
+rows with one entry fix their unknown at 0 and are substituted before the
+kernel: on the catalog at n = 7..13 the rows that reach it are counted,
+and its kernel is that of the rows as built.  The space keeps the kernel
+on the generator unknowns: reading its dimension lifts nothing and builds
+no map from unknowns to entries, the Engel flag reads the lift but not the
+rref basis, and gives the same flag as the rref basis does.
 """
 
 import random
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -46,7 +50,7 @@ from nilform.derivations import (
 )
 from nilform.errors import DimensionMismatch
 from nilform.lie import LieAlgebra, Subspace, abelian, basis_vec, heisenberg
-from nilform.linalg import Matrix, _echelon, _integer_columns, rank
+from nilform.linalg import Matrix, _echelon, _integer_columns, _integer_kernel, _primitive, rank
 from nilform.rational import rat
 import reference_derivations
 from reference_derivations import ReferenceSpace, coordinates_of, derivation_space as reference_space
@@ -155,14 +159,16 @@ def test_derivation_algebra_matches_reference():
 def test_derivation_algebra_rejects_a_commutator_outside_the_space(monkeypatch):
     """span{E12, E21} is not closed: [E12, E21] = E11 - E22 has coordinates 0.
 
-    The library space is a kernel of two unknowns, lifted to the entries
-    (0, 1) and (1, 0) (keys 2 and 1, the entries reversed); the reference
-    reads the same span as rational matrices.
+    The library space is a kernel of two unknowns, the forms of the entries
+    (0, 1) and (1, 0), which lift to the keys 2 and 1 (the entries
+    reversed); the reference reads the same span as rational matrices.
     """
     g = abelian(2)
     e12 = Matrix([[0, 1], [0, 0]])
     e21 = Matrix([[0, 0], [1, 0]])
-    space = DerivationSpace(algebra=g, kernel=[{0: 1}, {1: 1}], fcols=[{2: 1}, {1: 1}])
+    forms = [[{}, {1: 1}], [{0: 1}, {}]]       # forms[b][l]: entry (l, b)
+    space = DerivationSpace(algebra=g, kernel=[{0: 1}, {1: 1}], forms=forms)
+    assert space.fcols == {0: {2: 1}, 1: {1: 1}}
     ref = ReferenceSpace(algebra=g, basis=[e12, e21], free_positions=[1, 2])
     assert space.basis == ref.basis and space.free_positions == ref.free_positions
     monkeypatch.setattr(derivations, "derivation_space", lambda _: space)
@@ -210,15 +216,16 @@ def _record_solves(monkeypatch):
     Each record is a dict: "gens", "br" and "forms" as `_generator_forms`
     returns them, "kept" the (a, w) of each kept bracket [e_a, w], "pairs"
     the (a, j) whose Leibniz equations were built, "equations" their
-    nonzero rows, and "rows" the rows passed to `_integer_kernel`.
+    nonzero rows, and "rows" and "live" what `_kernel_on` receives: the
+    rows it keeps (the nonempty ones), in the unknowns of "live".
     """
     solves = []
     forms_of, image, equations, kernel = (
         derivations._generator_forms, derivations._bracket_image,
-        derivations._leibniz_equations, derivations._integer_kernel)
+        derivations._leibniz_equations, derivations._kernel_on)
 
     def generator_forms(g, br):
-        solves.append({"br": br, "kept": [], "pairs": [], "equations": 0})
+        solves.append({"br": br, "kept": [], "pairs": [], "equations": []})
         gens, forms, held = forms_of(g, br)
         solves[-1].update(gens=gens, forms=forms)
         return gens, forms, held
@@ -230,19 +237,36 @@ def _record_solves(monkeypatch):
     def leibniz_equations(br, forms, a, j):
         out = equations(br, forms, a, j)
         solves[-1]["pairs"].append((a, j))
-        solves[-1]["equations"] += len(out)
+        solves[-1]["equations"].extend(dict(r) for r in out)
         return out
 
-    def integer_kernel(rows, ncols):
-        rows = list(rows)
-        solves[-1]["rows"] = len(rows)
-        return kernel(rows, ncols)
+    def kernel_on(rows, live):
+        rows = [r for r in rows if r]
+        solves[-1].update(rows=[dict(r) for r in rows], live=list(live))
+        return kernel(rows, live)
 
     monkeypatch.setattr(derivations, "_generator_forms", generator_forms)
     monkeypatch.setattr(derivations, "_bracket_image", bracket_image)
     monkeypatch.setattr(derivations, "_leibniz_equations", leibniz_equations)
-    monkeypatch.setattr(derivations, "_integer_kernel", integer_kernel)
+    monkeypatch.setattr(derivations, "_kernel_on", kernel_on)
     return solves
+
+
+def _substituted(solve):
+    """The unknowns one-entry equations fix at 0, and the other equations without them.
+
+    An equation that only mentions fixed unknowns is left empty, and is
+    dropped.
+    """
+    zero = {u for r in solve["equations"] if len(r) == 1 for u in r}
+    rows = [{u: v for u, v in r.items() if u not in zero}
+            for r in solve["equations"] if len(r) > 1]
+    return zero, [r for r in rows if r]
+
+
+def _kernel_rows(solve):
+    """The rows `_kernel_on` received, in the unknowns of the system."""
+    return [{solve["live"][i]: v for i, v in r.items()} for r in solve["rows"]]
 
 
 def _pairwise_rule(n, solve):
@@ -271,7 +295,9 @@ def test_leibniz_pairs_are_imposed_by_the_pairwise_rule(name, monkeypatch):
         imposed, pairwise = set(solve["pairs"]), _pairwise_rule(g.dim, solve)
         assert len(imposed) == len(solve["pairs"]), g
         assert imposed <= pairwise, g
-        assert solve["rows"] == solve["equations"], g
+        zero, rows = _substituted(solve)
+        assert solve["live"] == [u for u in range(len(solve["gens"]) * g.dim) if u not in zero], g
+        assert _kernel_rows(solve) == rows, g
         fewer += imposed < pairwise
         grown += len(solve["gens"]) > g.dim - g.derived_subalgebra().dim
     assert len(solves) == len(algebras)
@@ -284,7 +310,9 @@ def test_leibniz_pairs_are_imposed_by_the_pairwise_rule(name, monkeypatch):
 def test_leibniz_rows_on_dense_conjugates(monkeypatch):
     """The conjugates of g7^39 and g8^6 that `test_elimination` solves.
 
-    The pairwise rule built 168 and 136 rows for them.
+    The pairwise rule built 168 and 136 rows for them; the solver builds
+    144 and 104.  None of them has one entry, so the kernel receives them
+    all.
     """
     hs = [_conjugate(catalog.build(fam, m), random.Random(seed))
           for fam, m, seed in ((39, 4, 39), (6, 4, 2030))]
@@ -293,10 +321,38 @@ def test_leibniz_rows_on_dense_conjugates(monkeypatch):
     for h in hs:
         derivations._solve_derivation_space(h)
         solve = solves[-1]
+        built = (len(solve["equations"]), len(solve["rows"]))
         pairwise = sum(len(derivations._leibniz_equations(solve["br"], solve["forms"], a, j))
                        for a, j in _pairwise_rule(h.dim, solve))
-        totals.append((solve["rows"], pairwise))
-    assert totals == [(144, 168), (104, 136)]
+        totals.append((*built, pairwise))
+    assert totals == [(144, 144, 168), (104, 104, 136)]
+
+
+def test_catalog_leibniz_systems_substitute_their_one_entry_rows(monkeypatch):
+    """Over the 344 catalog instances at n = 7..13 the Leibniz kernels receive 6516 rows.
+
+    The systems have 21475 unknowns and 23031 rows, 15368 of them with one
+    entry: those fix 6492 unknowns at 0 and never reach the kernel.  It
+    receives the other rows without the fixed unknowns, each built with at
+    least two entries; 1491 of them keep only one.  The kernel it returns
+    is that of the rows as built.
+    """
+    algebras = [inst.algebra for n in range(7, 14) for inst in catalog.enumerate_instances(n)]
+    solves = _record_solves(monkeypatch)
+    counts = Counter()
+    for g in algebras:
+        space = derivations._solve_derivation_space(g)
+        solve = solves[-1]
+        unknowns = len(solve["gens"]) * g.dim
+        zero, rows = _substituted(solve)
+        assert _kernel_rows(solve) == rows, g
+        built = solve["equations"]
+        assert space.kernel == _integer_kernel([_primitive(dict(r)) for r in built], unknowns)[2], g
+        counts.update(systems=1, unknowns=unknowns, built=len(built),
+                      one_entry=sum(len(r) == 1 for r in built), zero=len(zero),
+                      kernel=len(rows), one_left=sum(len(r) == 1 for r in rows))
+    assert counts == {"systems": 344, "unknowns": 21475, "built": 23031, "one_entry": 15368,
+                      "zero": 6492, "kernel": 6516, "one_left": 1491}
 
 
 def _unbuilt(monkeypatch, *names):
@@ -309,11 +365,13 @@ def _unbuilt(monkeypatch, *names):
 
 
 def test_dimension_readers_build_neither_lift_nor_rref_basis(monkeypatch):
+    """Nor the map from unknowns to entries: the solver keeps the forms, and only the lift reads it."""
     g = catalog.build(39, 4)
     h = _conjugate(g, random.Random(39))
-    _unbuilt(monkeypatch, "_lift", "cleared")
-    with pytest.raises(AssertionError):
-        derivation_space(h).cleared
+    _unbuilt(monkeypatch, "_lift", "cleared", "fcols")
+    for name in ("cleared", "fcols"):
+        with pytest.raises(AssertionError):
+            getattr(derivation_space(h), name)
     assert invariants.fingerprint(h) == invariants.fingerprint(g)
     report = verify.tables_structural_suite(4, (4,))
     assert any("dimDer=" in item.computed for item in report.items)

@@ -18,7 +18,7 @@ import random
 import pytest
 
 import reference_linalg as ref
-from nilform import catalog, derivations, invariants, linalg, template
+from nilform import catalog, invariants, linalg, template
 from nilform.derivations import derivation_space, is_characteristically_nilpotent
 from nilform.errors import SingularTransform, TemplateMismatch
 from nilform.lie import Subspace
@@ -285,11 +285,12 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
     inside the kernel reader are counted: no more of them than the kernel
     builds, so about one zero row per build.  Plain elimination cancels
     every dependent row to zero (125 of the 144 rows of the first system,
-    93 of the 104 of the second).
+    93 of the 104 of the second).  The system reaches the kernel reader
+    through `linalg._kernel_on`; it has no one-entry row to substitute.
     """
     zero_folds, systems, inside = [], [], []
     builds = _count_kernel_builds(monkeypatch)
-    cancel, kernel = linalg._cancel, derivations._integer_kernel
+    cancel, kernel = linalg._cancel, linalg._integer_kernel
 
     def counting_cancel(row, prow, c):
         out = cancel(row, prow, c)
@@ -305,7 +306,7 @@ def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_cancel", counting_cancel)
-    monkeypatch.setattr(derivations, "_integer_kernel", recording_kernel)
+    monkeypatch.setattr(linalg, "_integer_kernel", recording_kernel)
     for fam, m, seed in ((39, 4, 39), (6, 4, 2030)):
         h = _conjugate(catalog.build(fam, m), random.Random(seed))
         del zero_folds[:], systems[:], builds[:]
