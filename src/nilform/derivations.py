@@ -445,10 +445,10 @@ def _weight_kernel(g: LieAlgebra):
     """Free positions, scale and kernel vectors of lambda_i + lambda_j = lambda_k.
 
     One row per stored bracket coefficient, as it is: its entries are +-1
-    (k is at most one of i < j), so it is primitive, and a repeated row is
-    a dependent row the kernel skips.  Columns are reversed, so the free
-    parameters land on the lowest basis positions; kernel vector t holds
-    scale times the weight of position pos at index n - 1 - pos.
+    (k is at most one of i < j), so it is primitive, and a repeated row
+    cancels to zero.  Columns are reversed, so the free parameters land on
+    the lowest basis positions; kernel vector t holds scale times the
+    weight of position pos at index n - 1 - pos.
     """
     n = g.dim
     rows = []

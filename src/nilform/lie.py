@@ -348,14 +348,10 @@ class LieAlgebra:
                 for k, c in comp.items():
                     rows.setdefault((a, k), {})[j] = c
         zero = {j for r in rows.values() if len(r) == 1 for j in r}
-        if zero:
-            live = [j for j in range(n) if j not in zero]
-            index = {j: i for i, j in enumerate(live)}
-            rows = [{index[j]: c for j, c in r.items() if j not in zero}
-                    for r in rows.values() if len(r) > 1]
-            kernel = _kernel_on(rows, live)
-        else:
-            kernel = _kernel_on(rows.values(), range(n))
+        live = [j for j in range(n) if j not in zero]
+        index = {j: i for i, j in enumerate(live)}
+        kernel = _kernel_on(({index[j]: c for j, c in r.items() if j not in zero}
+                             for r in rows.values() if len(r) > 1), live)
         return Subspace._of_echelon(n, _echelon(map(_primitive, kernel), reduced=False))
 
     def _series(self, images):

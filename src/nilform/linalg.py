@@ -21,17 +21,11 @@ on the columns that one-entry rows do not fix at 0), by `BasisChange`, and
 by the Engel flag and weight system; `_inverse_echelon` takes
 integer rows, and `inverse` clears its matrix once to give it them.
 `kernel_basis` and `sparse_kernel` have no library caller.  The kernel
-reader returns its reduced echelon E, a basis of the row space, with the
-kernel, and verifies dependent rows instead of cancelling them to zero:
-once E has a kept kernel, a row that vanishes on ker E is skipped.  That is exact, because (ker E)^perp = row E over Q, so the row
-adds nothing to the row space, and the reduced echelon of that row space
-is canonical.  The kernel is kept when it pays: it costs about p k entries
-to build, for p pivots and k kernel vectors, and at most k of the rows
-left can be independent, so a row that cancels to zero builds it when
-(rows left - k) times the cancellations spent on zero rows since the last
-build is at least p k.  The kernel is built in one place,
+reader folds every row into one forward echelon, stops at full rank,
+reduces the echelon once and builds its kernel once, in
 `_kernel_coordinates`, which also gives `Subspace.contains` and
-`LieAlgebra.quotient` their projection.
+`LieAlgebra.quotient` their projection; it returns the reduced echelon E,
+a basis of the row space, with the kernel.
 
 Ranks of powers come from one integer core too: `_image_ranks` takes an
 operator as sparse integer columns and iterates integer images instead of
@@ -328,62 +322,22 @@ def _kernel_coordinates(pivots, ncols):
 
 
 def _integer_kernel(rows, ncols):
-    """Kernel of a sequence of sparse integer rows, on the reduced integer echelon E.
+    """Kernel of an iterable of sparse integer rows, on the reduced integer echelon E.
 
     Returns (E as {pivot column: row}, scale, vectors): scale is the lcm
     of the pivot entries, and there is one integer vector {col: int} per
     free column, ascending, equal to scale times the canonical kernel
-    vector of that column (see `_kernel_coordinates`).
-
-    Most rows of a Leibniz system are dependent, and cancelling one to zero
-    costs a `_cancel` per pivot it meets, with growing integers.  Keeping
-    the kernel of E instead costs about p k entries, one `_reduce` and one
-    `_kernel_coordinates`, with p the pivots of E and k = ncols - p its
-    kernel vectors; each later row is then tested with one `_combine`
-    against it.  Of the rows still to come at most k are independent, so
-    at least (rows left - k) of them are dependent.  With spent the
-    `_cancel` calls that rows cancelled to zero have cost since the last
-    build, a row that cancels to zero builds the kernel when
-    (rows left - k) spent >= p k: the rows still to come will save at least
-    the cost of the build.  A row that vanishes on ker E lies in
-    (ker E)^perp = row E over Q and is skipped; any other row is
-    independent: the kernel is dropped and the row folded, and a later
-    zero row may build it again.  At the end the echelon is reduced and its
-    kernel built, unless the kept kernel is still that of E; the vectors
-    are read from it.  The rows skipped leave the row space unchanged, and
-    the reduced echelon of primitive rows with positive pivots is
-    canonical, so the pivots, scale and vectors do not depend on which rows
-    were skipped.  Once every column has a pivot, the rows left are all
-    dependent and are not read.
+    vector of that column (see `_kernel_coordinates`).  Each row is folded
+    into one forward echelon by `_fold`; once every column has a pivot, the
+    rows left are all dependent and are not read.  The echelon is then
+    reduced and its kernel built, once.
     """
-    pivots, kcols, spent = {}, None, 0
-    for i, row in enumerate(rows):
-        if kcols is not None:
-            if not _combine(kcols, row):
-                continue
-            kcols = None
-        steps = 0                   # `_fold`, counting the cancellations
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
-                break
-            row = _cancel(row, prow, c)
-            steps += 1
-        else:
-            spent += steps
-            k = ncols - len(pivots)
-            # a zero input row cancels nothing: it builds no kernel while spent = 0
-            if spent and (len(rows) - i - 1 - k) * spent >= len(pivots) * k:
-                _reduce(pivots)
-                scale, kcols = _kernel_coordinates(pivots, ncols)
-                spent = 0
-        if len(pivots) == ncols:    # full rank: every row left is dependent
+    pivots = {}
+    for row in rows:
+        if _fold(pivots, row) and len(pivots) == ncols:
             break
-    if kcols is None:               # no kernel yet, or rows were folded since
-        _reduce(pivots)
-        scale, kcols = _kernel_coordinates(pivots, ncols)
+    _reduce(pivots)
+    scale, kcols = _kernel_coordinates(pivots, ncols)
     for c in pivots:                # kcols[f] = {f: scale} becomes vector f
         for f, v in kcols[c].items():
             kcols[f][c] = v
@@ -398,7 +352,7 @@ def _kernel_on(rows, live):
     A row left empty is dropped.  Each kernel vector is returned in the
     original columns, {live[i]: int}, and is 0 at every fixed column.
     """
-    kernel = _integer_kernel([_primitive(r) for r in rows if r], len(live))[2]
+    kernel = _integer_kernel((_primitive(r) for r in rows if r), len(live))[2]
     if live and live[-1] == len(live) - 1:          # no column fixed: nothing to map
         return kernel
     return [{live[i]: c for i, c in v.items()} for v in kernel]

@@ -580,15 +580,17 @@ def test_certificate_is_sound(name, certificate, power):
 def _record_kernel_rows(monkeypatch, memo=None):
     """The rows of every `linalg._integer_kernel` call, as item lists, in a list cleared by the caller.
 
-    The rows are copied before the kernel reads them, as it may update them
-    in place.  With a dict `memo`, a system met again (same rows, same
-    columns) returns the kernel computed for it the first time, also when
-    the reference module asks for it.
+    The rows, which may come as a generator, are listed and copied before
+    the kernel reads them, as it may update them in place.  With a dict
+    `memo`, a system met again (same rows, same columns) returns the kernel
+    computed for it the first time, also when the reference module asks
+    for it.
     """
     systems = []
     kernel = linalg._integer_kernel
 
     def recording_kernel(rows, ncols):
+        rows = list(rows)
         items = [list(r.items()) for r in rows]
         systems.append(items)
         if memo is None:

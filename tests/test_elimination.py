@@ -5,12 +5,12 @@ reduced row echelon form is unique, so the fraction-free core in
 `nilform.linalg` must give exactly the same pivots, rref rows, kernel
 vectors, ranks and inverses, and `template._solve_correction`, which reads
 a solution off the reduced integer echelon of [A | b], must give the
-solution of the reference `solve`.  The kernel reader skips the rows
-that vanish on the kernel of the rows before them, and builds that kernel
-only when the rows left can repay it, so its tests take tall redundant
-systems, systems in which an independent row arrives after the kernel was
-built, systems too short to build before the end, Leibniz systems and the
-certificate systems of the characteristic sequence.
+solution of the reference `solve`.  The kernel reader folds every row
+into one echelon and builds its kernel once, at the end, so its tests take
+tall redundant systems, systems in which independent rows arrive after
+dependent ones, short systems, Leibniz systems, the Engel flags of the
+characteristic-nilpotency decision and the certificate systems of the
+characteristic sequence.
 """
 
 import random
@@ -18,8 +18,8 @@ import random
 import pytest
 
 import reference_linalg as ref
-from nilform import catalog, invariants, linalg, template
-from nilform.derivations import derivation_space, is_characteristically_nilpotent
+from nilform import catalog, derivations, invariants, linalg, template
+from nilform.derivations import derivation_algebra, derivation_space, is_characteristically_nilpotent
 from nilform.errors import SingularTransform, TemplateMismatch
 from nilform.lie import Subspace
 from nilform.linalg import (
@@ -169,8 +169,7 @@ def test_redundant_systems_match_reference(seed):
     """40-120 rows of rank 3-10 in 8-30 columns, entries up to 50 in absolute value.
 
     Every other system has at most twice as many columns as its rank, so
-    that a dependent row can meet as many pivots as the kernel has vectors
-    and the kernel is kept.
+    that a dependent row can meet as many pivots as the kernel has vectors.
     """
     rng = random.Random(seed)
     for k in range(12):
@@ -217,21 +216,15 @@ _R.append(_sum((1, _R[0]), (2, _R[1])))
 _R.append({3: 3, 4: 2})
 
 
-def test_independent_row_after_the_kernel(monkeypatch):
-    """A row outside the row space arrives once the kernel is kept: it is folded, not skipped.
+def test_independent_row_after_the_kernel():
+    """Independent rows that arrive after a dependent one are folded, not lost.
 
-    The fourth row cancels to zero in two `_cancel` calls, with p = 3
-    pivots and k = 2 kernel vectors, so it builds the kernel when at least
-    5 rows are left: (5 - 2) * 2 >= 3 * 2.  The fifth row is independent,
-    so the kernel is dropped and the echelon must be reduced again.  The
-    sixth, r2 + r4, lies in the new row space but not in the old one; it
-    cancels to zero in two calls, and with p = 4 and k = 1 it builds the
-    kernel again when at least 3 rows are left.  The last three are skipped.
-    In the second system the fourth row is followed by four rows of the old
-    row space, which are skipped, and by the independent row, so the system
-    ends on a dropped kernel.
+    The fourth row cancels to zero and the fifth is independent.  In the
+    first system the sixth, r2 + r4, lies in the row space of the first five
+    but not in that of the first four, and the last three are dependent too.
+    In the second system the fourth row is followed by four rows of the row
+    space of the first three and then by the independent row.
     """
-    builds = _count_kernel_builds(monkeypatch)
     rows = _R + [
         _sum((1, _R[2]), (1, _R[4])),
         _sum((1, _R[0]), (1, _R[4])),
@@ -246,9 +239,7 @@ def test_independent_row_after_the_kernel(monkeypatch):
     ]
     for system in (rows, _R[:4] + old_space + _R[4:]):
         assert len(system) == 9
-        del builds[:]
         assert sparse_kernel(system, 5) == ref.sparse_kernel(system, 5)
-        assert builds == [3, 4]
         for ncols in (5, 6):
             mat = _dense(system, ncols)
             assert kernel_basis(mat) == ref.kernel_basis(mat)
@@ -256,14 +247,11 @@ def test_independent_row_after_the_kernel(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_no_kernel_before_the_end_when_few_rows_are_left(monkeypatch, seed):
-    """A system with no more rows left than its kernel has vectors builds one kernel, at the end.
+    """A short system builds one kernel, at the end, on its whole echelon.
 
-    Then at least as many of the rows left may be independent as the kernel
-    has vectors, so no build is sure to pay for itself.  The five rows
-    above: the fourth cancels to zero with one row left and a kernel of
-    two vectors, and the fifth is independent.  And seeded systems of rank
-    r in n columns with at most n - r + 1 rows, where every row has at most
-    n - r rows after it.
+    The five rows above: the fourth cancels to zero with one row left, and
+    the fifth is independent.  And seeded systems of rank r in n columns
+    with at most n - r + 1 rows.
     """
     builds = _count_kernel_builds(monkeypatch)
     assert sparse_kernel(_R, 5) == ref.sparse_kernel(_R, 5)
@@ -278,44 +266,28 @@ def test_no_kernel_before_the_end_when_few_rows_are_left(monkeypatch, seed):
         assert builds == [rank_]
 
 
-def test_dependent_leibniz_rows_are_checked_not_cancelled(monkeypatch):
-    """In `derivation_space`, dependent rows are skipped by the kernel check, not cancelled.
+def test_each_engel_flag_kernel_is_built_once(monkeypatch):
+    """Every `_integer_kernel` call of an Engel flag builds `_kernel_coordinates` once.
 
-    Conjugates of g7^39 and of g8^6.  The rows that `_cancel` takes to zero
-    inside the kernel reader are counted: no more of them than the kernel
-    builds, so about one zero row per build.  Plain elimination cancels
-    every dependent row to zero (125 of the 144 rows of the first system,
-    93 of the 104 of the second).  The system reaches the kernel reader
-    through `linalg._kernel_on`; it has no one-entry row to substitute.
+    The flags of the catalog at n = 7..9, 247 calls, and of Der(g7^81),
+    whose flag stalls on its first term.
     """
-    zero_folds, systems, inside = [], [], []
-    builds = _count_kernel_builds(monkeypatch)
-    cancel, kernel = linalg._cancel, linalg._integer_kernel
-
-    def counting_cancel(row, prow, c):
-        out = cancel(row, prow, c)
-        if inside and not out:
-            zero_folds.append(len(builds))
-        return out
+    builds, calls = _count_kernel_builds(monkeypatch), []
+    kernel = derivations._integer_kernel
 
     def recording_kernel(rows, ncols):
-        inside.append(True)
+        before = len(builds)
         out = kernel(rows, ncols)
-        inside.pop()
-        systems.append((len(rows), len(out[0])))
+        calls.append(len(builds) - before)
         return out
 
-    monkeypatch.setattr(linalg, "_cancel", counting_cancel)
-    monkeypatch.setattr(linalg, "_integer_kernel", recording_kernel)
-    for fam, m, seed in ((39, 4, 39), (6, 4, 2030)):
-        h = _conjugate(catalog.build(fam, m), random.Random(seed))
-        del zero_folds[:], systems[:], builds[:]
-        derivation_space(h)
-        (nrows, npivots), = systems
-        dependent = nrows - npivots
-        assert dependent > 60
-        assert builds and len(zero_folds) <= len(builds)
-        assert len(zero_folds) < dependent - len(zero_folds)
+    monkeypatch.setattr(derivations, "_integer_kernel", recording_kernel)
+    algebras = [inst.algebra for n in (7, 8, 9) for inst in catalog.enumerate_instances(n)]
+    algebras.append(derivation_algebra(catalog.build(81, 3)))
+    for g in algebras:
+        derivations._engel_flag(derivation_space(g)._lift, g.dim)
+    assert len(calls) > 200
+    assert set(calls) == {1}
 
 
 def test_ad_kernel_maps_systems_match_reference(monkeypatch):
@@ -328,6 +300,7 @@ def test_ad_kernel_maps_systems_match_reference(monkeypatch):
     kernel = linalg._integer_kernel
 
     def recording_kernel(rows, ncols):
+        rows = list(rows)                   # `_kernel_on` passes a generator
         systems.append(([dict(r) for r in rows], ncols))
         return kernel(rows, ncols)
 
